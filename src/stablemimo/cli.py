@@ -103,6 +103,16 @@ def _cmd_run(args) -> int:
     if updates:
         config = replace(config, **updates)
 
+    # overlays are built before sampling, so a config they reject leaves
+    # no artifact behind
+    overlays = []
+    for rx in config.receivers:
+        if rx == "mdr" or (rx == "gar" and config.model is NoiseModel.SHARED):
+            overlays.append(
+                theory_curve(rx, config.model, config.n_t, config.n_r,
+                             config.alpha, config.snr_grid_db)
+            )
+
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.config))[0]
     t0 = time.time()
@@ -111,14 +121,6 @@ def _cmd_run(args) -> int:
 
     sim_path = os.path.join(args.out_dir, f"{stem}_sim.csv")
     emit_csv(curve, sim_path)
-
-    overlays = []
-    for rx in config.receivers:
-        if rx == "mdr" or (rx == "gar" and config.model is NoiseModel.SHARED):
-            overlays.append(
-                theory_curve(rx, config.model, config.n_t, config.n_r,
-                             config.alpha, config.snr_grid_db)
-            )
     theory_path = os.path.join(args.out_dir, f"{stem}_theory.csv")
     emit_csv(overlays, theory_path)
 

@@ -128,6 +128,26 @@ def sample_channel(n_r: int, n_t: int, rng: np.random.Generator, size=None):
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / _SQRT2
 
 
+def codeword_products(h, codebook: Codebook) -> np.ndarray:
+    """Noiseless blocks H_b C_k of every trial b under every codeword k.
+
+    h: (B, n_r, n_t) -> (B, K, n_r, t_s).  Terms are summed over transmit
+    antennas in order.  A chunk forms these once: the received block of
+    trial b is sqrt(rho) * HC[b, tx_b] + W_b, and every receiver's
+    residuals are Y_b - sqrt(rho) * HC[b, k].
+    """
+    c = codebook.codewords
+    if h.shape[-1] != codebook.n_t:
+        raise ValueError(
+            f"dimension mismatch: h has {h.shape[-1]} transmit antennas, "
+            f"codewords have {codebook.n_t}"
+        )
+    hc = h[:, None, :, 0, None] * c[None, :, None, 0, :]
+    for m in range(1, codebook.n_t):
+        hc += h[:, None, :, m, None] * c[None, :, None, m, :]
+    return hc
+
+
 def sample_trial(
     codebook: Codebook,
     model: NoiseModel,

@@ -19,11 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitude import AmplitudePdfTable, build_amplitude_table, noise_amplitude_spec
-from .codes import Codebook, enumerate_codebook, sample_channel
-from .receivers import RECEIVER_KINDS, batch_aor, batch_gar, batch_mdr, batch_ml
+from .codes import Codebook, codeword_products, enumerate_codebook, sample_channel
+from .receivers import (
+    RECEIVER_KINDS,
+    ResidualEnergies,
+    check_ml_table,
+    decide,
+    ml_table_dimension,
+    residuals,
+)
 from .stable import NoiseModel, sample_noise_block
 
 CHUNK_TRIALS = 8192  # part of the determinism contract: streams are per-chunk
+# the Philox key packs (snr_index, chunk_index) into one 64-bit word
+_KEY_FIELD_LIMIT = 2**32
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -53,8 +62,19 @@ class SimConfig:
         if self.n_r < 1:
             raise ValueError("n_r must be >= 1")
         grid = tuple(float(s) for s in self.snr_grid_db)
-        if len(grid) == 0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("snr_grid_db must be non-empty and strictly increasing")
+        if (
+            len(grid) == 0
+            or not np.all(np.isfinite(grid))
+            or np.any(np.diff(grid) <= 0.0)
+        ):
+            raise ValueError(
+                "snr_grid_db must be non-empty, finite and strictly increasing"
+            )
+        if len(grid) > _KEY_FIELD_LIMIT:
+            raise ValueError(
+                f"snr_grid_db has {len(grid)} points; chunk streams allow at "
+                f"most {_KEY_FIELD_LIMIT}"
+            )
         object.__setattr__(self, "snr_grid_db", grid)
         receivers = tuple(self.receivers)
         for r in receivers:
@@ -65,6 +85,11 @@ class SimConfig:
         object.__setattr__(self, "receivers", receivers)
         if self.min_errors <= 0 or self.max_trials <= 0:
             raise ValueError("stopping parameters must be positive")
+        if math.ceil(self.max_trials / CHUNK_TRIALS) > _KEY_FIELD_LIMIT:
+            raise ValueError(
+                f"max_trials {self.max_trials} needs more than "
+                f"{_KEY_FIELD_LIMIT} chunks of {CHUNK_TRIALS} trials"
+            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0 <= self.master_seed < 2**64:
@@ -121,6 +146,11 @@ def wilson_interval(errors: int, total: int, z: float = _WILSON_Z):
 
 
 def _chunk_rng(master_seed: int, snr_index: int, chunk_index: int):
+    if not (0 <= snr_index < _KEY_FIELD_LIMIT and 0 <= chunk_index < _KEY_FIELD_LIMIT):
+        raise ValueError(
+            f"chunk key ({snr_index}, {chunk_index}) does not fit in two "
+            f"32-bit fields"
+        )
     key = np.array(
         [master_seed, (snr_index << 32) | chunk_index], dtype=np.uint64
     )
@@ -133,7 +163,7 @@ class _SweepState:
 
     config: SimConfig
     codebook: Codebook
-    tables: dict[str, AmplitudePdfTable]
+    ml_table: AmplitudePdfTable | None
     rhos: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
@@ -150,18 +180,13 @@ def _run_chunk(state: _SweepState, snr_index: int, chunk_index: int, n: int):
     h = sample_channel(cfg.n_r, cb.n_t, rng, size=n)
     tx = rng.integers(0, len(cb), size=n)
     w, genie = sample_noise_block(cfg.model, cfg.alpha, cfg.n_r, cb.t_s, rng, size=n)
-    y = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, cb.codewords[tx]) + w
+    hc = codeword_products(h, cb)
+    y = np.sqrt(rho) * hc[np.arange(n), tx] + w
 
+    energies = ResidualEnergies(residuals(y, hc, rho))
     errors = np.zeros(len(cfg.receivers), dtype=np.int64)
     for i, rx in enumerate(cfg.receivers):
-        if rx == "gar":
-            dec = batch_gar(y, h, genie, rho, cb)
-        elif rx == "mdr":
-            dec = batch_mdr(y, h, rho, cb)
-        elif rx == "ml":
-            dec = batch_ml(y, h, rho, cb, cfg.model, state.tables["ml"])
-        else:
-            dec = batch_aor(y, h, rho, cb, cfg.model)
+        dec = decide(rx, energies, genie, cfg.model, state.ml_table)
         errors[i] = cb.bit_distance[tx, dec].sum()
     return errors
 
@@ -169,12 +194,12 @@ def _run_chunk(state: _SweepState, snr_index: int, chunk_index: int, n: int):
 _WORKER_STATE: _SweepState | None = None
 
 
-def _init_worker(config: SimConfig, tables: dict[str, AmplitudePdfTable]):
+def _init_worker(config: SimConfig, ml_table: AmplitudePdfTable | None):
     global _WORKER_STATE
     _WORKER_STATE = _SweepState(
         config=config,
         codebook=enumerate_codebook(config.code, config.constellation),
-        tables=tables,
+        ml_table=ml_table,
     )
 
 
@@ -185,7 +210,7 @@ def _worker_chunk(args):
 
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:
     """Amplitude table matched to the configured noise model."""
-    d = 2 * config.n_r if config.model is NoiseModel.SHARED else 2
+    d = ml_table_dimension(config.model, config.n_r)
     return build_amplitude_table(noise_amplitude_spec(config.alpha, d))
 
 
@@ -198,19 +223,16 @@ def run_sweep(
     count.  An ML table is built on demand when the roster asks for the
     ml receiver and none is supplied.
     """
-    tables: dict[str, AmplitudePdfTable] = {}
-    if "ml" in config.receivers:
-        tables["ml"] = ml_table if ml_table is not None else build_ml_table(config)
-        want_d = 2 * config.n_r if config.model is NoiseModel.SHARED else 2
-        if tables["ml"].spec.d != want_d:
-            raise ValueError(
-                f"ml table dimension {tables['ml'].spec.d} does not match "
-                f"model {config.model.value} with n_r={config.n_r}"
-            )
+    if "ml" not in config.receivers:
+        ml_table = None
+    else:
+        if ml_table is None:
+            ml_table = build_ml_table(config)
+        check_ml_table(ml_table, config.model, config.n_r)
 
     codebook = enumerate_codebook(config.code, config.constellation)
     bits = codebook.bits_per_codeword
-    state = _SweepState(config=config, codebook=codebook, tables=tables)
+    state = _SweepState(config=config, codebook=codebook, ml_table=ml_table)
 
     n_chunks_cap = math.ceil(config.max_trials / CHUNK_TRIALS)
 
@@ -222,7 +244,7 @@ def run_sweep(
         pool = ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_init_worker,
-            initargs=(config, tables),
+            initargs=(config, ml_table),
         )
 
     try:

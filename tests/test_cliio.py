@@ -280,3 +280,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestRunArtifacts:
+    def test_failing_overlay_leaves_no_artifact(self, tmp_path, monkeypatch):
+        # alpha = 2 is a valid sweep, but the MDR asymptote needs alpha < 2
+        from stablemimo import cli
+
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("sampling started before overlays were built")
+
+        monkeypatch.setattr(cli, "run_sweep", must_not_sample)
+        cfg_path = tmp_path / "gauss.cfg"
+        cfg_path.write_text(
+            "alpha = 2\nnr = 1\nsnr_db = 0, 10\nreceivers = mdr\n"
+            "min_errors = 5\nmax_trials = 4096\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()

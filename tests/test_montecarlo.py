@@ -18,7 +18,11 @@ from stablemimo import (
     snr_at_ber,
     wilson_interval,
 )
-from stablemimo.montecarlo import _chunk_rng
+from stablemimo import montecarlo
+from stablemimo.codes import enumerate_codebook, sample_channel
+from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _run_chunk, _SweepState
+from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
+from stablemimo.stable import sample_noise_block
 
 
 def tiny_config(**kwargs):
@@ -49,6 +53,25 @@ class TestConfigValidation:
             tiny_config(snr_grid_db=(10.0, 10.0))
         with pytest.raises(ValueError):
             tiny_config(snr_grid_db=())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_grid_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(snr_grid_db=(0.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(snr_grid_db=(bad,))
+
+    def test_trial_cap_fits_chunk_key(self):
+        limit = CHUNK_TRIALS * 2**32
+        assert tiny_config(max_trials=limit).max_trials == limit
+        with pytest.raises(ValueError, match="chunks"):
+            tiny_config(max_trials=limit + 1)
+
+    def test_grid_length_fits_chunk_key(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_KEY_FIELD_LIMIT", 2)
+        tiny_config(snr_grid_db=(0.0, 10.0), max_trials=CHUNK_TRIALS)
+        with pytest.raises(ValueError, match="at most 2"):
+            tiny_config(snr_grid_db=(0.0, 10.0, 20.0), max_trials=CHUNK_TRIALS)
 
     def test_unknown_receiver(self):
         with pytest.raises(ValueError):
@@ -93,12 +116,63 @@ class TestChunkStreams:
         b = _chunk_rng(99, 3, 17).normal(size=8)
         assert np.array_equal(a, b)
 
+    def test_key_fields_are_range_checked(self):
+        # (0, 2**32) would alias (1, 0) if packed unchecked
+        _chunk_rng(99, 2**32 - 1, 2**32 - 1)
+        for snr_index, chunk_index in ((0, 2**32), (2**32, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="32-bit"):
+                _chunk_rng(99, snr_index, chunk_index)
+
     def test_distinct_chunks_differ(self):
         a = _chunk_rng(99, 3, 17).normal(size=8)
         b = _chunk_rng(99, 3, 18).normal(size=8)
         c = _chunk_rng(99, 4, 17).normal(size=8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def roster_chunk(cfg, cb, table, snr_index, chunk_index, n):
+    """A chunk drawn as the engine draws it, synthesized with einsum and
+    decoded one receiver at a time through the public batch functions."""
+    rho = 10.0 ** (cfg.snr_grid_db[snr_index] / 10.0)
+    rng = _chunk_rng(cfg.master_seed, snr_index, chunk_index)
+    h = sample_channel(cfg.n_r, cb.n_t, rng, size=n)
+    tx = rng.integers(0, len(cb), size=n)
+    w, genie = sample_noise_block(cfg.model, cfg.alpha, cfg.n_r, cb.t_s, rng, size=n)
+    y = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, cb.codewords[tx]) + w
+    decisions = {
+        "gar": batch_gar(y, h, genie, rho, cb),
+        "mdr": batch_mdr(y, h, rho, cb),
+        "ml": batch_ml(y, h, rho, cb, cfg.model, table),
+        "aor": batch_aor(y, h, rho, cb, cfg.model),
+    }
+    return np.array([cb.bit_distance[tx, decisions[rx]].sum() for rx in cfg.receivers])
+
+
+class TestFusedChunk:
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    @pytest.mark.parametrize("constellation", ["bpsk", "qpsk"])
+    @pytest.mark.parametrize("code", ["alamouti", "uncoded"])
+    def test_engine_matches_public_roster(
+        self, code, constellation, model, table_a05_d2, table_a05_d4
+    ):
+        table = table_a05_d4 if model is NoiseModel.SHARED else table_a05_d2
+        cfg = SimConfig(
+            model=model,
+            alpha=0.5,
+            n_r=2,
+            snr_grid_db=(0.0, 10.0, 20.0),
+            code=code,
+            constellation=constellation,
+            receivers=("gar", "mdr", "ml", "aor"),
+            master_seed=77,
+        )
+        cb = enumerate_codebook(code, constellation)
+        state = _SweepState(config=cfg, codebook=cb, ml_table=table)
+        for snr_index, chunk_index in ((0, 0), (1, 3), (2, 1)):
+            got = _run_chunk(state, snr_index, chunk_index, 2048)
+            want = roster_chunk(cfg, cb, table, snr_index, chunk_index, 2048)
+            assert np.array_equal(got, want), (snr_index, chunk_index)
 
 
 class TestRunSweep:

@@ -14,7 +14,20 @@ from stablemimo import (
     sample_channel,
     sample_noise_block,
 )
-from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
+from stablemimo.codes import codeword_products
+from stablemimo.receivers import (
+    METRICS,
+    RECEIVER_KINDS,
+    ResidualEnergies,
+    batch_aor,
+    batch_gar,
+    batch_mdr,
+    batch_ml,
+    batch_residuals,
+    check_ml_table,
+    decide,
+    ml_table_dimension,
+)
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +276,92 @@ class TestBatchScalarAgreement:
             assert b_ml[i] == ml_decode(
                 y[i], h[i], rho, codebook, NoiseModel.SHARED, table_a143_d2
             )
+
+
+class TestSharedEnergies:
+    @pytest.mark.parametrize("code", ["alamouti", "uncoded"])
+    def test_products_match_einsum_bitwise_on_real_codebooks(self, code):
+        cb = enumerate_codebook(code, "bpsk")
+        rng = np.random.default_rng(50)
+        for n_r in (1, 2, 3):
+            h = sample_channel(n_r, cb.n_t, rng, size=500)
+            hc = codeword_products(h, cb)
+            assert np.array_equal(hc, np.einsum("brn,knt->bkrt", h, cb.codewords))
+
+    @pytest.mark.parametrize("code", ["alamouti", "uncoded"])
+    def test_gathered_synthesis_matches_einsum_bitwise(self, code):
+        cb = enumerate_codebook(code, "bpsk")
+        rng = np.random.default_rng(51)
+        n, rho = 500, 7.0
+        h = sample_channel(2, cb.n_t, rng, size=n)
+        tx = rng.integers(0, len(cb), size=n)
+        w, _ = sample_noise_block(NoiseModel.SHARED, 1.2, 2, cb.t_s, rng, size=n)
+        gathered = np.sqrt(rho) * codeword_products(h, cb)[np.arange(n), tx] + w
+        direct = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, cb.codewords[tx]) + w
+        assert np.array_equal(gathered, direct)
+
+    def test_products_close_to_einsum_on_complex_codebooks(self):
+        # complex codewords: the ordered broadcast sum may round differently
+        # from einsum in the last place; decisions are pinned by the
+        # engine-versus-roster test instead
+        rng = np.random.default_rng(52)
+        for code in ("alamouti", "uncoded"):
+            cb = enumerate_codebook(code, "qpsk")
+            h = sample_channel(2, cb.n_t, rng, size=500)
+            np.testing.assert_allclose(
+                codeword_products(h, cb),
+                np.einsum("brn,knt->bkrt", h, cb.codewords),
+                rtol=0, atol=4e-15,
+            )
+
+    def test_products_reject_antenna_mismatch(self, codebook):
+        h = np.ones((3, 1, 1), dtype=complex)
+        with pytest.raises(ValueError, match="dimension"):
+            codeword_products(h, codebook)
+
+    def test_column_sums_match_reduction(self):
+        rng = np.random.default_rng(53)
+        for n_r in (1, 2, 3, 5):
+            r = rng.standard_cauchy((200, 4, n_r, 2)) + 1j * rng.normal(size=(200, 4, n_r, 2))
+            e = ResidualEnergies(r)
+            sq = np.abs(r) ** 2
+            assert np.array_equal(e.sq, sq)
+            assert np.array_equal(e.column, sq.sum(axis=2))
+            assert np.array_equal(e.total, sq.sum(axis=(2, 3)))
+
+    def test_metric_table_covers_roster(self):
+        assert RECEIVER_KINDS == tuple(METRICS) == ("gar", "mdr", "ml", "aor")
+        assert METRICS["ml"][1] is np.argmax
+        assert all(METRICS[rx][1] is np.argmin for rx in ("gar", "mdr", "aor"))
+
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    def test_shared_energies_decide_like_wrappers(self, codebook, table_a143_d2, model):
+        rng = np.random.default_rng(54)
+        n, rho = 2000, 4.0
+        h = sample_channel(1, 2, rng, size=n)
+        tx = rng.integers(0, 4, size=n)
+        w, genie = sample_noise_block(model, 1.43, 1, 2, rng, size=n)
+        y = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, codebook.codewords[tx]) + w
+        energies = ResidualEnergies(batch_residuals(y, h, rho, codebook))
+        wrappers = {
+            "gar": batch_gar(y, h, genie, rho, codebook),
+            "mdr": batch_mdr(y, h, rho, codebook),
+            "ml": batch_ml(y, h, rho, codebook, model, table_a143_d2),
+            "aor": batch_aor(y, h, rho, codebook, model),
+        }
+        for rx, want in wrappers.items():
+            got = decide(rx, energies, genie, model, table_a143_d2)
+            assert np.array_equal(got, want), rx
+
+
+class TestMlTableDimension:
+    def test_rule(self):
+        assert ml_table_dimension(NoiseModel.SHARED, 1) == 2
+        assert ml_table_dimension(NoiseModel.SHARED, 3) == 6
+        assert ml_table_dimension(NoiseModel.IID, 3) == 2
+
+    def test_check_message(self, table_a143_d2):
+        with pytest.raises(ValueError, match=r"table dimension 2 does not match "
+                                             r"model I with n_r=2 \(want d=4\)"):
+            check_ml_table(table_a143_d2, NoiseModel.SHARED, 2)
+        check_ml_table(table_a143_d2, NoiseModel.IID, 2)
