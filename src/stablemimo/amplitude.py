@@ -258,16 +258,17 @@ class AmplitudePdfTable:
         Arrays use the NumPy .npy container, which records dtype and byte
         order in each entry's header.
         """
-        np.savez(
-            path,
-            format_version=np.int64(TABLE_FORMAT_VERSION),
-            alpha=np.float64(self.spec.alpha),
-            sigma=np.float64(self.spec.sigma),
-            d=np.int64(self.spec.d),
-            grid=self.grid,
-            log_values=self.log_values,
-            tail_constant=np.float64(self.tail_constant),
-        )
+        with open(path, "wb") as fh:  # a path string would gain ".npz"
+            np.savez(
+                fh,
+                format_version=np.int64(TABLE_FORMAT_VERSION),
+                alpha=np.float64(self.spec.alpha),
+                sigma=np.float64(self.spec.sigma),
+                d=np.int64(self.spec.d),
+                grid=self.grid,
+                log_values=self.log_values,
+                tail_constant=np.float64(self.tail_constant),
+            )
 
     @classmethod
     def load(cls, path) -> "AmplitudePdfTable":

@@ -12,25 +12,19 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
-from dataclasses import replace
-
-import numpy as np
 
 from . import __version__
 from .amplitude import IsotropicAmplitudeSpec, build_amplitude_table
 from .cliio import (
-    ConfigError,
+    OVERRIDE_KEYS,
     emit_csv,
     parse_config,
+    run_experiment,
     run_preset,
-    serialize_config,
     theory_curve,
 )
-from .montecarlo import run_sweep
 from .stable import NoiseModel
 
 USAGE_EXIT = 1
@@ -88,76 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args) -> dict:
+    return {k: getattr(args, k) for k in OVERRIDE_KEYS if getattr(args, k) is not None}
+
+
+def _report(paths) -> int:
+    print("wrote " + ", ".join(paths[k] for k in ("sim", "theory", "manifest")))
+    return 0
+
+
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         config = parse_config(fh.read())
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.min_errors is not None:
-        updates["min_errors"] = args.min_errors
-    if args.max_trials is not None:
-        updates["max_trials"] = args.max_trials
-    if updates:
-        config = replace(config, **updates)
-
-    # overlays are built before sampling, so a config they reject leaves
-    # no artifact behind
-    overlays = []
-    for rx in config.receivers:
-        if rx == "mdr" or (rx == "gar" and config.model is NoiseModel.SHARED):
-            overlays.append(
-                theory_curve(rx, config.model, config.n_t, config.n_r,
-                             config.alpha, config.snr_grid_db)
-            )
-
-    os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.config))[0]
-    t0 = time.time()
-    curve = run_sweep(config)
-    wall = time.time() - t0
-
-    sim_path = os.path.join(args.out_dir, f"{stem}_sim.csv")
-    emit_csv(curve, sim_path)
-    theory_path = os.path.join(args.out_dir, f"{stem}_theory.csv")
-    emit_csv(overlays, theory_path)
-
-    manifest = {
-        "config_file": args.config,
-        "config": serialize_config(config).splitlines(),
-        "package_version": __version__,
-        "numpy_version": np.__version__,
-        "seed": config.master_seed,
-        "wall_time_s": wall,
-        "stopping": {
-            rx: [{"snr_db": p.snr_db, "trials": p.trials,
-                  "stopped_on": p.stopped_on} for p in curve.points[rx]]
-            for rx in config.receivers
-        },
-        "artifacts": {"sim": sim_path, "theory": theory_path},
-    }
-    manifest_path = os.path.join(args.out_dir, f"{stem}_manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    print(f"wrote {sim_path}, {theory_path}, {manifest_path}")
-    return 0
+    return _report(run_experiment(stem, [config], config.receivers, _overrides(args),
+                                  args.out_dir, {"config_file": args.config}))
 
 
 def _cmd_preset(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.min_errors is not None:
-        overrides["min_errors"] = args.min_errors
-    if args.max_trials is not None:
-        overrides["max_trials"] = args.max_trials
-    paths = run_preset(args.name, overrides, out_dir=args.out_dir, full=args.full)
-    print("wrote " + ", ".join(paths[k] for k in ("sim", "theory", "manifest")))
-    return 0
+    return _report(run_preset(args.name, _overrides(args), out_dir=args.out_dir,
+                              full=args.full))
 
 
 def _cmd_theory(args) -> int:
@@ -193,7 +137,7 @@ def main(argv=None) -> int:
         if args.verb == "table":
             return _cmd_table(args)
         parser.error(f"unknown verb {args.verb!r}")
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"stablemimo: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
     return 0

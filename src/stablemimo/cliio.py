@@ -1,9 +1,9 @@
-"""Config parsing, experiment presets, and CSV/manifest emission.
+"""Config parsing, experiment presets, the experiment runner, and CSV/manifest emission.
 
 Config files are plain text, one `key = value` per line with `#`
-comments.  Keys: model, alpha, nt, nr, code, constellation, snr_db,
-receivers, seed, min_errors, max_trials, workers.  Unknown keys are
-errors; missing keys take the documented defaults.
+comments.  ``_SCHEMA`` lists the keys and the ``SimConfig`` field each
+one sets; unknown keys are errors and missing keys take ``SimConfig``'s
+defaults.  ``nt`` is checked against the code instead of being set.
 
 The CSV schema is fixed:
     kind,receiver,model,alpha,nt,nr,snr_db,ber,ci_lo,ci_hi,trials,bit_errors
@@ -14,7 +14,9 @@ empty), floats printed with 9 significant digits and rows sorted by
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -27,26 +29,104 @@ from .theory import pep_asymptote
 
 CSV_HEADER = "kind,receiver,model,alpha,nt,nr,snr_db,ber,ci_lo,ci_hi,trials,bit_errors"
 
-_DEFAULTS = {
-    "model": "I",
-    "alpha": 1.43,
-    "nr": 1,
-    "code": "alamouti",
-    "constellation": "bpsk",
-    "snr_db": (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0),
-    "receivers": ("gar", "mdr", "ml", "aor"),
-    "seed": 0,
-    "min_errors": 200,
-    "max_trials": 10_000_000,
-    "workers": 1,
-}
-
-_KNOWN_KEYS = ("model", "alpha", "nt", "nr", "code", "constellation", "snr_db",
-               "receivers", "seed", "min_errors", "max_trials", "workers")
-
 
 class ConfigError(ValueError):
     """Malformed or invalid sweep configuration."""
+
+
+def _model(raw: str) -> NoiseModel:
+    if raw not in ("I", "II"):
+        raise ValueError("must be I or II")
+    return NoiseModel(raw)
+
+
+def _list(parse):
+    return lambda raw: tuple(parse(v.strip()) for v in raw.split(","))
+
+
+# config key, SimConfig attribute, parser of the value text
+_SCHEMA = (
+    ("model", "model", _model),
+    ("alpha", "alpha", float),
+    ("nt", "n_t", int),  # check-only: the code fixes n_t
+    ("nr", "n_r", int),
+    ("code", "code", str.lower),
+    ("constellation", "constellation", str.lower),
+    ("snr_db", "snr_grid_db", _list(float)),
+    ("receivers", "receivers", _list(str.lower)),
+    ("seed", "master_seed", int),
+    ("min_errors", "min_errors", int),
+    ("max_trials", "max_trials", int),
+    ("workers", "workers", int),
+)
+_FIELDS = {key: (attr, parse) for key, attr, parse in _SCHEMA}
+# keys a run may override on top of its config file or preset
+OVERRIDE_KEYS = ("seed", "workers", "min_errors", "max_trials")
+
+
+def _format(value) -> str:
+    """Schema text of a value; floats print as their shortest round-trip repr."""
+    if isinstance(value, tuple):
+        return ", ".join(_format(v) for v in value)
+    if isinstance(value, NoiseModel):
+        return value.value
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def parse_config(text: str) -> SimConfig:
+    """Parse the key-value config schema into a validated SimConfig."""
+    values = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip().lower()
+        raw = raw.strip()
+        if key not in _FIELDS:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
+        try:
+            values[key] = _FIELDS[key][1](raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"line {line_no}: bad value for {key}: {raw!r} ({exc})"
+            ) from None
+
+    nt_declared = values.pop("nt", None)
+    try:
+        config = SimConfig(**{_FIELDS[k][0]: v for k, v in values.items()})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if nt_declared is not None and nt_declared != config.n_t:
+        raise ConfigError(
+            f"nt = {nt_declared} inconsistent with code {config.code!r} "
+            f"(nt = {config.n_t})"
+        )
+    return config
+
+
+def serialize_config(config: SimConfig) -> str:
+    """Render a SimConfig in the parse_config schema (round-trips)."""
+    return "".join(f"{key} = {_format(getattr(config, attr))}\n"
+                   for key, attr, _ in _SCHEMA)
+
+
+def apply_overrides(config: SimConfig, overrides: dict) -> SimConfig:
+    """Config with OVERRIDE_KEYS values set through the schema's parsers."""
+    unknown = set(overrides) - set(OVERRIDE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown overrides: {sorted(unknown)}")
+    updates = {_FIELDS[k][0]: _FIELDS[k][1](v) for k, v in overrides.items()}
+    try:
+        return replace(config, **updates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -85,149 +165,29 @@ def theory_curve(
     )
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    try:
-        if key == "model":
-            if raw not in ("I", "II"):
-                raise ValueError("must be I or II")
-            return NoiseModel(raw)
-        if key == "alpha":
-            return float(raw)
-        if key in ("nt", "nr", "seed", "min_errors", "max_trials", "workers"):
-            return int(raw)
-        if key in ("code", "constellation"):
-            return raw.lower()
-        if key == "snr_db":
-            return tuple(float(v) for v in raw.split(","))
-        if key == "receivers":
-            return tuple(v.strip().lower() for v in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: bad value for {key}: {raw!r} ({exc})") from None
-    raise AssertionError(key)
-
-
-def parse_config(text: str) -> SimConfig:
-    """Parse the key-value config schema into a validated SimConfig."""
-    values = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip().lower()
-        raw = raw.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, line_no)
-
-    merged = dict(_DEFAULTS)
-    nt_declared = values.pop("nt", None)
-    merged.update(values)
-    try:
-        config = SimConfig(
-            model=merged["model"] if isinstance(merged["model"], NoiseModel)
-            else NoiseModel(merged["model"]),
-            alpha=merged["alpha"],
-            n_r=merged["nr"],
-            snr_grid_db=merged["snr_db"],
-            code=merged["code"],
-            constellation=merged["constellation"],
-            receivers=merged["receivers"],
-            master_seed=merged["seed"],
-            min_errors=merged["min_errors"],
-            max_trials=merged["max_trials"],
-            workers=merged["workers"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if nt_declared is not None and nt_declared != config.n_t:
-        raise ConfigError(
-            f"nt = {nt_declared} inconsistent with code {config.code!r} "
-            f"(nt = {config.n_t})"
-        )
-    return config
-
-
-def serialize_config(config: SimConfig) -> str:
-    """Render a SimConfig in the parse_config schema (round-trips)."""
-    lines = [
-        f"model = {config.model.value}",
-        f"alpha = {config.alpha:g}",
-        f"nt = {config.n_t}",
-        f"nr = {config.n_r}",
-        f"code = {config.code}",
-        f"constellation = {config.constellation}",
-        "snr_db = " + ", ".join(f"{s:g}" for s in config.snr_grid_db),
-        "receivers = " + ", ".join(config.receivers),
-        f"seed = {config.master_seed}",
-        f"min_errors = {config.min_errors}",
-        f"max_trials = {config.max_trials}",
-        f"workers = {config.workers}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
 def _curve_rows(curve) -> list[tuple]:
-    rows = []
+    """(receiver, snr_db, model, CSV fields) per row of one curve."""
     if isinstance(curve, BerCurve):
         cfg = curve.config
-        for rx, pts in curve.points.items():
-            for p in pts:
-                rows.append(
-                    (
-                        rx,
-                        p.snr_db,
-                        cfg.model.value,
-                        (
-                            "sim",
-                            rx,
-                            cfg.model.value,
-                            _fmt(cfg.alpha),
-                            str(cfg.n_t),
-                            str(cfg.n_r),
-                            _fmt(p.snr_db),
-                            _fmt(p.ber),
-                            _fmt(p.ci_lo),
-                            _fmt(p.ci_hi),
-                            str(p.trials),
-                            str(p.bit_errors),
-                        ),
-                    )
-                )
-    elif isinstance(curve, TheoryCurve):
-        for snr, val in zip(curve.snr_grid_db, curve.values):
-            rows.append(
-                (
-                    curve.receiver,
-                    snr,
-                    curve.model.value,
-                    (
-                        "theory",
-                        curve.receiver,
-                        curve.model.value,
-                        _fmt(curve.alpha),
-                        str(curve.n_t),
-                        str(curve.n_r),
-                        _fmt(snr),
-                        _fmt(val),
-                        "",
-                        "",
-                        "",
-                        "",
-                    ),
-                )
-            )
-    else:
-        raise TypeError(f"cannot emit {type(curve).__name__}")
-    return rows
+        head = (cfg.model.value, _fmt(cfg.alpha), str(cfg.n_t), str(cfg.n_r))
+        return [
+            (rx, p.snr_db, cfg.model.value,
+             ("sim", rx, *head, _fmt(p.snr_db), _fmt(p.ber), _fmt(p.ci_lo),
+              _fmt(p.ci_hi), str(p.trials), str(p.bit_errors)))
+            for rx, pts in curve.points.items() for p in pts
+        ]
+    if isinstance(curve, TheoryCurve):
+        head = (curve.model.value, _fmt(curve.alpha), str(curve.n_t), str(curve.n_r))
+        return [
+            (curve.receiver, snr, curve.model.value,
+             ("theory", curve.receiver, *head, _fmt(snr), _fmt(val), "", "", "", ""))
+            for snr, val in zip(curve.snr_grid_db, curve.values)
+        ]
+    raise TypeError(f"cannot emit {type(curve).__name__}")
 
 
 def emit_csv(curves, destination) -> None:
@@ -244,6 +204,10 @@ def emit_csv(curves, destination) -> None:
             fh.write(",".join(fields) + "\n")
 
 
+# trial cap per SNR point of a preset run with full=True
+FULL_MAX_TRIALS = 10_000_000
+
+
 @dataclass(frozen=True)
 class ExperimentPreset:
     """Named experiment reproducing one published scenario."""
@@ -251,7 +215,6 @@ class ExperimentPreset:
     name: str
     configs: tuple[SimConfig, ...]
     theory_receivers: tuple[str, ...]
-    full_max_trials: int = 10_000_000
 
 
 def _grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -304,65 +267,68 @@ def resolve_preset(name: str) -> ExperimentPreset:
         raise ValueError(f"unknown preset {name!r}; known: {known}") from None
 
 
-def run_preset(name: str, overrides: dict | None = None, out_dir: str = ".",
-               full: bool = False) -> dict:
-    """Run a named preset: simulation CSV, theory CSV, and a run manifest.
+def theory_overlays(configs, receivers) -> list[TheoryCurve]:
+    """Closed-form curves of the requested gar/mdr receivers for each config.
 
-    overrides may set seed, workers, min_errors, max_trials.  Returns the
-    mapping of artifact names to paths.
+    Other receivers have no asymptote, and gar has none under model II.
     """
-    import os
+    return [
+        theory_curve(rx, cfg.model, cfg.n_t, cfg.n_r, cfg.alpha, cfg.snr_grid_db)
+        for cfg in configs
+        for rx in receivers
+        if rx == "mdr" or (rx == "gar" and cfg.model is NoiseModel.SHARED)
+    ]
 
-    preset = resolve_preset(name)
+
+def _publish(writers) -> None:
+    """Write every (path, write) artifact to a temp file beside it, then
+    rename them into place in order, so a failed write leaves none."""
+    staged = []
+    try:
+        for path, write in writers:
+            tmp = path + ".tmp"
+            staged.append(tmp)
+            write(tmp)
+        for tmp, (path, _) in zip(staged, writers):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def _write_json(data, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+
+
+def run_experiment(name: str, configs, theory_receivers, overrides=None,
+                   out_dir: str = ".", provenance=None) -> dict:
+    """Sweep each config and write <name>_sim.csv, <name>_theory.csv and
+    <name>_manifest.json into out_dir.
+
+    overrides (keys in OVERRIDE_KEYS) apply to every config, and
+    provenance entries head the manifest.  Overrides and theory overlays
+    are checked before any sampling, and the manifest is written last.
+    Returns the mapping of artifact names to paths.
+    """
     overrides = dict(overrides or {})
-    allowed = {"seed", "workers", "min_errors", "max_trials"}
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise ValueError(f"unknown overrides: {sorted(unknown)}")
-
-    configs = []
-    for cfg in preset.configs:
-        kwargs = {}
-        if "seed" in overrides:
-            kwargs["master_seed"] = int(overrides["seed"])
-        if "workers" in overrides:
-            kwargs["workers"] = int(overrides["workers"])
-        if "min_errors" in overrides:
-            kwargs["min_errors"] = int(overrides["min_errors"])
-        kwargs["max_trials"] = int(
-            overrides.get(
-                "max_trials",
-                preset.full_max_trials if full else cfg.max_trials,
-            )
-        )
-        configs.append(replace(cfg, **kwargs))
-
+    configs = [apply_overrides(cfg, overrides) for cfg in configs]
+    overlays = theory_overlays(configs, theory_receivers)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     curves = [run_sweep(cfg) for cfg in configs]
     wall = time.time() - t0
 
-    sim_path = os.path.join(out_dir, f"{preset.name}_sim.csv")
-    emit_csv(curves, sim_path)
-
-    theory_curves = []
-    for cfg in configs:
-        for rx in preset.theory_receivers:
-            if rx == "gar" and cfg.model is not NoiseModel.SHARED:
-                continue
-            theory_curves.append(
-                theory_curve(rx, cfg.model, cfg.n_t, cfg.n_r, cfg.alpha,
-                             cfg.snr_grid_db)
-            )
-    theory_path = os.path.join(out_dir, f"{preset.name}_theory.csv")
-    emit_csv(theory_curves, theory_path)
-
+    paths = {
+        kind: os.path.join(out_dir, f"{name}_{kind}.{ext}")
+        for kind, ext in (("sim", "csv"), ("theory", "csv"), ("manifest", "json"))
+    }
     manifest = {
-        "preset": preset.name,
+        **(provenance or {}),
+        "overrides": {k: overrides[k] for k in sorted(overrides)},
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "overrides": {k: overrides[k] for k in sorted(overrides)},
-        "full": full,
         "wall_time_s": wall,
         "runs": [
             {
@@ -379,10 +345,27 @@ def run_preset(name: str, overrides: dict | None = None, out_dir: str = ".",
             }
             for cfg, curve in zip(configs, curves)
         ],
-        "artifacts": {"sim": sim_path, "theory": theory_path},
+        "artifacts": {"sim": paths["sim"], "theory": paths["theory"]},
     }
-    manifest_path = os.path.join(out_dir, f"{preset.name}_manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _publish([
+        (paths["sim"], lambda path: emit_csv(curves, path)),
+        (paths["theory"], lambda path: emit_csv(overlays, path)),
+        (paths["manifest"], lambda path: _write_json(manifest, path)),
+    ])
+    return paths
 
-    return {"sim": sim_path, "theory": theory_path, "manifest": manifest_path}
+
+def run_preset(name: str, overrides: dict | None = None, out_dir: str = ".",
+               full: bool = False) -> dict:
+    """Run a named preset: simulation CSV, theory CSV, and a run manifest.
+
+    overrides may set seed, workers, min_errors, max_trials; full raises
+    the trial cap to FULL_MAX_TRIALS unless max_trials is overridden.
+    Returns the mapping of artifact names to paths.
+    """
+    preset = resolve_preset(name)
+    configs = preset.configs
+    if full:
+        configs = [replace(cfg, max_trials=FULL_MAX_TRIALS) for cfg in configs]
+    return run_experiment(preset.name, configs, preset.theory_receivers,
+                          overrides, out_dir, {"preset": preset.name, "full": full})

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stable import NoiseModel, sample_noise_block
-
 _SQRT2 = np.sqrt(2.0)
 
 # Gray-labelled unit-energy constellations: bit tuples -> symbols
@@ -111,17 +109,6 @@ def enumerate_codebook(kind: str, constellation: str = "bpsk") -> Codebook:
     raise ValueError(f"unsupported code kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class TrialContext:
-    """One trial's realization: channel, noise, genie record, SNR, tx index."""
-
-    h: np.ndarray
-    w: np.ndarray
-    genie: np.ndarray
-    rho: float
-    tx_index: int
-
-
 def sample_channel(n_r: int, n_t: int, rng: np.random.Generator, size=None):
     """I.i.d. CN(0, 1) channel entries (variance 1/2 per real part)."""
     shape = (n_r, n_t) if size is None else (size, n_r, n_t)
@@ -146,28 +133,3 @@ def codeword_products(h, codebook: Codebook) -> np.ndarray:
     for m in range(1, codebook.n_t):
         hc += h[:, None, :, m, None] * c[None, :, None, m, :]
     return hc
-
-
-def sample_trial(
-    codebook: Codebook,
-    model: NoiseModel,
-    alpha: float,
-    n_r: int,
-    rho: float,
-    rng: np.random.Generator,
-) -> TrialContext:
-    """Draw one full trial realization in the fixed order H, tx, W."""
-    h = sample_channel(n_r, codebook.n_t, rng)
-    tx_index = int(rng.integers(len(codebook)))
-    w, genie = sample_noise_block(model, alpha, n_r, codebook.t_s, rng)
-    return TrialContext(h=h, w=w, genie=genie, rho=rho, tx_index=tx_index)
-
-
-def synthesize_rx(ctx: TrialContext, codebook: Codebook) -> np.ndarray:
-    """Received block Y = sqrt(rho) * H * S + W for the trial's codeword."""
-    s = codebook.codewords[ctx.tx_index]
-    if ctx.h.shape[1] != s.shape[0] or ctx.w.shape != (ctx.h.shape[0], s.shape[1]):
-        raise ValueError(
-            f"dimension mismatch: h {ctx.h.shape}, s {s.shape}, w {ctx.w.shape}"
-        )
-    return np.sqrt(ctx.rho) * ctx.h @ s + ctx.w

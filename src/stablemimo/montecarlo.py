@@ -42,12 +42,13 @@ class SlopeFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one BER sweep."""
+    """Full description of one BER sweep; the defaults are also the config
+    file's defaults."""
 
-    model: NoiseModel
-    alpha: float
-    n_r: int
-    snr_grid_db: tuple[float, ...]
+    model: NoiseModel = NoiseModel.SHARED
+    alpha: float = 1.43
+    n_r: int = 1
+    snr_grid_db: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
     code: str = "alamouti"
     constellation: str = "bpsk"
     receivers: tuple[str, ...] = ("gar", "mdr", "ml", "aor")

@@ -28,12 +28,11 @@ amplitude density; for AOR it is the natural -inf metric).
 
 The ``batch_*`` functions decode stacked trials from (y, h) and are thin
 wrappers over the same metrics the Monte Carlo engine applies to a
-chunk's shared energies; the scalar wrappers match them by construction.
+chunk's shared energies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,21 +40,6 @@ import numpy as np
 from .amplitude import AmplitudePdfTable
 from .codes import Codebook, codeword_products
 from .stable import NoiseModel
-
-
-@dataclass(frozen=True)
-class ReceiverKind:
-    """Receiver selector: discriminant, noise model, optional density table."""
-
-    kind: str
-    model: NoiseModel = NoiseModel.SHARED
-    table: AmplitudePdfTable | None = None
-
-    def __post_init__(self):
-        if self.kind not in RECEIVER_KINDS:
-            raise ValueError(f"unknown receiver kind: {self.kind!r}")
-        if self.kind == "ml" and self.table is None:
-            raise ValueError("ml receiver requires an amplitude pdf table")
 
 
 def ml_table_dimension(model: NoiseModel, n_r: int) -> int:
@@ -102,9 +86,9 @@ class ResidualEnergies:
 
 
 def gar_metric(e: ResidualEnergies, genie, model, table):
-    if genie.ndim == 2:  # (B, t_s): shared subordinator per column
+    if np.ndim(genie) == 2:  # (B, t_s): shared subordinator per column
         return (e.column / genie[:, None, :]).sum(axis=2)
-    if genie.ndim == 3:  # (B, n_r, t_s): per-entry
+    if np.ndim(genie) == 3:  # (B, n_r, t_s): per-entry
         return (e.sq / genie[:, None, :, :]).sum(axis=(2, 3))
     raise ValueError("genie record must be per-column or per-entry")
 
@@ -178,33 +162,3 @@ def batch_aor(y, h, rho, codebook: Codebook, model: NoiseModel):
 def batch_ml(y, h, rho, codebook: Codebook, model: NoiseModel, table: AmplitudePdfTable):
     check_ml_table(table, model, y.shape[1])
     return decide("ml", _energies(y, h, rho, codebook), model=model, table=table)
-
-
-def gar_decode(y, h, genie, rho, codebook: Codebook) -> int:
-    """Whitened Euclidean decision; requires the genie record."""
-    if genie is None:
-        raise ValueError("gar_decode requires the genie record")
-    genie = np.asarray(genie, dtype=float)
-    return int(batch_gar(y[None], h[None], genie[None], rho, codebook)[0])
-
-
-def mdr_decode(y, h, rho, codebook: Codebook) -> int:
-    """Minimum Euclidean distance decision."""
-    return int(batch_mdr(y[None], h[None], rho, codebook)[0])
-
-
-def ml_decode(
-    y,
-    h,
-    rho,
-    codebook: Codebook,
-    model: NoiseModel,
-    table: AmplitudePdfTable,
-) -> int:
-    """Maximum summed log amplitude density of residuals."""
-    return int(batch_ml(y[None], h[None], rho, codebook, model, table)[0])
-
-
-def aor_decode(y, h, rho, codebook: Codebook, model: NoiseModel) -> int:
-    """Minimum summed log residual norm; noise-parameter free."""
-    return int(batch_aor(y[None], h[None], rho, codebook, model)[0])

@@ -19,6 +19,7 @@ from stablemimo import (
     serialize_config,
     theory_curve,
 )
+from stablemimo import cliio
 from stablemimo.cli import main
 from stablemimo.cliio import CSV_HEADER, ConfigError, resolve_preset
 
@@ -35,11 +36,19 @@ class TestParseConfig:
         assert cfg.min_errors == 200
 
     def test_round_trip(self):
-        cfg = parse_config(
-            "model = II\nalpha = 1.43\nnr = 2\nsnr_db = 5, 10, 15\n"
-            "receivers = gar, aor\nseed = 9\nworkers = 3\n"
-        )
-        assert parse_config(serialize_config(cfg)) == cfg
+        for cfg in (
+            parse_config(
+                "model = II\nalpha = 1.43\nnr = 2\nsnr_db = 5, 10, 15\n"
+                "receivers = gar, aor\nseed = 9\nworkers = 3\n"
+            ),
+            # more digits than a %g rendering keeps
+            SimConfig(alpha=0.1234567, snr_grid_db=(10.123456789, 20)),
+        ):
+            assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_defaults_live_on_simconfig(self):
+        assert parse_config("") == SimConfig()
+        assert SimConfig().snr_grid_db == tuple(np.arange(10.0, 51.0, 5.0))
 
     def test_comments_and_blanks(self):
         cfg = parse_config(
@@ -210,6 +219,25 @@ class TestRunPreset:
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="overrides"):
             run_preset("fig1", {"snr": 1}, out_dir=str(tmp_path))
+        # schema keys outside the override set are rejected too
+        with pytest.raises(ValueError, match="overrides"):
+            run_preset("fig1", {"alpha": 1.0}, out_dir=str(tmp_path))
+
+    def test_full_raises_cap_unless_overridden(self, tmp_path, monkeypatch):
+        from stablemimo import cliio
+
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg.max_trials)
+            raise RuntimeError("stop before sampling")
+
+        monkeypatch.setattr(cliio, "run_sweep", record)
+        with pytest.raises(RuntimeError):
+            run_preset("fig1", {}, out_dir=str(tmp_path), full=True)
+        with pytest.raises(RuntimeError):
+            run_preset("fig1", {"max_trials": 8192}, out_dir=str(tmp_path), full=True)
+        assert seen == [cliio.FULL_MAX_TRIALS, 8192]
 
     def test_fig5_emits_both_models(self, tmp_path):
         paths = run_preset(
@@ -243,6 +271,14 @@ class TestCli:
         assert out.exists()
         assert len(out.read_text().splitlines()) == 4
 
+    def test_table_verb_writes_exact_path(self, tmp_path):
+        out = tmp_path / "amp"
+        assert main(["table", "--alpha", "1.43", "--d", "2", "--out", str(out)]) == 0
+        assert os.listdir(tmp_path) == ["amp"]
+        from stablemimo import AmplitudePdfTable
+
+        assert AmplitudePdfTable.load(str(out)).spec.d == 2
+
     def test_table_verb(self, tmp_path):
         out = tmp_path / "amp.npz"
         code = main(["table", "--alpha", "1.43", "--d", "2", "--out", str(out)])
@@ -267,9 +303,36 @@ class TestCli:
         manifest = tmp_path / "mini_manifest.json"
         assert sim.exists() and theory.exists() and manifest.exists()
         data = json.load(open(manifest))
-        assert data["seed"] == 3
+        assert data["runs"][0]["seed"] == 3
+        assert data["config_file"] == str(cfg_path)
+        assert data["overrides"] == {}
         # 2 receivers x 2 points
         assert len(sim.read_text().splitlines()) == 5
+
+    def test_run_verb_manifest_matches_preset_shape(self, tmp_path):
+        cfg_path = tmp_path / "mini.cfg"
+        cfg_path.write_text(
+            "alpha = 0.5\nsnr_db = 10\nreceivers = mdr\nmin_errors = 5\n"
+            "max_trials = 4096\n"
+        )
+        code = main(["run", str(cfg_path), "--out-dir", str(tmp_path),
+                     "--seed", "4", "--workers", "1"])
+        assert code == 0
+        data = json.load(open(tmp_path / "mini_manifest.json"))
+        assert data["overrides"] == {"seed": 4, "workers": 1}
+        (run,) = data["runs"]
+        assert set(run) == {"config", "seed", "stopping"}
+        assert parse_config("\n".join(run["config"])).master_seed == 4
+        assert set(run["stopping"]) == {"mdr"}
+        assert sorted(os.listdir(tmp_path)) == [
+            "mini.cfg", "mini_manifest.json", "mini_sim.csv", "mini_theory.csv"
+        ]
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        # a directory is not a config file: one message line, no traceback
+        assert main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stablemimo: ") and err.count("\n") == 1
 
     def test_run_verb_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -285,12 +348,10 @@ class TestCli:
 class TestRunArtifacts:
     def test_failing_overlay_leaves_no_artifact(self, tmp_path, monkeypatch):
         # alpha = 2 is a valid sweep, but the MDR asymptote needs alpha < 2
-        from stablemimo import cli
-
         def must_not_sample(*args, **kwargs):
             raise AssertionError("sampling started before overlays were built")
 
-        monkeypatch.setattr(cli, "run_sweep", must_not_sample)
+        monkeypatch.setattr(cliio, "run_sweep", must_not_sample)
         cfg_path = tmp_path / "gauss.cfg"
         cfg_path.write_text(
             "alpha = 2\nnr = 1\nsnr_db = 0, 10\nreceivers = mdr\n"
@@ -299,3 +360,39 @@ class TestRunArtifacts:
         out_dir = tmp_path / "out"
         assert main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()
+
+    def test_preset_failing_overlay_leaves_no_artifact(self, tmp_path, monkeypatch):
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("sampling started before overlays were built")
+
+        def failing_overlay(*args, **kwargs):
+            raise ValueError("no asymptote")
+
+        monkeypatch.setattr(cliio, "run_sweep", must_not_sample)
+        monkeypatch.setattr(cliio, "theory_curve", failing_overlay)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="asymptote"):
+            run_preset("fig1", {"max_trials": 4096}, out_dir=str(out_dir))
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("failing", ["theory", "manifest"])
+    def test_failed_write_publishes_nothing(self, tmp_path, monkeypatch, failing):
+        real_emit, real_json = cliio.emit_csv, cliio._write_json
+        cfg = SimConfig(alpha=0.5, snr_grid_db=(10.0,), receivers=("mdr",),
+                        min_errors=5, max_trials=4096)
+
+        def emit(curves, path):
+            if failing == "theory" and path.endswith("_theory.csv.tmp"):
+                raise OSError("disk full")
+            real_emit(curves, path)
+
+        def write_json(data, path):
+            if failing == "manifest":
+                raise OSError("disk full")
+            real_json(data, path)
+
+        monkeypatch.setattr(cliio, "emit_csv", emit)
+        monkeypatch.setattr(cliio, "_write_json", write_json)
+        with pytest.raises(OSError, match="disk full"):
+            cliio.run_experiment("mini", [cfg], ("mdr",), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []

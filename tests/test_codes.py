@@ -5,14 +5,17 @@ import pytest
 
 from stablemimo import (
     NoiseModel,
-    TrialContext,
     alamouti_encode,
     enumerate_codebook,
     sample_channel,
-    sample_trial,
-    synthesize_rx,
+    sample_noise_block,
 )
-from stablemimo.codes import CONSTELLATIONS
+from stablemimo.codes import CONSTELLATIONS, codeword_products
+
+
+def synthesize(h, tx, w, rho, cb):
+    """Received blocks as the engine forms them, from the codeword products."""
+    return np.sqrt(rho) * codeword_products(h, cb)[np.arange(len(h)), tx] + w
 
 
 class TestAlamouti:
@@ -91,29 +94,25 @@ class TestSynthesis:
     def test_noiseless(self):
         cb = enumerate_codebook("alamouti", "bpsk")
         rng = np.random.default_rng(1)
-        h = sample_channel(2, 2, rng)
-        ctx = TrialContext(h=h, w=np.zeros((2, 2)), genie=np.ones(2), rho=1.0, tx_index=3)
-        assert np.allclose(synthesize_rx(ctx, cb), h @ cb.codewords[3])
+        h = sample_channel(2, 2, rng, size=1)
+        y = synthesize(h, [3], np.zeros((1, 2, 2)), 1.0, cb)
+        assert np.allclose(y[0], h[0] @ cb.codewords[3])
 
     def test_zero_rho(self):
         cb = enumerate_codebook("alamouti", "bpsk")
-        w = np.random.default_rng(2).normal(size=(1, 2)) * (1 + 1j)
-        ctx = TrialContext(h=np.ones((1, 2)), w=w, genie=np.ones(2), rho=0.0, tx_index=0)
-        assert np.array_equal(synthesize_rx(ctx, cb), w)
+        w = np.random.default_rng(2).normal(size=(1, 1, 2)) * (1 + 1j)
+        assert np.array_equal(synthesize(np.ones((1, 1, 2)), [0], w, 0.0, cb), w)
 
     def test_scalar_scaling(self):
         cb = enumerate_codebook("alamouti", "bpsk")
         s = alamouti_encode(1.0, 1.0)
-        ctx = TrialContext(h=np.eye(2), w=np.zeros((2, 2)), genie=np.ones(2),
-                           rho=4.0, tx_index=0)
-        assert np.allclose(synthesize_rx(ctx, cb), 2.0 * s)
+        y = synthesize(np.eye(2)[None], [0], np.zeros((1, 2, 2)), 4.0, cb)
+        assert np.allclose(y[0], 2.0 * s)
 
     def test_dimension_mismatch(self):
         cb = enumerate_codebook("alamouti", "bpsk")
-        ctx = TrialContext(h=np.ones((1, 3)), w=np.zeros((1, 2)), genie=np.ones(2),
-                           rho=1.0, tx_index=0)
-        with pytest.raises(ValueError):
-            synthesize_rx(ctx, cb)
+        with pytest.raises(ValueError, match="dimension"):
+            synthesize(np.ones((1, 1, 3)), [0], np.zeros((1, 1, 2)), 1.0, cb)
 
 
 class TestChannel:
@@ -127,9 +126,12 @@ class TestChannel:
     def test_sample_trial_shapes(self):
         cb = enumerate_codebook("alamouti", "bpsk")
         rng = np.random.default_rng(4)
-        ctx = sample_trial(cb, NoiseModel.SHARED, 0.9, 3, 10.0, rng)
-        assert ctx.h.shape == (3, 2)
-        assert ctx.w.shape == (3, 2)
-        assert ctx.genie.shape == (2,)
-        ctx = sample_trial(cb, NoiseModel.IID, 0.9, 3, 10.0, rng)
-        assert ctx.genie.shape == (3, 2)
+        # one trial (B=1) drawn in the engine's order: H, tx, W
+        for model, genie_shape in ((NoiseModel.SHARED, (1, 2)), (NoiseModel.IID, (1, 3, 2))):
+            h = sample_channel(3, cb.n_t, rng, size=1)
+            tx = rng.integers(0, len(cb), size=1)
+            w, genie = sample_noise_block(model, 0.9, 3, cb.t_s, rng, size=1)
+            assert h.shape == (1, 3, 2)
+            assert w.shape == (1, 3, 2)
+            assert genie.shape == genie_shape
+            assert synthesize(h, tx, w, 10.0, cb).shape == (1, 3, 2)

@@ -5,12 +5,7 @@ import pytest
 
 from stablemimo import (
     NoiseModel,
-    ReceiverKind,
-    aor_decode,
     enumerate_codebook,
-    gar_decode,
-    mdr_decode,
-    ml_decode,
     sample_channel,
     sample_noise_block,
 )
@@ -41,6 +36,24 @@ def random_instance(codebook, model, alpha, n_r, rho, rng):
     w, genie = sample_noise_block(model, alpha, n_r, codebook.t_s, rng)
     y = np.sqrt(rho) * h @ codebook.codewords[tx] + w
     return y, h, genie, tx
+
+
+# Single-trial decisions: the batched receivers with B=1.
+
+def gar_decode(y, h, genie, rho, codebook):
+    return int(batch_gar(y[None], h[None], np.asarray(genie)[None], rho, codebook)[0])
+
+
+def mdr_decode(y, h, rho, codebook):
+    return int(batch_mdr(y[None], h[None], rho, codebook)[0])
+
+
+def aor_decode(y, h, rho, codebook, model):
+    return int(batch_aor(y[None], h[None], rho, codebook, model)[0])
+
+
+def ml_decode(y, h, rho, codebook, model, table):
+    return int(batch_ml(y[None], h[None], rho, codebook, model, table)[0])
 
 
 # Straightforward reimplementations used as oracles.
@@ -235,10 +248,10 @@ class TestAdversarialImpulse:
 
 class TestValidation:
     def test_missing_genie(self, codebook):
-        y = np.zeros((1, 2), dtype=complex)
-        h = np.ones((1, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            gar_decode(y, h, None, 1.0, codebook)
+        y = np.zeros((1, 1, 2), dtype=complex)
+        h = np.ones((1, 1, 2), dtype=complex)
+        with pytest.raises(ValueError, match="genie"):
+            batch_gar(y, h, None, 1.0, codebook)
 
     def test_table_dimension_mismatch(self, codebook, table_a143_d2):
         y = np.zeros((2, 2), dtype=complex)
@@ -247,17 +260,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="dimension"):
             ml_decode(y, h, 1.0, codebook, NoiseModel.SHARED, table_a143_d2)
 
-    def test_receiver_kind_validation(self, table_a143_d2):
-        with pytest.raises(ValueError):
-            ReceiverKind(kind="zf")
-        with pytest.raises(ValueError):
-            ReceiverKind(kind="ml")
-        ReceiverKind(kind="ml", model=NoiseModel.IID, table=table_a143_d2)
-        ReceiverKind(kind="aor")
+    def test_receiver_kind_validation(self, codebook, table_a143_d2):
+        y = np.zeros((1, 1, 2), dtype=complex)
+        h = np.ones((1, 1, 2), dtype=complex)
+        energies = ResidualEnergies(batch_residuals(y, h, 1.0, codebook))
+        with pytest.raises(KeyError):
+            decide("zf", energies)
+        for rx in RECEIVER_KINDS:
+            assert decide(rx, energies, np.ones((1, 2)), NoiseModel.IID,
+                          table_a143_d2).shape == (1,)
 
 
 class TestBatchScalarAgreement:
     def test_batch_matches_scalar(self, codebook, table_a143_d2):
+        # a batch decides each trial as a batch of one (B=1) does
         rng = np.random.default_rng(42)
         n = 64
         h = sample_channel(1, 2, rng, size=n)
