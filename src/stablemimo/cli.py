@@ -4,7 +4,7 @@ Verbs:
     run PATH      run a sweep from a config file
     preset NAME   run a named experiment preset
     theory        emit closed-form bound curves only
-    table         build and cache an amplitude density table
+    table         build and save an amplitude density table
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -19,6 +19,7 @@ from . import __version__
 from .amplitude import IsotropicAmplitudeSpec, build_amplitude_table
 from .cliio import (
     OVERRIDE_KEYS,
+    _publish,
     emit_csv,
     parse_config,
     run_experiment,
@@ -111,7 +112,7 @@ def _cmd_theory(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     name = args.out or f"theory_{args.receiver}_{args.model}.csv"
     path = os.path.join(args.out_dir, name)
-    emit_csv(curve, path)
+    _publish([(path, lambda tmp: emit_csv(curve, tmp))])
     print(f"wrote {path}")
     return 0
 
@@ -119,7 +120,7 @@ def _cmd_theory(args) -> int:
 def _cmd_table(args) -> int:
     spec = IsotropicAmplitudeSpec(alpha=args.alpha, sigma=args.sigma, d=args.d)
     table = build_amplitude_table(spec)
-    table.save(args.out)
+    _publish([(args.out, table.save)])
     print(f"wrote {args.out} (r_max = {table.grid[-1]:g})")
     return 0
 

@@ -13,7 +13,8 @@ from stablemimo import (
     build_amplitude_table,
     noise_amplitude_spec,
 )
-from stablemimo.amplitude import _gaussian_log_amplitude_pdf
+from stablemimo import amplitude
+from stablemimo.amplitude import QuadratureError, _gaussian_log_amplitude_pdf
 
 
 def rayleigh_type(r, sigma=1.0):
@@ -40,10 +41,51 @@ class TestSpecValidation:
             IsotropicAmplitudeSpec(alpha=1.0, sigma=-1.0, d=2)
         with pytest.raises(ValueError):
             IsotropicAmplitudeSpec(alpha=1.0, sigma=1.0, d=0)
+        for bad in (
+            dict(alpha=math.nan, sigma=1.0, d=2),
+            dict(alpha=1.43, sigma=math.nan, d=2),
+            dict(alpha=1.43, sigma=math.inf, d=2),
+            dict(alpha=1.43, sigma=1.0, d=math.nan),
+            dict(alpha=1.43, sigma=1.0, d=math.inf),
+            dict(alpha=1.43, sigma=1.0, d=2.5),
+        ):
+            with pytest.raises(ValueError):
+                IsotropicAmplitudeSpec(**bad)
 
     def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            amplitude_pdf(-0.1, IsotropicAmplitudeSpec(1.0, 1.0, 2))
+        spec = IsotropicAmplitudeSpec(1.0, 1.0, 2)
+        for bad in (-0.1, -math.inf, math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                amplitude_pdf(bad, spec)
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("alpha,d", [(1.43, 2), (1.43, 3), (0.5, 4), (0.8, 1)])
+    def test_shape_and_scalar_agreement(self, alpha, d):
+        spec = IsotropicAmplitudeSpec(alpha, 2.0, d)
+        # 21 entries: not a multiple of the evaluation block size
+        r = np.concatenate([[0.0, np.inf], np.geomspace(1e-3, 1e3, 19)]).reshape(3, 7)
+        assert r.size % amplitude._BLOCK_RADII != 0
+        got = amplitude_pdf(r, spec)
+        assert isinstance(got, np.ndarray) and got.shape == (3, 7)
+        for value, ri in zip(got.ravel(), r.ravel()):
+            one = amplitude_pdf(ri, spec)
+            assert type(one) is float
+            assert value == pytest.approx(one, rel=1e-13, abs=0.0)
+        # f(0) = (2/pi) Gamma(1 + 1/alpha) / sigma for d = 1, else 0; f(inf) = 0
+        at_zero = 0.0 if d > 1 else (2.0 / math.pi) * math.gamma(1.0 + 1.0 / alpha) / 2.0
+        assert got[0, :2].tolist() == [at_zero, 0.0]
+
+    def test_too_few_zeros_raise(self, monkeypatch):
+        # two segment contributions: the Euler spread misses the target
+        monkeypatch.setattr(amplitude, "_N_ZEROS", 3)
+        spec = IsotropicAmplitudeSpec(0.5, 1.0, 2)
+        with pytest.raises(QuadratureError):
+            amplitude_pdf(1.0, spec)
+        with pytest.raises(QuadratureError):
+            build_amplitude_table(spec, n_nodes=8, r_max=64.0)
+        with pytest.raises(QuadratureError):
+            build_amplitude_table(spec, n_nodes=8)
 
 
 class TestClosedForms:

@@ -290,6 +290,13 @@ class TestCli:
         assert table.spec.d == 2
         assert table.spec.sigma == pytest.approx(2.0**-0.5)
 
+    def test_table_verb_rejects_nan_sigma(self, tmp_path, capsys):
+        out = tmp_path / "amp.npz"
+        assert main(["table", "--alpha", "1.43", "--d", "2", "--sigma", "nan",
+                     "--out", str(out)]) == 2
+        assert "sigma" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_run_verb(self, tmp_path):
         cfg_path = tmp_path / "mini.cfg"
         cfg_path.write_text(
@@ -395,4 +402,31 @@ class TestRunArtifacts:
         monkeypatch.setattr(cliio, "_write_json", write_json)
         with pytest.raises(OSError, match="disk full"):
             cliio.run_experiment("mini", [cfg], ("mdr",), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_table_write_leaves_no_artifact(self, tmp_path, monkeypatch):
+        from stablemimo import AmplitudePdfTable
+
+        def partial_save(self, path):
+            with open(path, "wb") as fh:
+                fh.write(b"PK\x03\x04")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(AmplitudePdfTable, "save", partial_save)
+        out = tmp_path / "amp.npz"
+        assert main(["table", "--alpha", "1.43", "--d", "2", "--out", str(out)]) == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_theory_write_leaves_no_artifact(self, tmp_path, monkeypatch):
+        from stablemimo import cli
+
+        def partial_emit(curves, path):
+            with open(path, "w") as fh:
+                fh.write(CSV_HEADER + "\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "emit_csv", partial_emit)
+        code = main(["theory", "--receiver", "gar", "--alpha", "0.5",
+                     "--snr", "10,20", "--out-dir", str(tmp_path)])
+        assert code == 2
         assert os.listdir(tmp_path) == []
