@@ -13,8 +13,9 @@ Gauss-Legendre rule on the segments between Bessel-function zeros (and on
 geometric sub-segments of [0, z_1]) depends only on the spec, and Euler
 averaging sums the alternating segment contributions for every radius at
 once.  Large radii are served by the dominant tail term K * r^(-alpha-1);
-tables hold the log-density on a log-spaced grid with monotone-cubic
-interpolation and versioned .npz save/load.
+tables hold the log-density on a log-uniform grid, read by a direct-index
+PCHIP lookup (monotone cubic, Fritsch & Carlson 1980) that equals scipy's
+PchipInterpolator bit for bit, and save/load as versioned .npz archives.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 TABLE_FORMAT_VERSION = 1
 
@@ -112,13 +111,13 @@ def _bessel_zeros(nu: float, n: int) -> np.ndarray:
         return k * np.pi
     if float(nu).is_integer():
         return special.jn_zeros(int(nu), n)
+    from scipy.optimize import brentq  # odd d >= 5 only: off the import path
     # McMahon approximation refined by bisection
     beta = (k + nu / 2.0 - 0.25) * np.pi
     approx = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
     zeros = np.empty(n)
     for i, x0 in enumerate(approx):
-        lo, hi = x0 - 0.6 * np.pi, x0 + 0.6 * np.pi
-        lo = max(lo, 1e-6)
+        lo, hi = max(x0 - 0.6 * np.pi, 1e-6), x0 + 0.6 * np.pi
         zeros[i] = brentq(lambda x: special.jv(nu, x), lo, hi, xtol=1e-13)
     return zeros
 
@@ -169,7 +168,9 @@ def amplitude_pdf(r, spec: IsotropicAmplitudeSpec):
     """Numeric amplitude density f(r) for r >= 0, elementwise.
 
     Raises QuadratureError when the internal error estimate misses the
-    (_ATOL, _RTOL) target.
+    (_ATOL, _RTOL) target.  That target is absolute wherever f < ~1e-4, so far
+    in the tail use amplitude_tail_pdf (alpha 1.43, d 4, sigma 1: f(1e6) is
+    off by -3e-4 relative).
     """
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr >= 0.0):
@@ -186,11 +187,36 @@ def amplitude_pdf(r, spec: IsotropicAmplitudeSpec):
     return float(out) if r_arr.ndim == 0 else out
 
 
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n-1, 4) ascending-power PCHIP cubics, by scipy's float-op sequence
+    (PchipInterpolator._find_derivatives and _edge_case, CubicHermiteSpline)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    # weighted harmonic mean of adjacent slopes; zero at a sign change or flat
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        dk = np.concatenate([[0.0], np.where(flat, 0.0, 1.0 / whmean), [0.0]])
+    # end slopes: one-sided three-point estimates, clipped to preserve shape
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    same = np.sign(end) == np.sign(m0)
+    steep = same & (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+    dk[[0, -1]] = np.where(steep, 3.0 * m0, np.where(same, end, 0.0))
+    t = (dk[:-1] + dk[1:] - 2 * m) / h
+    return np.stack([y[:-1], dk[:-1], (m - dk[:-1]) / h - t, t / h], axis=1)
+
+
 @dataclass(frozen=True)
 class AmplitudePdfTable:
-    """Log-density tabulated on a log-spaced radius grid.
+    """Log-density tabulated on a log-uniform radius grid.
 
-    Between nodes: monotone-cubic interpolation in log r / log f.  Below
+    Between nodes: PCHIP in log r / log f, bit-equal to scipy's.  A radius's
+    interval is floor((log r - log r_0) / h), corrected by one comparison
+    each way; that is exact because every node must index to its own
+    interval or the one below (so the grid must be log-uniform).  Below
     the grid: the exact r^(d-1) small-radius power behavior anchored at
     the first node.  Beyond the grid: the dominant tail term (power law
     for alpha < 2, the exact Gaussian expression at alpha = 2).
@@ -204,46 +230,49 @@ class AmplitudePdfTable:
     def __post_init__(self):
         if not np.all(np.isfinite(self.log_values)):
             raise ValueError("log-density must be finite on the grid")
-        if np.any(np.diff(self.grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        interp = PchipInterpolator(
-            np.log(self.grid), self.log_values, extrapolate=False
-        )
-        object.__setattr__(self, "_interp", interp)
+        if self.grid.size < 3 or np.any(np.diff(self.grid) <= 0.0):
+            raise ValueError("grid must be strictly increasing, with >= 3 nodes")
+        x = np.log(self.grid)
+        # log nodes, 1/h, interval upper ends (the last is closed), cubics
+        lookup = (x, (x.size - 1) / (x[-1] - x[0]), np.append(x[1:-1], np.inf),
+                  _pchip_coefficients(x, self.log_values))
+        object.__setattr__(self, "_lookup", lookup)
+        if not np.all(np.isin(np.arange(x.size) - self._guess(x), (0, 1))):
+            raise ValueError("grid must be log-uniform (direct-index lookup)")
+
+    def _guess(self, lx):
+        """floor((lx - x_0) / h) clipped to [0, n-2]; NaN maps to 0."""
+        x, inv_step = self._lookup[:2]
+        t = np.fmax((lx - x[0]) * inv_step, 0.0)
+        return np.fmin(t, x.size - 2).astype(np.intp)
 
     def log_pdf(self, r):
-        """Vectorized log f(r); -inf at r = 0 for d >= 2."""
+        """Vectorized log f(r); -inf at r = 0 for d >= 2, NaN at NaN."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        r = np.atleast_1d(r).astype(float)
-        out = np.empty(r.shape)
+        r = np.atleast_1d(r)
         lo, hi = self.grid[0], self.grid[-1]
-        d = self.spec.d
-
-        below = r < lo
-        above = r > hi
-        mid = ~(below | above)
-        out[mid] = self._interp(np.log(r[mid]))
-        if np.any(below):
-            with np.errstate(divide="ignore"):
-                out[below] = self.log_values[0] + (d - 1) * (
-                    np.log(r[below]) - math.log(lo)
-                )
-            if d == 1:
-                out[below] = self.log_values[0]
-        if np.any(above):
-            if self.spec.alpha == 2.0:
-                out[above] = _gaussian_log_amplitude_pdf(
-                    r[above], self.spec.sigma, d
-                )
-            else:
-                out[above] = math.log(self.tail_constant) - (
-                    self.spec.alpha + 1.0
-                ) * np.log(r[above])
+        with np.errstate(divide="ignore"):
+            lr = np.log(r)
+        on_grid = r.size == 0 or (r.min() >= lo and r.max() <= hi)
+        x, _, upper, coef = self._lookup
+        # off-grid radii are overwritten below; clipping keeps them finite
+        lx = lr if on_grid else np.clip(lr, x[0], x[-1])
+        i = self._guess(lx)
+        i -= lx < x[i]
+        i += lx >= upper[i]
+        s = lx - x[i]
+        c = coef[i]
+        s2 = s * s
+        out = ((c[..., 0] + c[..., 1] * s) + c[..., 2] * s2) + c[..., 3] * (s2 * s)
+        if not on_grid:
+            below, above = r < lo, r > hi
+            a, sigma, d = self.spec.alpha, self.spec.sigma, self.spec.d
+            slope = (d - 1) * (lr[below] - math.log(lo)) if d > 1 else 0.0
+            out[below] = self.log_values[0] + slope
+            out[above] = (_gaussian_log_amplitude_pdf(r[above], sigma, d) if a == 2.0
+                          else math.log(self.tail_constant) - (a + 1.0) * lr[above])
         return float(out[0]) if scalar else out
-
-    def pdf(self, r):
-        return np.exp(self.log_pdf(r))
 
     def save(self, path):
         """Dump (spec, grid, log_values) as a versioned .npz archive.
@@ -283,13 +312,12 @@ class AmplitudePdfTable:
 
 
 def _find_r_max(spec: IsotropicAmplitudeSpec, agreement: float = 0.01) -> float:
-    """Smallest power-of-two radius where quadrature and tail agree to 1%."""
-    r = 16.0
-    while r < 2.0**40:
-        ratio = amplitude_pdf(r, spec) / amplitude_tail_pdf(r, spec)
-        if abs(ratio - 1.0) < agreement:
-            return r
-        r *= 2.0
+    """Smallest radius 2^4 ... 2^39 where quadrature and tail agree to 1%."""
+    r = 2.0 ** np.arange(4, 40)
+    ratio = amplitude_pdf(r, spec) / amplitude_tail_pdf(r, spec)
+    ok = np.flatnonzero(np.abs(ratio - 1.0) < agreement)
+    if ok.size:
+        return float(r[ok[0]])
     raise QuadratureError(
         f"no radius found where the tail term is accurate (alpha={spec.alpha})"
     )
@@ -306,6 +334,8 @@ def build_amplitude_table(
     r_max defaults to the radius where the tail formula is accurate to 1%
     (alpha < 2) or a fixed multiple of the Gaussian spread (alpha = 2).
     """
+    if n_nodes < 3:
+        raise ValueError(f"n_nodes must be >= 3, got {n_nodes}")
     if r_max is None:
         if spec.alpha == 2.0:
             # keep the quadrature above cancellation noise; the exact

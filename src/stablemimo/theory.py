@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import digamma, erfc, gammaln
 
 from .codes import Codebook
@@ -29,6 +28,7 @@ def q_function(x):
 
 def q_function_craig(x: float) -> float:
     """Q(x) via the finite-integral representation over (0, pi/2)."""
+    from scipy import integrate  # a cross-check only: off the import path
     val, _ = integrate.quad(
         lambda th: math.exp(-x * x / (2.0 * math.sin(th) ** 2)),
         0.0,

@@ -1,6 +1,8 @@
 """Amplitude density quadrature and lookup tables against closed-form oracles."""
 
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -235,3 +237,113 @@ class TestTable:
         spec = noise_amplitude_spec(1.43, 4)
         assert spec.sigma == pytest.approx(2.0**-0.5)
         assert spec.d == 4
+
+
+# (alpha, d) of the four preset tables, with the r_max their search returns
+PRESET_R_MAX = {(0.5, 2): 8192.0, (1.43, 2): 64.0, (0.5, 4): 16384.0, (1.43, 4): 64.0}
+
+
+class TestDirectIndexLookup:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        specs = list(PRESET_R_MAX) + [(1.9, 2)]
+        return [build_amplitude_table(noise_amplitude_spec(a, d)) for a, d in specs]
+
+    def test_bit_equal_to_scipy_pchip(self, tables):
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(7)
+        for tab in tables:
+            ref = PchipInterpolator(np.log(tab.grid), tab.log_values, extrapolate=False)
+            lo, hi = tab.grid[0], tab.grid[-1]
+            inner = np.exp(rng.uniform(math.log(lo), math.log(hi), 131_072))
+            inner = inner[(inner >= lo) & (inner <= hi)]
+            near = np.concatenate(
+                [np.nextafter(tab.grid, 0.0), tab.grid, np.nextafter(tab.grid, np.inf)]
+            )
+            near = near[(near >= lo) & (near <= hi)]
+            for r in (inner, near, np.array([lo, hi])):
+                assert np.array_equal(tab.log_pdf(r), ref(np.log(r))), tab.spec
+
+    def test_shape_preserving_branches_bit_equal(self):
+        # non-monotone data with flat runs: zero slopes at sign changes and
+        # flats, and clipped end slopes, which smooth densities rarely reach
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(3)
+        grid = np.geomspace(1e-3, 64.0, 40)
+        spec = noise_amplitude_spec(1.43, 2)
+        for trial in range(50):
+            y = np.round(rng.normal(size=grid.size), 1)
+            if trial % 2:  # steep first and last steps against the next ones
+                y[[0, -1]] = y[[1, -2]] + np.array([-5.0, 5.0]) * np.sign(
+                    y[[2, -3]] - y[[1, -2]])
+            tab = AmplitudePdfTable(spec, grid, y, 1.0)
+            ref = PchipInterpolator(np.log(grid), y, extrapolate=False)
+            r = np.exp(rng.uniform(math.log(grid[0]), math.log(grid[-1]), 2000))
+            r = np.concatenate([r[(r >= grid[0]) & (r <= grid[-1])], grid])
+            assert np.array_equal(tab.log_pdf(r), ref(np.log(r)))
+
+    def test_pickle_round_trip(self, tables):
+        r = np.geomspace(1e-5, 1e6, 4096)
+        for tab in tables:
+            again = pickle.loads(pickle.dumps(tab))
+            assert np.array_equal(again.log_pdf(r), tab.log_pdf(r))
+
+    def test_off_grid_and_shape(self, table_a143_d2):
+        tab = table_a143_d2
+        r = np.array([[0.0, tab.grid[0] / 3.0], [tab.grid[5], tab.grid[-1] * 3.0]])
+        got = tab.log_pdf(r)
+        assert got.shape == (2, 2)
+        for value, ri in zip(got.ravel(), r.ravel()):
+            assert value == tab.log_pdf(float(ri))
+
+    def test_nan_radius_is_nan_without_warning(self, table_a143_d2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = table_a143_d2.log_pdf(np.array([math.nan, 1.0, 1e3, 0.0]))
+            assert math.isnan(table_a143_d2.log_pdf(math.nan))
+        assert math.isnan(got[0]) and np.isfinite(got[1:3]).all()
+        assert got[3] == -math.inf
+
+    def test_rejects_grid_that_is_not_log_uniform(self, tmp_path, table_a143_d2):
+        tab = table_a143_d2
+        with pytest.raises(ValueError, match="log-uniform"):
+            AmplitudePdfTable(
+                tab.spec, np.linspace(tab.grid[0], tab.grid[-1], tab.grid.size),
+                tab.log_values, tab.tail_constant,
+            )
+        # a foreign file whose grid changes its log step at r = 1
+        path = tmp_path / "table.npz"
+        tab.save(path)
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["grid"] = np.concatenate([
+            np.geomspace(tab.grid[0], 1.0, 100, endpoint=False),
+            np.geomspace(1.0, tab.grid[-1], tab.grid.size - 100),
+        ])
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="log-uniform"):
+            AmplitudePdfTable.load(path)
+
+    def test_rejects_fewer_than_three_nodes(self, table_a143_d2):
+        spec = noise_amplitude_spec(1.43, 2)
+        with pytest.raises(ValueError, match="n_nodes"):
+            build_amplitude_table(spec, n_nodes=2, r_max=64.0)
+        tab = table_a143_d2
+        with pytest.raises(ValueError, match="3 nodes"):
+            AmplitudePdfTable(spec, tab.grid[:2], tab.log_values[:2], tab.tail_constant)
+        three = build_amplitude_table(spec, n_nodes=3, r_max=64.0)
+        assert np.isfinite(three.log_pdf(np.geomspace(1e-3, 64.0, 50))).all()
+
+
+class TestRMaxSearch:
+    @pytest.mark.parametrize("alpha,d", list(PRESET_R_MAX))
+    def test_preset_r_max_and_table(self, alpha, d):
+        spec = noise_amplitude_spec(alpha, d)
+        r_max = amplitude._find_r_max(spec)
+        assert r_max == PRESET_R_MAX[alpha, d]
+        tab = build_amplitude_table(spec)
+        given = build_amplitude_table(spec, r_max=r_max)
+        assert np.array_equal(tab.grid, given.grid)
+        assert np.array_equal(tab.log_values, given.log_values)

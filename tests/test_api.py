@@ -1,4 +1,9 @@
-"""The package's public names."""
+"""The package's public names and import path."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import stablemimo
 
@@ -16,3 +21,19 @@ def test_every_exported_name_resolves():
 def test_removed_scalar_names_not_exported():
     assert not set(REMOVED) & set(stablemimo.__all__)
     assert not any(hasattr(stablemimo, name) for name in REMOVED)
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.interpolate/optimize/integrate pull in scipy.linalg and BLAS;
+    # only call sites that need them import them
+    code = (
+        "import sys, stablemimo\n"
+        "heavy = ('scipy.interpolate', 'scipy.optimize', 'scipy.integrate')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    src = str(Path(stablemimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
