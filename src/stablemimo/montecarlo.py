@@ -6,15 +6,20 @@ function of (master_seed, j, c), so results are bitwise identical for
 any worker count.  All requested receivers decode the same realizations
 (paired comparison), and per-point sampling stops once every receiver
 has collected the target number of bit errors or the trial cap is hit.
-The stopping decision is folded in chunk order, which keeps it
-independent of worker scheduling.
+Chunk results are folded in chunk order, so the stopping decision is
+independent of worker scheduling.  A pool keeps at most `workers` chunks
+in flight; chunks computed past the stop are discarded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +63,12 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_r", "min_errors", "max_trials", "workers", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.n_r < 1:
@@ -81,8 +92,8 @@ class SimConfig:
         for r in receivers:
             if r not in RECEIVER_KINDS:
                 raise ValueError(f"unknown receiver {r!r}")
-        if len(set(receivers)) != len(receivers):
-            raise ValueError("duplicate receivers")
+        if not receivers or len(set(receivers)) != len(receivers):
+            raise ValueError("receivers must be non-empty and without duplicates")
         object.__setattr__(self, "receivers", receivers)
         if self.min_errors <= 0 or self.max_trials <= 0:
             raise ValueError("stopping parameters must be positive")
@@ -158,55 +169,50 @@ def _chunk_rng(master_seed: int, snr_index: int, chunk_index: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
-class _SweepState:
-    """Per-process immutable context for chunk evaluation."""
+def _run_chunk(
+    config: SimConfig, codebook: Codebook, ml_table: AmplitudePdfTable | None,
+    snr_index: int, chunk_index: int,
+):
+    """Decode one chunk of paired trials; returns (trials, per-receiver
+    bit-error counts)."""
+    n = min(CHUNK_TRIALS, config.max_trials - chunk_index * CHUNK_TRIALS)
+    rho = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
+    rng = _chunk_rng(config.master_seed, snr_index, chunk_index)
 
-    config: SimConfig
-    codebook: Codebook
-    ml_table: AmplitudePdfTable | None
-    rhos: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        self.rhos = tuple(10.0 ** (s / 10.0) for s in self.config.snr_grid_db)
-
-
-def _run_chunk(state: _SweepState, snr_index: int, chunk_index: int, n: int):
-    """Decode n paired trials; returns per-receiver bit-error counts."""
-    cfg = state.config
-    cb = state.codebook
-    rho = state.rhos[snr_index]
-    rng = _chunk_rng(cfg.master_seed, snr_index, chunk_index)
-
-    h = sample_channel(cfg.n_r, cb.n_t, rng, size=n)
-    tx = rng.integers(0, len(cb), size=n)
-    w, genie = sample_noise_block(cfg.model, cfg.alpha, cfg.n_r, cb.t_s, rng, size=n)
-    hc = codeword_products(h, cb)
+    h = sample_channel(config.n_r, codebook.n_t, rng, size=n)
+    tx = rng.integers(0, len(codebook), size=n)
+    w, genie = sample_noise_block(
+        config.model, config.alpha, config.n_r, codebook.t_s, rng, size=n
+    )
+    hc = codeword_products(h, codebook)
     y = np.sqrt(rho) * hc[np.arange(n), tx] + w
 
     energies = ResidualEnergies(residuals(y, hc, rho))
-    errors = np.zeros(len(cfg.receivers), dtype=np.int64)
-    for i, rx in enumerate(cfg.receivers):
-        dec = decide(rx, energies, genie, cfg.model, state.ml_table)
-        errors[i] = cb.bit_distance[tx, dec].sum()
-    return errors
+    errors = np.zeros(len(config.receivers), dtype=np.int64)
+    for i, rx in enumerate(config.receivers):
+        dec = decide(rx, energies, genie, config.model, ml_table)
+        errors[i] = codebook.bit_distance[tx, dec].sum()
+    return n, errors
 
 
-_WORKER_STATE: _SweepState | None = None
-
-
-def _init_worker(config: SimConfig, ml_table: AmplitudePdfTable | None):
-    global _WORKER_STATE
-    _WORKER_STATE = _SweepState(
-        config=config,
-        codebook=enumerate_codebook(config.code, config.constellation),
-        ml_table=ml_table,
-    )
-
-
-def _worker_chunk(args):
-    snr_index, chunk_index, n = args
-    return _run_chunk(_WORKER_STATE, snr_index, chunk_index, n)
+def _in_chunk_order(run, n_chunks: int, pool, window: int):
+    """Yield run(c) for c = 0, 1, ..., n_chunks - 1 in order.  A pool keeps
+    at most `window` chunks in flight; closing the stream early cancels
+    those not yet started."""
+    if pool is None:
+        yield from map(run, range(n_chunks))
+        return
+    futures = deque()
+    try:
+        for c in range(n_chunks):
+            if len(futures) == window:
+                yield futures.popleft().result()
+            futures.append(pool.submit(run, c))
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        for f in futures:
+            f.cancel()
 
 
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:
@@ -233,45 +239,19 @@ def run_sweep(
 
     codebook = enumerate_codebook(config.code, config.constellation)
     bits = codebook.bits_per_codeword
-    state = _SweepState(config=config, codebook=codebook, ml_table=ml_table)
-
-    n_chunks_cap = math.ceil(config.max_trials / CHUNK_TRIALS)
-
-    def chunk_size(c: int) -> int:
-        return min(CHUNK_TRIALS, config.max_trials - c * CHUNK_TRIALS)
-
-    pool = None
-    if config.workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_init_worker,
-            initargs=(config, ml_table),
-        )
-
-    try:
-        points: dict[str, list[BerPoint]] = {r: [] for r in config.receivers}
+    n_chunks = math.ceil(config.max_trials / CHUNK_TRIALS)
+    points: dict[str, list[BerPoint]] = {r: [] for r in config.receivers}
+    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for j, snr_db in enumerate(config.snr_grid_db):
+            run = partial(_run_chunk, config, codebook, ml_table, j)
             errors = np.zeros(len(config.receivers), dtype=np.int64)
             trials = 0
-            c = 0
             stopped_on = "trials"
-            while c < n_chunks_cap:
-                wave = list(range(c, min(c + max(config.workers, 1), n_chunks_cap)))
-                jobs = [(j, ci, chunk_size(ci)) for ci in wave]
-                if pool is None:
-                    results = [_run_chunk(state, *job) for job in jobs]
-                else:
-                    results = list(pool.map(_worker_chunk, jobs))
-                done = False
-                for ci, res in zip(wave, results):
-                    errors += res
-                    trials += chunk_size(ci)
-                    c = ci + 1
-                    if np.all(errors >= config.min_errors):
-                        stopped_on = "errors"
-                        done = True
-                        break
-                if done:
+            for n, chunk_errors in _in_chunk_order(run, n_chunks, pool, config.workers):
+                trials += n
+                errors += chunk_errors
+                if np.all(errors >= config.min_errors):
+                    stopped_on = "errors"
                     break
             total_bits = trials * bits
             for i, rx in enumerate(config.receivers):
@@ -287,9 +267,6 @@ def run_sweep(
                         stopped_on=stopped_on,
                     )
                 )
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     return BerCurve(
         config=config, points={r: tuple(v) for r, v in points.items()}

@@ -1,6 +1,8 @@
 """Sweep engine: determinism, stopping, slope fitting, crossing interpolation."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from stablemimo import (
 )
 from stablemimo import montecarlo
 from stablemimo.codes import enumerate_codebook, sample_channel
-from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _run_chunk, _SweepState
+from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _in_chunk_order, _run_chunk
 from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
 from stablemimo.stable import sample_noise_block
 
@@ -80,6 +82,31 @@ class TestConfigValidation:
     def test_duplicate_receiver(self):
         with pytest.raises(ValueError):
             tiny_config(receivers=("gar", "gar"))
+
+    def test_empty_roster(self):
+        # an empty error vector would pass np.all and stop every point at once
+        with pytest.raises(ValueError, match="non-empty"):
+            tiny_config(receivers=())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("master_seed", 1.5),
+            ("max_trials", 20000.5),
+            ("workers", 1.5),
+            ("n_r", 1.5),
+            ("min_errors", 50.0),
+            ("workers", "2"),
+        ],
+    )
+    def test_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_config(**{field: value})
+
+    def test_integer_fields_normalized(self):
+        cfg = tiny_config(master_seed=np.uint64(5), max_trials=np.int64(8192))
+        assert type(cfg.master_seed) is int and cfg.master_seed == 5
+        assert type(cfg.max_trials) is int and cfg.max_trials == 8192
 
     def test_stopping_positive(self):
         with pytest.raises(ValueError):
@@ -166,21 +193,96 @@ class TestFusedChunk:
             constellation=constellation,
             receivers=("gar", "mdr", "ml", "aor"),
             master_seed=77,
+            max_trials=3 * CHUNK_TRIALS + 2048,  # chunk 3 is a partial one
         )
         cb = enumerate_codebook(code, constellation)
-        state = _SweepState(config=cfg, codebook=cb, ml_table=table)
-        for snr_index, chunk_index in ((0, 0), (1, 3), (2, 1)):
-            got = _run_chunk(state, snr_index, chunk_index, 2048)
-            want = roster_chunk(cfg, cb, table, snr_index, chunk_index, 2048)
+        chunks = ((0, 0, CHUNK_TRIALS), (1, 3, 2048), (2, 1, CHUNK_TRIALS))
+        for snr_index, chunk_index, n in chunks:
+            trials, got = _run_chunk(cfg, cb, table, snr_index, chunk_index)
+            want = roster_chunk(cfg, cb, table, snr_index, chunk_index, n)
+            assert trials == n
             assert np.array_equal(got, want), (snr_index, chunk_index)
+
+
+def _chunk_failing_at_3(config, codebook, ml_table, snr_index, chunk_index):
+    if chunk_index == 3:
+        raise RuntimeError("chunk 3 failed")
+    return _run_chunk(config, codebook, ml_table, snr_index, chunk_index)
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """One-thread pool that keeps every future it hands out."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(super().submit(fn, *args))
+        return self.futures[-1]
+
+
+class TestChunkOrder:
+    def test_serial_stream_is_lazy(self):
+        seen = []
+        stream = _in_chunk_order(seen.append, 10, None, 1)
+        next(stream), next(stream)
+        assert seen == [0, 1]
+
+    def test_pool_window_order_and_cancel(self):
+        started, gate = threading.Event(), threading.Event()
+
+        def run(c):
+            if c >= 4:
+                started.set()
+                gate.wait(timeout=30)
+            return c * c
+
+        with _RecordingPool() as pool:
+            try:
+                stream = _in_chunk_order(run, 10, pool, 3)
+                assert [next(stream) for _ in range(4)] == [0, 1, 4, 9]
+                # chunks 4 and 5 are in flight, chunk 6 is not yet submitted
+                assert len(pool.futures) == 6
+                assert started.wait(timeout=30)
+                stream.close()
+            finally:
+                gate.set()
+        # chunk 4 held the only thread; chunk 5 never started
+        assert pool.futures[5].cancelled()
+        assert not pool.futures[4].cancelled()
 
 
 class TestRunSweep:
     def test_worker_count_invariance(self):
-        cfg = tiny_config()
+        # the 35 dB point stops after 5 chunks, a multiple of neither window,
+        # and the 45 dB point runs to a cap that ends in a partial chunk
+        cfg = tiny_config(
+            snr_grid_db=(15.0, 35.0, 45.0),
+            min_errors=500,
+            max_trials=6 * CHUNK_TRIALS + 1000,
+        )
         c1 = run_sweep(cfg)
-        c3 = run_sweep(replace(cfg, workers=3))
-        assert c1.points == c3.points
+        stops = [(p.trials, p.stopped_on) for p in c1.points["gar"]]
+        assert stops[1:] == [(5 * CHUNK_TRIALS, "errors"), (cfg.max_trials, "trials")]
+        for workers in (2, 3):
+            assert run_sweep(replace(cfg, workers=workers)).points == c1.points
+
+    def test_pooled_chunk_failure_propagates(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_chunk", _chunk_failing_at_3)
+        cfg = tiny_config(min_errors=10**9, max_trials=8 * CHUNK_TRIALS, workers=2)
+        raised = []
+
+        def sweep():
+            with pytest.raises(RuntimeError, match="chunk 3 failed") as exc:
+                run_sweep(cfg)
+            raised.append(exc)
+
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert raised
 
     def test_high_snr_consistency(self):
         # vanishing noise: low BER at the top and a decreasing trend
