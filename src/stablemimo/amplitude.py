@@ -188,7 +188,7 @@ def amplitude_pdf(r, spec: IsotropicAmplitudeSpec):
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n-1, 4) ascending-power PCHIP cubics, by scipy's float-op sequence
+    """(4, n-1) ascending-power PCHIP cubics, by scipy's float-op sequence
     (PchipInterpolator._find_derivatives and _edge_case, CubicHermiteSpline)."""
     h = np.diff(x)
     m = np.diff(y) / h
@@ -206,7 +206,7 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     steep = same & (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
     dk[[0, -1]] = np.where(steep, 3.0 * m0, np.where(same, end, 0.0))
     t = (dk[:-1] + dk[1:] - 2 * m) / h
-    return np.stack([y[:-1], dk[:-1], (m - dk[:-1]) / h - t, t / h], axis=1)
+    return np.stack([y[:-1], dk[:-1], (m - dk[:-1]) / h - t, t / h])
 
 
 @dataclass(frozen=True)
@@ -254,25 +254,35 @@ class AmplitudePdfTable:
         lo, hi = self.grid[0], self.grid[-1]
         with np.errstate(divide="ignore"):
             lr = np.log(r)
-        on_grid = r.size == 0 or (r.min() >= lo and r.max() <= hi)
-        x, _, upper, coef = self._lookup
-        # off-grid radii are overwritten below; clipping keeps them finite
-        lx = lr if on_grid else np.clip(lr, x[0], x[-1])
-        i = self._guess(lx)
-        i -= lx < x[i]
-        i += lx >= upper[i]
-        s = lx - x[i]
-        c = coef[i]
-        s2 = s * s
-        out = ((c[..., 0] + c[..., 1] * s) + c[..., 2] * s2) + c[..., 3] * (s2 * s)
-        if not on_grid:
+        if r.size == 0 or (r.min() >= lo and r.max() <= hi):
+            out = self._interpolate(lr)
+        else:
             below, above = r < lo, r > hi
+            mid = ~(below | above)  # NaN stays here and interpolates to NaN
+            out = np.empty_like(lr)
+            out[mid] = self._interpolate(lr[mid])
             a, sigma, d = self.spec.alpha, self.spec.sigma, self.spec.d
             slope = (d - 1) * (lr[below] - math.log(lo)) if d > 1 else 0.0
             out[below] = self.log_values[0] + slope
             out[above] = (_gaussian_log_amplitude_pdf(r[above], sigma, d) if a == 2.0
                           else math.log(self.tail_constant) - (a + 1.0) * lr[above])
         return float(out[0]) if scalar else out
+
+    def _interpolate(self, lx):
+        """The PCHIP cubic at log radii within the grid's ends."""
+        x, _, upper, coef = self._lookup
+        i = self._guess(lx)
+        i -= lx < x.take(i)
+        i += lx >= upper.take(i)
+        s = lx - x.take(i)
+        out = coef[0].take(i)
+        power = s.copy()
+        for c in coef[1:]:  # ((c0 + c1 s) + c2 s^2) + c3 s^3, in place
+            term = c.take(i)
+            term *= power
+            out += term
+            power *= s
+        return out
 
     def save(self, path):
         """Dump (spec, grid, log_values) as a versioned .npz archive.

@@ -116,20 +116,25 @@ def sample_channel(n_r: int, n_t: int, rng: np.random.Generator, size=None):
 
 
 def codeword_products(h, codebook: Codebook) -> np.ndarray:
-    """Noiseless blocks H_b C_k of every trial b under every codeword k.
+    """``block_products`` trial first: h (B, n_r, n_t) -> (B, K, n_r, t_s)."""
+    return np.moveaxis(block_products(np.moveaxis(h, 0, -1), codebook), -1, 0)
 
-    h: (B, n_r, n_t) -> (B, K, n_r, t_s).  Terms are summed over transmit
-    antennas in order.  A chunk forms these once: the received block of
-    trial b is sqrt(rho) * HC[b, tx_b] + W_b, and every receiver's
-    residuals are Y_b - sqrt(rho) * HC[b, k].
+
+def block_products(h, codebook: Codebook) -> np.ndarray:
+    """Noiseless blocks H_b C_k of every trial b under every codeword k,
+    trial axis last: h (n_r, n_t, B) -> (K, n_r, t_s, B).
+
+    Terms are summed over transmit antennas in order.  A decode block forms
+    these once: the received block of trial b is sqrt(rho) * HC[tx_b, ..., b]
+    + W_b, and every receiver's residuals are Y_b - sqrt(rho) * HC[k, ..., b].
     """
     c = codebook.codewords
-    if h.shape[-1] != codebook.n_t:
+    if h.shape[1] != codebook.n_t:
         raise ValueError(
-            f"dimension mismatch: h has {h.shape[-1]} transmit antennas, "
+            f"dimension mismatch: h has {h.shape[1]} transmit antennas, "
             f"codewords have {codebook.n_t}"
         )
-    hc = h[:, None, :, 0, None] * c[None, :, None, 0, :]
+    hc = h[None, :, 0, None, :] * c[:, None, 0, :, None]
     for m in range(1, codebook.n_t):
-        hc += h[:, None, :, m, None] * c[None, :, None, m, :]
+        hc += h[None, :, m, None, :] * c[:, None, m, :, None]
     return hc

@@ -7,8 +7,9 @@ any worker count.  All requested receivers decode the same realizations
 (paired comparison), and per-point sampling stops once every receiver
 has collected the target number of bit errors or the trial cap is hit.
 Chunk results are folded in chunk order, so the stopping decision is
-independent of worker scheduling.  A pool keeps at most `workers` chunks
-in flight; chunks computed past the stop are discarded.
+independent of worker scheduling.  A pool keeps `workers` + 1 chunks in
+flight, so a worker that finishes finds the next chunk queued; at most
+`workers` chunks computed past the stop are discarded.
 """
 
 from __future__ import annotations
@@ -24,18 +25,18 @@ from functools import partial
 import numpy as np
 
 from .amplitude import AmplitudePdfTable, build_amplitude_table, noise_amplitude_spec
-from .codes import Codebook, codeword_products, enumerate_codebook, sample_channel
+from .codes import Codebook, block_products, enumerate_codebook, sample_channel
 from .receivers import (
     RECEIVER_KINDS,
     ResidualEnergies,
     check_ml_table,
     decide,
     ml_table_dimension,
-    residuals,
 )
 from .stable import NoiseModel, sample_noise_block
 
 CHUNK_TRIALS = 8192  # part of the determinism contract: streams are per-chunk
+DECODE_TRIALS = 2048  # a chunk decodes in blocks of this many trials
 # the Philox key packs (snr_index, chunk_index) into one 64-bit word
 _KEY_FIELD_LIMIT = 2**32
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -184,14 +185,17 @@ def _run_chunk(
     w, genie = sample_noise_block(
         config.model, config.alpha, config.n_r, codebook.t_s, rng, size=n
     )
-    hc = codeword_products(h, codebook)
-    y = np.sqrt(rho) * hc[np.arange(n), tx] + w
-
-    energies = ResidualEnergies(residuals(y, hc, rho))
+    h, w, genie = (np.moveaxis(a, 0, -1) for a in (h, w, genie))  # trial axis last
     errors = np.zeros(len(config.receivers), dtype=np.int64)
-    for i, rx in enumerate(config.receivers):
-        dec = decide(rx, energies, genie, config.model, ml_table)
-        errors[i] = codebook.bit_distance[tx, dec].sum()
+    for start in range(0, n, DECODE_TRIALS):
+        block = slice(start, start + DECODE_TRIALS)
+        sent = tx[block]
+        s = np.sqrt(rho) * block_products(h[..., block], codebook)
+        y = np.take_along_axis(s, sent[None, None, None], axis=0)[0] + w[..., block]
+        energies = ResidualEnergies(y - s)
+        for i, rx in enumerate(config.receivers):
+            dec = decide(rx, energies, genie[..., block], config.model, ml_table)
+            errors[i] += codebook.bit_distance[sent, dec].sum()
     return n, errors
 
 
@@ -247,7 +251,7 @@ def run_sweep(
             errors = np.zeros(len(config.receivers), dtype=np.int64)
             trials = 0
             stopped_on = "trials"
-            for n, chunk_errors in _in_chunk_order(run, n_chunks, pool, config.workers):
+            for n, chunk_errors in _in_chunk_order(run, n_chunks, pool, config.workers + 1):
                 trials += n
                 errors += chunk_errors
                 if np.all(errors >= config.min_errors):

@@ -2,14 +2,19 @@
 
 Every rule is a function of the residual energies
 
-    sq[b, k, i, t] = |Y_b - sqrt(rho) H_b C_k|^2  at entry (i, t)
+    sq[k, i, t, b] = |Y_b - sqrt(rho) H_b C_k|^2  at entry (i, t)
 
-of trial b against codeword k.  ``ResidualEnergies`` holds ``sq`` for a
-batch of trials and forms its per-column sums (over receive antennas)
-and per-codeword totals once, on first use, so a chunk decoded by the
-whole roster builds each of them only once.  ``METRICS`` maps each
-receiver name to its metric over those energies and to the selection
-(argmin or argmax over codewords) that turns the metric into a decision:
+of trial b against codeword k, with the trial axis last so that each
+elementwise step runs one long inner loop per (k, i, t) rather than a
+two-element loop per trial.  The Monte Carlo engine decodes a chunk in
+blocks of ``montecarlo.DECODE_TRIALS`` (2048) trials to keep temporaries
+small; each decision depends only on its own trial, so the block size
+never changes a result.  ``ResidualEnergies`` holds ``sq`` for a block and
+forms its per-column sums (over receive antennas) and per-codeword totals
+once, on first use, so the whole roster builds each only once.
+``METRICS`` maps each receiver name to its metric over those energies and
+to the selection (argmin or argmax over codewords) that turns the metric
+into a decision:
 
 * GAR  - genie-aided: whitens the noise with the (normally unknown)
   subordinator values, then minimizes Euclidean distance.  The genie
@@ -21,14 +26,19 @@ receiver name to its metric over those energies and to the selection
   model, per entry for the i.i.d. model).
 * AOR  - minimizes summed log residual norms; needs no noise parameters.
 
+Sums add one term at a time: column sums over receive antennas in order,
+sums over the (n_r, t_s) entries in row-major order, ((s00 + s01) + s10)
++ s11 for 2x2.  A trial-first numpy ``sum(axis=(2, 3))`` adds the same way
+below 8 terms but pairwise from 8 on, so where n_r * t_s >= 8 (no preset)
+a metric may differ from it in the last place.
+
 All rules are deterministic; exact metric ties resolve to the lowest
 codeword index.  A codeword whose residual vanishes identically wins
 immediately (for ML this replaces the ill-defined log of a zero-radius
 amplitude density; for AOR it is the natural -inf metric).
 
-The ``batch_*`` functions decode stacked trials from (y, h) and are thin
-wrappers over the same metrics the Monte Carlo engine applies to a
-chunk's shared energies.
+The ``batch_*`` functions decode stacked trials from trial-first (y, h)
+arrays: they move the trial axis last and apply the same metrics.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .amplitude import AmplitudePdfTable
-from .codes import Codebook, codeword_products
+from .codes import Codebook, block_products
 from .stable import NoiseModel
 
 
@@ -57,39 +67,42 @@ def check_ml_table(table: AmplitudePdfTable, model: NoiseModel, n_r: int):
         )
 
 
-def residuals(y, products, rho):
-    """Y - sqrt(rho) H C_k from the codeword products H C_k.
-
-    y: (B, n_r, t_s), products: (B, K, n_r, t_s) -> (B, K, n_r, t_s).
-    """
-    return y[:, None, :, :] - np.sqrt(rho) * products
-
-
 class ResidualEnergies:
-    """Squared residual magnitudes of a batch against every codeword."""
+    """Squared residual magnitudes of a block of trials against every
+    codeword, trial axis last: r and sq are (K, n_r, t_s, B)."""
 
     def __init__(self, r):
-        self.sq = np.abs(r) ** 2  # (B, K, n_r, t_s)
+        self.sq = np.abs(r) ** 2  # hypot, then square; re**2 + im**2 rounds differently
 
     @cached_property
     def column(self):
-        """Per-column energies, summed over receive antennas in order: (B, K, t_s)."""
-        col = self.sq[:, :, 0, :].copy()
-        for i in range(1, self.sq.shape[2]):
-            col += self.sq[:, :, i, :]
+        """Per-column energies, summed over receive antennas in order: (K, t_s, B)."""
+        col = self.sq[:, 0].copy()
+        for i in range(1, self.sq.shape[1]):
+            col += self.sq[:, i]
         return col
 
     @cached_property
     def total(self):
-        """Whole-block energies: (B, K)."""
-        return self.sq.sum(axis=(2, 3))
+        """Whole-block energies: (K, B)."""
+        return entry_sum(self.sq)
+
+
+def entry_sum(a):
+    """Sum of (K, ..., B) over the axes between codeword and trial, one
+    entry at a time in row-major order: (K, B)."""
+    flat = a.reshape(a.shape[0], -1, a.shape[-1])
+    out = flat[:, 0].copy()
+    for j in range(1, flat.shape[1]):
+        out += flat[:, j]
+    return out
 
 
 def gar_metric(e: ResidualEnergies, genie, model, table):
-    if np.ndim(genie) == 2:  # (B, t_s): shared subordinator per column
-        return (e.column / genie[:, None, :]).sum(axis=2)
-    if np.ndim(genie) == 3:  # (B, n_r, t_s): per-entry
-        return (e.sq / genie[:, None, :, :]).sum(axis=(2, 3))
+    if np.ndim(genie) == 2:  # (t_s, B): shared subordinator per column
+        return entry_sum(e.column / genie)
+    if np.ndim(genie) == 3:  # (n_r, t_s, B): per-entry
+        return entry_sum(e.sq / genie)
     raise ValueError("genie record must be per-column or per-entry")
 
 
@@ -99,21 +112,16 @@ def mdr_metric(e: ResidualEnergies, genie, model, table):
 
 def aor_metric(e: ResidualEnergies, genie, model, table):
     with np.errstate(divide="ignore"):
-        if model is NoiseModel.SHARED:
-            return np.log(e.column).sum(axis=2)
-        return np.log(e.sq).sum(axis=(2, 3))
+        return entry_sum(np.log(e.column if model is NoiseModel.SHARED else e.sq))
 
 
 def ml_metric(e: ResidualEnergies, genie, model, table):
     radii = np.sqrt(e.column if model is NoiseModel.SHARED else e.sq)
-    with np.errstate(divide="ignore"):
-        log_f = table.log_pdf(radii.ravel()).reshape(radii.shape)
-    metric = log_f.sum(axis=tuple(range(2, log_f.ndim)))
+    with np.errstate(divide="ignore"):  # a codeword at a time: cache-sized temporaries
+        metric = entry_sum(np.stack([table.log_pdf(r) for r in radii]))
     # a codeword that fits the block exactly wins outright; the relative
     # threshold absorbs float cancellation noise in the residual
-    exact = e.total <= 1e-20 * e.total.max(axis=1, keepdims=True)
-    if np.any(exact):
-        metric = np.where(exact, np.inf, metric)
+    metric[e.total <= 1e-20 * e.total.max(axis=0)] = np.inf
     return metric
 
 
@@ -130,9 +138,19 @@ RECEIVER_KINDS = tuple(METRICS)
 def decide(name: str, energies: ResidualEnergies, genie=None,
            model: NoiseModel = NoiseModel.SHARED,
            table: AmplitudePdfTable | None = None):
-    """Codeword index per trial chosen by receiver ``name``: (B,)."""
+    """Codeword index per trial chosen by receiver ``name``: (B,).  The genie
+    record has the trial axis last."""
     metric, select = METRICS[name]
-    return select(metric(energies, genie, model, table), axis=1)
+    return select(metric(energies, genie, model, table), axis=0)
+
+
+def _trial_last(a):
+    return None if a is None else np.moveaxis(a, 0, -1)
+
+
+def _residuals(y, h, rho, codebook: Codebook):
+    """Y - sqrt(rho) H S of trial-first y and h, trial axis last: (K, n_r, t_s, B)."""
+    return _trial_last(y) - np.sqrt(rho) * block_products(_trial_last(h), codebook)
 
 
 def batch_residuals(y, h, rho, codebook: Codebook):
@@ -140,11 +158,11 @@ def batch_residuals(y, h, rho, codebook: Codebook):
 
     y: (B, n_r, t_s), h: (B, n_r, n_t) -> (B, K, n_r, t_s).
     """
-    return residuals(y, codeword_products(h, codebook), rho)
+    return np.moveaxis(_residuals(y, h, rho, codebook), -1, 0)
 
 
 def _energies(y, h, rho, codebook: Codebook) -> ResidualEnergies:
-    return ResidualEnergies(batch_residuals(y, h, rho, codebook))
+    return ResidualEnergies(_residuals(y, h, rho, codebook))
 
 
 def batch_mdr(y, h, rho, codebook: Codebook):
@@ -152,7 +170,7 @@ def batch_mdr(y, h, rho, codebook: Codebook):
 
 
 def batch_gar(y, h, genie, rho, codebook: Codebook):
-    return decide("gar", _energies(y, h, rho, codebook), genie)
+    return decide("gar", _energies(y, h, rho, codebook), _trial_last(genie))
 
 
 def batch_aor(y, h, rho, codebook: Codebook, model: NoiseModel):

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -21,9 +22,16 @@ from stablemimo import (
     wilson_interval,
 )
 from stablemimo import montecarlo
-from stablemimo.codes import enumerate_codebook, sample_channel
+from stablemimo.cliio import resolve_preset
+from stablemimo.codes import codeword_products, enumerate_codebook, sample_channel
 from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _in_chunk_order, _run_chunk
-from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
+from stablemimo.receivers import (
+    batch_aor,
+    batch_gar,
+    batch_mdr,
+    batch_ml,
+    batch_residuals,
+)
 from stablemimo.stable import sample_noise_block
 
 
@@ -204,6 +212,61 @@ class TestFusedChunk:
             assert np.array_equal(got, want), (snr_index, chunk_index)
 
 
+class TestDecodeBlocks:
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    def test_block_size_does_not_change_errors(self, monkeypatch, model):
+        # at 195 dB the exact-fit rule fires in some trials of a block only
+        cfg = SimConfig(model=model, alpha=1.43, n_r=2, snr_grid_db=(0.0, 195.0),
+                        master_seed=5, max_trials=1200)
+        cb = enumerate_codebook(cfg.code, cfg.constellation)
+        table = montecarlo.build_ml_table(cfg)
+        rng = _chunk_rng(cfg.master_seed, 1, 0)
+        h = sample_channel(cfg.n_r, cb.n_t, rng, size=1200)
+        tx = rng.integers(0, len(cb), size=1200)
+        w, _ = sample_noise_block(model, cfg.alpha, cfg.n_r, cb.t_s, rng, size=1200)
+        rho = 10.0 ** 19.5
+        y = np.sqrt(rho) * codeword_products(h, cb)[np.arange(1200), tx] + w
+        total = (np.abs(batch_residuals(y, h, rho, cb)) ** 2).sum(axis=(2, 3))
+        exact = (total <= 1e-20 * total.max(axis=1, keepdims=True)).any(axis=1)
+        assert 0.05 < exact[:777].mean() < 0.95
+        runs = {}
+        for size in (1, 777, 2048, 8192):
+            monkeypatch.setattr(montecarlo, "DECODE_TRIALS", size)
+            runs[size] = [_run_chunk(cfg, cb, table, j, 0)[1] for j in range(2)]
+        assert all(np.array_equal(r, runs[2048]) for r in runs.values())
+        assert runs[2048][0].min() > 0
+
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    def test_four_receive_antennas_pinned(self, model):
+        # n_r * t_s = 8 entries: row-major sums, which may round differently
+        # from a pairwise sum; these counts were produced by the trial-first
+        # decode that summed pairwise
+        want = {
+            NoiseModel.SHARED: {"gar": [598, 119, 14], "mdr": [1670, 688, 267],
+                                "ml": [1280, 171, 23], "aor": [652, 132, 17]},
+            NoiseModel.IID: {"gar": [260, 8, 0], "mdr": [2500, 977, 355],
+                             "ml": [877, 36, 1], "aor": [1011, 70, 2]},
+        }[model]
+        cfg = SimConfig(model=model, alpha=1.43, n_r=4, snr_grid_db=(0.0, 5.0, 10.0),
+                        master_seed=404, min_errors=10**9, max_trials=2 * CHUNK_TRIALS + 1000)
+        curve = run_sweep(cfg)
+        assert {rx: [p.bit_errors for p in pts] for rx, pts in curve.points.items()} == want
+
+    def test_fig4_chunk_allocation_peak(self):
+        # decoding in blocks keeps chunk-sized temporaries out of the decode
+        cfg = resolve_preset("fig4").configs[0]
+        cb = enumerate_codebook(cfg.code, cfg.constellation)
+        table = montecarlo.build_ml_table(cfg)
+        _run_chunk(cfg, cb, table, 4, 0)
+        tracemalloc.start()
+        try:
+            _run_chunk(cfg, cb, table, 4, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+
 def _chunk_failing_at_3(config, codebook, ml_table, snr_index, chunk_index):
     if chunk_index == 3:
         raise RuntimeError("chunk 3 failed")
@@ -251,6 +314,17 @@ class TestChunkOrder:
         # chunk 4 held the only thread; chunk 5 never started
         assert pool.futures[5].cancelled()
         assert not pool.futures[4].cancelled()
+
+    def test_sweep_queues_one_chunk_past_the_workers(self, monkeypatch):
+        windows = []
+
+        def spy(run, n_chunks, pool, window):
+            windows.append(window)
+            return _in_chunk_order(run, n_chunks, pool, window)
+
+        monkeypatch.setattr(montecarlo, "_in_chunk_order", spy)
+        run_sweep(tiny_config(snr_grid_db=(40.0,), max_trials=CHUNK_TRIALS, workers=2))
+        assert windows == [3]
 
 
 class TestRunSweep:

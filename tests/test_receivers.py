@@ -9,7 +9,8 @@ from stablemimo import (
     sample_channel,
     sample_noise_block,
 )
-from stablemimo.codes import codeword_products
+from stablemimo.amplitude import build_amplitude_table, noise_amplitude_spec
+from stablemimo.codes import block_products, codeword_products
 from stablemimo.receivers import (
     METRICS,
     RECEIVER_KINDS,
@@ -28,6 +29,10 @@ from stablemimo.receivers import (
 @pytest.fixture(scope="module")
 def codebook():
     return enumerate_codebook("alamouti", "bpsk")
+
+
+def trial_last(a):
+    return np.moveaxis(a, 0, -1)
 
 
 def random_instance(codebook, model, alpha, n_r, rho, rng):
@@ -263,11 +268,11 @@ class TestValidation:
     def test_receiver_kind_validation(self, codebook, table_a143_d2):
         y = np.zeros((1, 1, 2), dtype=complex)
         h = np.ones((1, 1, 2), dtype=complex)
-        energies = ResidualEnergies(batch_residuals(y, h, 1.0, codebook))
+        energies = ResidualEnergies(trial_last(batch_residuals(y, h, 1.0, codebook)))
         with pytest.raises(KeyError):
             decide("zf", energies)
         for rx in RECEIVER_KINDS:
-            assert decide(rx, energies, np.ones((1, 2)), NoiseModel.IID,
+            assert decide(rx, energies, np.ones((2, 1)), NoiseModel.IID,
                           table_a143_d2).shape == (1,)
 
 
@@ -339,11 +344,18 @@ class TestSharedEnergies:
         rng = np.random.default_rng(53)
         for n_r in (1, 2, 3, 5):
             r = rng.standard_cauchy((200, 4, n_r, 2)) + 1j * rng.normal(size=(200, 4, n_r, 2))
-            e = ResidualEnergies(r)
+            e = ResidualEnergies(trial_last(r))
             sq = np.abs(r) ** 2
-            assert np.array_equal(e.sq, sq)
-            assert np.array_equal(e.column, sq.sum(axis=2))
-            assert np.array_equal(e.total, sq.sum(axis=(2, 3)))
+            assert np.array_equal(e.sq, trial_last(sq))
+            assert np.array_equal(e.column, trial_last(sq.sum(axis=2)))
+            # entries one at a time in row-major order; a trial-first numpy
+            # sum adds the same way below 8 terms and pairwise from 8 on
+            rowmajor = sq[:, :, 0, 0].copy()
+            for i, t in list(np.ndindex(n_r, 2))[1:]:
+                rowmajor += sq[:, :, i, t]
+            assert np.array_equal(e.total, rowmajor.T)
+            if n_r * 2 < 8:
+                assert np.array_equal(e.total, sq.sum(axis=(2, 3)).T)
 
     def test_metric_table_covers_roster(self):
         assert RECEIVER_KINDS == tuple(METRICS) == ("gar", "mdr", "ml", "aor")
@@ -358,7 +370,7 @@ class TestSharedEnergies:
         tx = rng.integers(0, 4, size=n)
         w, genie = sample_noise_block(model, 1.43, 1, 2, rng, size=n)
         y = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, codebook.codewords[tx]) + w
-        energies = ResidualEnergies(batch_residuals(y, h, rho, codebook))
+        energies = ResidualEnergies(trial_last(batch_residuals(y, h, rho, codebook)))
         wrappers = {
             "gar": batch_gar(y, h, genie, rho, codebook),
             "mdr": batch_mdr(y, h, rho, codebook),
@@ -366,7 +378,7 @@ class TestSharedEnergies:
             "aor": batch_aor(y, h, rho, codebook, model),
         }
         for rx, want in wrappers.items():
-            got = decide(rx, energies, genie, model, table_a143_d2)
+            got = decide(rx, energies, trial_last(genie), model, table_a143_d2)
             assert np.array_equal(got, want), rx
 
 
@@ -381,3 +393,104 @@ class TestMlTableDimension:
                                              r"model I with n_r=2 \(want d=4\)"):
             check_ml_table(table_a143_d2, NoiseModel.SHARED, 2)
         check_ml_table(table_a143_d2, NoiseModel.IID, 2)
+
+
+# The trial-first (B, K, n_r, t_s) decode formulas the trial-axis-last
+# kernel replaced, frozen here as its oracle.
+
+def frozen_products(h, cb):
+    c = cb.codewords
+    hc = h[:, None, :, 0, None] * c[None, :, None, 0, :]
+    for m in range(1, cb.n_t):
+        hc += h[:, None, :, m, None] * c[None, :, None, m, :]
+    return hc
+
+
+def frozen_metrics(y, h, genie, rho, cb, model, table):
+    """(B, K) metric of every receiver."""
+    sq = np.abs(y[:, None, :, :] - np.sqrt(rho) * frozen_products(h, cb)) ** 2
+    col = sq[:, :, 0, :].copy()
+    for i in range(1, sq.shape[2]):
+        col += sq[:, :, i, :]
+    total = sq.sum(axis=(2, 3))
+    shared = model is NoiseModel.SHARED
+    with np.errstate(divide="ignore"):
+        if shared:
+            gar = (col / genie[:, None, :]).sum(axis=2)
+            aor = np.log(col).sum(axis=2)
+        else:
+            gar = (sq / genie[:, None, :, :]).sum(axis=(2, 3))
+            aor = np.log(sq).sum(axis=(2, 3))
+        radii = np.sqrt(col if shared else sq)
+        log_f = table.log_pdf(radii.ravel()).reshape(radii.shape)
+    ml = log_f.sum(axis=tuple(range(2, log_f.ndim)))
+    exact = total <= 1e-20 * total.max(axis=1, keepdims=True)
+    if np.any(exact):
+        ml = np.where(exact, np.inf, ml)
+    return {"gar": gar, "mdr": total, "ml": ml, "aor": aor}
+
+
+def kernel_metrics(y, h, genie, rho, cb, model, table):
+    """(K, B) metric of every receiver, through the trial-axis-last kernel."""
+    s = np.sqrt(rho) * block_products(trial_last(h), cb)
+    e = ResidualEnergies(trial_last(y) - s)
+    return {rx: metric(e, trial_last(genie), model, table)
+            for rx, (metric, _) in METRICS.items()}
+
+
+def drawn_block(cb, model, n_r, rho, seed, n=600, noiseless=0):
+    """Trials drawn as a chunk draws them, the first ``noiseless`` of them
+    without noise (exact fits)."""
+    rng = np.random.default_rng(seed)
+    h = sample_channel(n_r, cb.n_t, rng, size=n)
+    tx = rng.integers(0, len(cb), size=n)
+    w, genie = sample_noise_block(model, 1.43, n_r, cb.t_s, rng, size=n)
+    w[:noiseless] = 0.0
+    y = np.sqrt(rho) * frozen_products(h, cb)[np.arange(n), tx] + w
+    return y, h, genie
+
+
+class TestKernelOracle:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {d: build_amplitude_table(noise_amplitude_spec(1.43, d)) for d in (2, 4, 6, 8)}
+
+    def cases(self, constellation, n_rs):
+        for code in ("alamouti", "uncoded"):
+            cb = enumerate_codebook(code, constellation)
+            for model in (NoiseModel.SHARED, NoiseModel.IID):
+                for n_r in n_rs:
+                    for snr_db in (0.0, 20.0):
+                        yield cb, model, n_r, 10.0 ** (snr_db / 10.0)
+
+    def test_bpsk_metrics_bit_equal(self, tables):
+        for seed, (cb, model, n_r, rho) in enumerate(self.cases("bpsk", (1, 2, 3))):
+            table = tables[ml_table_dimension(model, n_r)]
+            y, h, genie = drawn_block(cb, model, n_r, rho, seed, noiseless=5)
+            want = frozen_metrics(y, h, genie, rho, cb, model, table)
+            got = kernel_metrics(y, h, genie, rho, cb, model, table)
+            assert np.isinf(want["ml"][:5]).any(axis=1).all()  # the exact-fit rule fired
+            for rx in METRICS:
+                assert np.array_equal(got[rx], want[rx].T), (cb.kind, model, n_r, rho, rx)
+
+    def test_qpsk_decisions_pinned(self, tables):
+        for seed, (cb, model, n_r, rho) in enumerate(self.cases("qpsk", (1, 2, 3))):
+            table = tables[ml_table_dimension(model, n_r)]
+            y, h, genie = drawn_block(cb, model, n_r, rho, 100 + seed, noiseless=5)
+            want = frozen_metrics(y, h, genie, rho, cb, model, table)
+            got = kernel_metrics(y, h, genie, rho, cb, model, table)
+            for rx, (_, select) in METRICS.items():
+                assert np.array_equal(select(got[rx], axis=0), select(want[rx], axis=1)), rx
+
+    def test_eight_term_sums_keep_decisions(self, tables):
+        # n_r = 4 under Alamouti: 8 entries per block, where the kernel's
+        # row-major sum and a trial-first pairwise sum may round differently
+        cb = enumerate_codebook("alamouti", "bpsk")
+        for model in (NoiseModel.SHARED, NoiseModel.IID):
+            table = tables[ml_table_dimension(model, 4)]
+            y, h, genie = drawn_block(cb, model, 4, 10.0, 200, n=4000)
+            want = frozen_metrics(y, h, genie, 10.0, cb, model, table)
+            got = kernel_metrics(y, h, genie, 10.0, cb, model, table)
+            for rx, (_, select) in METRICS.items():
+                np.testing.assert_allclose(got[rx], want[rx].T, rtol=1e-13)
+                assert np.array_equal(select(got[rx], axis=0), select(want[rx], axis=1)), rx
