@@ -10,9 +10,11 @@ has density
 evaluated here for all radii at once.  With u = r*t the integrand becomes
 u^(d/2) * J_{d/2-1}(u) * exp(-(sigma/r)^alpha * u^alpha) / r: a fixed
 Gauss-Legendre rule on the segments between Bessel-function zeros (and on
-geometric sub-segments of [0, z_1]) depends only on the spec, and Euler
+geometric sub-segments of [0, z_1]) depends only on d and is cached; Euler
 averaging sums the alternating segment contributions for every radius at
-once.  Large radii are served by the dominant tail term K * r^(-alpha-1);
+once.  J_n (d = 2, 4, 6, 8) is the midpoint rule on Bessel's integral
+(Trefethen & Weideman 2014) with Newton-refined McMahon zeros; d = 1, 3 use
+closed forms, other d scipy.  Large radii use the tail term K * r^(-alpha-1);
 tables hold the log-density on a log-uniform grid, read by a direct-index
 PCHIP lookup (monotone cubic, Fritsch & Carlson 1980) that equals scipy's
 PchipInterpolator bit for bit, and save/load as versioned .npz archives.
@@ -20,11 +22,11 @@ PchipInterpolator bit for bit, and save/load as versioned .npz archives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 TABLE_FORMAT_VERSION = 1
 
@@ -102,42 +104,63 @@ def _gaussian_log_amplitude_pdf(r, sigma: float, d: int):
         )
 
 
-def _bessel_zeros(nu: float, n: int) -> np.ndarray:
-    """First n positive zeros of J_nu for integer or half-integer-ish nu."""
-    k = np.arange(1, n + 1, dtype=float)
-    if nu == -0.5:
-        return (k - 0.5) * np.pi
-    if nu == 0.5:
-        return k * np.pi
+def _jn(n: float, x):
+    """J_n(x), integer-valued n, elementwise: the 64-point midpoint rule on [0, pi/2]
+    of (2/pi) trig(n t) trig(x sin t), trig = cos for even n, sin for odd."""
+    t = (np.arange(64) + 0.5) * (np.pi / 128.0)
+    trig = np.sin if n % 2 else np.cos
+    return (trig(np.multiply.outer(x, np.sin(t))) * trig(n * t)).mean(axis=-1)
+
+
+def _bessel(nu: float, n: int):
+    """J_nu as an array function, and its first n positive zeros (refined McMahon)."""
+    beta = (np.arange(1, n + 1) + nu / 2.0 - 0.25) * np.pi
+    zeros = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
+    if abs(nu) == 0.5:  # J_{-1/2}, J_{1/2} = sqrt(2/(pi x)) * (cos x, sin x)
+        trig = np.sin if nu > 0 else np.cos
+        return (lambda x: np.sqrt(2.0 / (np.pi * x)) * trig(x)), zeros
+    if nu in (0, 1, 2, 3):  # d <= 8; _jn loses relative accuracy at u ~ 1e-3 past J_3
+        for _ in range(8):  # J_nu' = J_{nu-1} - (nu/x) J_nu, with J_{-1} = -J_1
+            j = _jn(nu, zeros)
+            zeros = zeros - j / (_jn(nu - 1, zeros) - nu / zeros * j)
+        return functools.partial(_jn, nu), zeros
+    from scipy.special import jn_zeros, jv  # d = 5, 7 or d >= 9: off the import path
     if float(nu).is_integer():
-        return special.jn_zeros(int(nu), n)
-    from scipy.optimize import brentq  # odd d >= 5 only: off the import path
-    # McMahon approximation refined by bisection
-    beta = (k + nu / 2.0 - 0.25) * np.pi
-    approx = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
-    zeros = np.empty(n)
-    for i, x0 in enumerate(approx):
+        return functools.partial(jv, nu), jn_zeros(int(nu), n)
+    from scipy.optimize import brentq
+    for i, x0 in enumerate(zeros):  # bisection around the McMahon estimates
         lo, hi = max(x0 - 0.6 * np.pi, 1e-6), x0 + 0.6 * np.pi
-        zeros[i] = brentq(lambda x: special.jv(nu, x), lo, hi, xtol=1e-13)
-    return zeros
+        zeros[i] = brentq(lambda x: jv(nu, x), lo, hi, xtol=1e-13)
+    return functools.partial(jv, nu), zeros
+
+
+@functools.cache
+def _hankel_rule(d: int, n_zeros: int, halvings: int, orders: tuple):
+    """Head size; per rule order, read-only nodes u, weights w u^(d/2) J_nu(u)."""
+    jv, zeros = _bessel(d / 2.0 - 1.0, n_zeros)
+    # head [0, z_1]: geometric sub-segments resolve the peak near u ~ r/sigma
+    head = zeros[0] * 2.0 ** -np.arange(halvings, -1, -1.0)
+    edges = np.concatenate([[0.0], head, zeros[1:]])
+    half = 0.5 * np.diff(edges)[:, None]
+    rules = []
+    for order in orders:
+        x, w = np.polynomial.legendre.leggauss(order)
+        u = edges[:-1, None] + half * (x + 1.0)  # (segments, order) nodes
+        weights = half * w * u ** (d / 2.0) * jv(u)
+        u.flags.writeable = weights.flags.writeable = False  # shared by calls
+        rules.append((u, weights))
+    return head.size, tuple(rules)
 
 
 def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
     """f(r) for every r in (0, inf): the substituted integral (module
     docstring) by two rule orders, checked against (_ATOL, _RTOL)."""
     a, d = spec.alpha, spec.d
-    zeros = _bessel_zeros(d / 2.0 - 1.0, _N_ZEROS)
-    # head [0, z_1]: geometric sub-segments resolve the peak near u ~ r/sigma
-    head = zeros[0] * 2.0 ** -np.arange(_HEAD_HALVINGS, -1, -1.0)
-    edges = np.concatenate([[0.0], head, zeros[1:]])
-    half = 0.5 * np.diff(edges)[:, None]
+    n_head, rules = _hankel_rule(d, _N_ZEROS, _HEAD_HALVINGS, _RULE_ORDERS)
     decay = (spec.sigma / r) ** a
     totals = []
-    for order in _RULE_ORDERS:
-        x, w = np.polynomial.legendre.leggauss(order)
-        u = edges[:-1, None] + half * (x + 1.0)  # (segments, order) nodes
+    for u, weights in rules:
         ua = u**a
-        weights = half * w * u ** (d / 2.0) * special.jv(d / 2.0 - 1.0, u)
         terms = np.empty((r.size, u.shape[0]))
         for i in range(0, r.size, _BLOCK_RADII):
             block = decay[i : i + _BLOCK_RADII, None, None]
@@ -145,10 +168,10 @@ def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
                 "bsn,sn->bs", np.exp(-block * ua), weights
             )
         # Euler: iterated averaging of the partial sums past the head
-        s = np.cumsum(terms[:, head.size :], axis=1)
+        s = np.cumsum(terms[:, n_head:], axis=1)
         while s.shape[1] > 2:
             s = 0.5 * (s[:, :-1] + s[:, 1:])
-        totals.append(terms[:, : head.size].sum(axis=1) + s.mean(axis=1))
+        totals.append(terms[:, :n_head].sum(axis=1) + s.mean(axis=1))
     prefactor = 2.0 / (2.0 ** (d / 2.0) * math.gamma(d / 2.0) * r)
     total = prefactor * totals[-1]
     # rule-order difference plus the last Euler stage's spread (higher order)

@@ -5,8 +5,8 @@ For the genie-aided receiver the diversity order is alpha*N_t/2; the
 minimum-distance receiver is stuck at alpha/2 regardless of antenna
 counts, with a coding gain penalized by N_r^(-2/alpha) when the noise is
 i.i.d. across antennas.  Coding gains are evaluated in log-gamma
-arithmetic; the printed digamma derivatives and the alpha-threshold root
-finder quantify how the MDR gain responds to antenna counts.
+arithmetic (math.lgamma; digamma by its asymptotic series; Q by math.erfc);
+digamma derivatives and alpha thresholds track the MDR gain in antenna counts.
 """
 
 from __future__ import annotations
@@ -15,15 +15,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, erfc, gammaln
 
 from .codes import Codebook
 from .stable import NoiseModel
 
 
 def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
+    """Gaussian tail probability Q(x) = P(N(0,1) > x), elementwise."""
+    erfc = np.vectorize(math.erfc, otypes=[float])
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
+def digamma(x: float) -> float:
+    """psi(x), x > 0: recurrence to x >= 10, then the series through B_12."""
+    shift = 0.0
+    while x < 10.0:
+        shift, x = shift - 1.0 / x, x + 1.0
+    t = 1.0 / (x * x)
+    return shift + math.log(x) - 0.5 / x - t * (1 / 12 - t * (1 / 120 - t * (
+        1 / 252 - t * (1 / 240 - t * (1 / 132 - t * 691 / 32760)))))
 
 
 def q_function_craig(x: float) -> float:
@@ -53,14 +63,14 @@ def log_coding_gain_gar(n_t: float, n_r: float, alpha: float) -> float:
     a = alpha
     log_b1 = (
         -0.5 * math.log(4.0 * math.pi)
-        + gammaln((a * n_t + 1.0) / 2.0)
-        - gammaln(a * n_t / 2.0 + 1.0)
+        + math.lgamma((a * n_t + 1.0) / 2.0)
+        - math.lgamma(a * n_t / 2.0 + 1.0)
     )
     log_b2 = (
-        gammaln(1.0 + a / 2.0)
-        + gammaln(n_r - a / 2.0)
-        - gammaln(1.0 - a / 2.0)
-        - gammaln(n_r)
+        math.lgamma(1.0 + a / 2.0)
+        + math.lgamma(n_r - a / 2.0)
+        - math.lgamma(1.0 - a / 2.0)
+        - math.lgamma(n_r)
         + (a / 2.0) * math.log(4.0)
     )
     return -2.0 / (a * n_t) * log_b1 - 2.0 / a * log_b2
@@ -80,10 +90,10 @@ def log_coding_gain_mdr(
     log_b = (
         math.log(n_t)
         - 0.5 * math.log(4.0 * math.pi)
-        + gammaln((1.0 + a) / 2.0)
-        + gammaln(n_r * n_t - a / 2.0)
-        - gammaln(1.0 - a / 2.0)
-        - gammaln(n_r * n_t)
+        + math.lgamma((1.0 + a) / 2.0)
+        + math.lgamma(n_r * n_t - a / 2.0)
+        - math.lgamma(1.0 - a / 2.0)
+        - math.lgamma(n_r * n_t)
         + (a / 2.0) * math.log(4.0)
     )
     out = -2.0 / a * log_b
@@ -155,14 +165,11 @@ def dlog_gain(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> floa
     a = alpha
     if receiver == "gar" and wrt == "n_r":
         return -(2.0 / a) * (digamma(n_r - a / 2.0) - digamma(n_r))
+    gap = digamma(n_r * n_t - a / 2.0) - digamma(n_r * n_t)
     if receiver == "mdr" and wrt == "n_r":
-        return -(2.0 * n_t / a) * (
-            digamma(n_r * n_t - a / 2.0) - digamma(n_r * n_t)
-        )
+        return -(2.0 * n_t / a) * gap
     if receiver == "mdr" and wrt == "n_t":
-        return -(2.0 / a) * (
-            1.0 / n_t + n_r * (digamma(n_r * n_t - a / 2.0) - digamma(n_r * n_t))
-        )
+        return -(2.0 / a) * (1.0 / n_t + n_r * gap)
     raise ValueError(
         f"no closed-form derivative for ({receiver!r}, {wrt!r}); "
         "use dlog_gain_numeric"

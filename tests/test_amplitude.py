@@ -347,3 +347,64 @@ class TestRMaxSearch:
         given = build_amplitude_table(spec, r_max=r_max)
         assert np.array_equal(tab.grid, given.grid)
         assert np.array_equal(tab.log_values, given.log_values)
+
+
+class TestBesselRule:
+    """The numpy Bessel kernel, its zeros and the cached rule, with scipy as
+    the oracle."""
+
+    def test_jn_matches_scipy_on_rule_nodes(self):
+        from scipy.special import jv
+
+        for n in range(4):
+            _, rules = amplitude._hankel_rule(
+                2 * n + 2, amplitude._N_ZEROS, amplitude._HEAD_HALVINGS,
+                amplitude._RULE_ORDERS)
+            for u, _ in rules:
+                assert np.max(np.abs(amplitude._jn(n, u) - jv(n, u))) <= 1e-14, n
+
+    def test_zeros_match_scipy(self):
+        from scipy.special import jn_zeros
+
+        for n in range(4):
+            _, zeros = amplitude._bessel(float(n), 50)
+            ref = jn_zeros(n, 50)
+            assert np.all(np.abs(zeros - ref) <= 2 * np.spacing(ref)), n
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_half_order_closed_forms(self, d):
+        from scipy.special import jv
+
+        nu = d / 2.0 - 1.0
+        kernel, zeros = amplitude._bessel(nu, 50)
+        k = np.arange(1, 51)
+        assert np.array_equal(zeros, (k - 0.5) * np.pi if d == 1 else k * np.pi)
+        u = np.geomspace(1e-12, 200.0, 2001)
+        assert np.allclose(kernel(u), jv(nu, u), rtol=1e-13, atol=1e-15)
+
+    def test_rule_cached_per_dimension(self):
+        spec = noise_amplitude_spec(1.43, 4)
+        build_amplitude_table(spec, n_nodes=16)
+        before = amplitude._hankel_rule.cache_info()
+        build_amplitude_table(spec, n_nodes=16)
+        after = amplitude._hankel_rule.cache_info()
+        # the r_max search and the grid each find the rule cached
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2
+        _, rules = amplitude._hankel_rule(
+            4, amplitude._N_ZEROS, amplitude._HEAD_HALVINGS, amplitude._RULE_ORDERS)
+        assert not any(a.flags.writeable for rule in rules for a in rule)
+
+    def test_preset_tables_match_scipy_weights(self, monkeypatch):
+        from functools import partial
+
+        from scipy.special import jn_zeros, jv
+
+        tables = {k: build_amplitude_table(noise_amplitude_spec(*k)) for k in PRESET_R_MAX}
+        monkeypatch.setattr(amplitude, "_bessel",
+                            lambda nu, n: (partial(jv, nu), jn_zeros(int(nu), n)))
+        monkeypatch.setattr(amplitude, "_hankel_rule", amplitude._hankel_rule.__wrapped__)
+        for (alpha, d), tab in tables.items():
+            ref = build_amplitude_table(noise_amplitude_spec(alpha, d))
+            assert ref.grid[-1] == tab.grid[-1] == PRESET_R_MAX[alpha, d]
+            assert np.max(np.abs(np.expm1(tab.log_values - ref.log_values))) <= 1e-9

@@ -37,3 +37,21 @@ def test_import_loads_no_heavy_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+    # no scipy module at all on the run path: the package and its CLI, the ML
+    # tables of fig4 (d = 4) and fig6 model II (d = 2), a preset's theory curves
+    code = (
+        "import sys, stablemimo, stablemimo.cli\n"
+        "from stablemimo import cliio, montecarlo\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "fig4, fig6 = cliio.resolve_preset('fig4'), cliio.resolve_preset('fig6')\n"
+        "assert fig6.configs[1].model.value == 'II'\n"
+        "for cfg in (fig4.configs[0], fig6.configs[1]):\n"
+        "    montecarlo.build_ml_table(cfg)\n"
+        "print(loaded())\n"
+        "cliio.theory_overlays(fig4.configs, fig4.theory_receivers)\n"
+        "print(loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]"] * 3

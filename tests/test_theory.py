@@ -22,6 +22,7 @@ from stablemimo import (
     union_bound_ber,
 )
 from stablemimo.theory import (
+    digamma,
     log_coding_gain_gar,
     log_coding_gain_mdr,
     q_function,
@@ -74,6 +75,27 @@ class TestSpecialFunctions:
 
         for x, ref in DIGAMMA_REFS:
             assert abs(digamma(x) / ref - 1.0) < 1e-12, x
+
+    def test_package_digamma_against_frozen_refs_and_scipy(self):
+        from scipy import special
+
+        for x, ref in DIGAMMA_REFS:
+            assert abs(digamma(x) / ref - 1.0) < 1e-12, x
+        x = np.linspace(0.05, 30.0, 3001)
+        assert max(abs(digamma(v) - special.digamma(v)) for v in x) <= 1e-13
+
+    def test_math_lgamma_and_erfc_match_scipy(self):
+        from scipy import special
+
+        x = np.linspace(0.05, 30.0, 3001)
+        lg = np.array([math.lgamma(v) for v in x])
+        assert np.allclose(lg, special.gammaln(x), rtol=1e-14, atol=1e-14)
+        z = np.linspace(-6.0, 9.0, 301).reshape(7, 43)
+        q = q_function(z)
+        assert q.shape == z.shape
+        assert np.allclose(q, 0.5 * special.erfc(z / math.sqrt(2.0)), rtol=1e-14, atol=0.0)
+        assert float(q_function(1.0)) == pytest.approx(
+            0.5 * float(special.erfc(1.0 / math.sqrt(2.0))), rel=1e-15)
 
 
 class TestCodingGains:
