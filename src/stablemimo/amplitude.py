@@ -17,7 +17,8 @@ once.  J_n (d = 2, 4, 6, 8) is the midpoint rule on Bessel's integral
 closed forms, other d scipy.  Large radii use the tail term K * r^(-alpha-1);
 tables hold the log-density on a log-uniform grid, read by a direct-index
 PCHIP lookup (monotone cubic, Fritsch & Carlson 1980) that equals scipy's
-PchipInterpolator bit for bit, and save/load as versioned .npz archives.
+PchipInterpolator bit for bit, with the below-grid and tail laws as two
+more rows of its interval table, and save/load as versioned .npz archives.
 """
 
 from __future__ import annotations
@@ -239,10 +240,13 @@ class AmplitudePdfTable:
     Between nodes: PCHIP in log r / log f, bit-equal to scipy's.  A radius's
     interval is floor((log r - log r_0) / h), corrected by one comparison
     each way; that is exact because every node must index to its own
-    interval or the one below (so the grid must be log-uniform).  Below
-    the grid: the exact r^(d-1) small-radius power behavior anchored at
-    the first node.  Beyond the grid: the dominant tail term (power law
-    for alpha < 2, the exact Gaussian expression at alpha = 2).
+    interval or the one below (so the grid must be log-uniform).  Two more
+    rows of the interval table, cubics whose s^2 and s^3 coefficients are 0,
+    hold the laws off the grid, so every radius takes one route.  Below the
+    grid: the exact r^(d-1) small-radius power behavior anchored at the
+    first node.  Beyond the grid: the dominant tail term log K - (alpha+1)
+    log r (anchored at log r = 0); at alpha = 2 the exact Gaussian law
+    overwrites it.
     """
 
     spec: IsotropicAmplitudeSpec
@@ -256,56 +260,53 @@ class AmplitudePdfTable:
         if self.grid.size < 3 or np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing, with >= 3 nodes")
         x = np.log(self.grid)
-        # log nodes, 1/h, interval upper ends (the last is closed), cubics
-        lookup = (x, (x.size - 1) / (x[-1] - x[0]), np.append(x[1:-1], np.inf),
-                  _pchip_coefficients(x, self.log_values))
+        k = self.tail_constant
+        # extra rows: n - 1 below the grid, n beyond it
+        off_grid = [[self.log_values[0], math.log(k) if k else -math.inf],
+                    [self.spec.d - 1.0, -(self.spec.alpha + 1.0)], [0.0, 0.0], [0.0, 0.0]]
+        # 1/h, interval upper ends (the last is closed), per-row anchors, cubics
+        lookup = ((x.size - 1) / (x[-1] - x[0]), np.append(x[1:-1], np.inf),
+                  np.append(x[:-1], [math.log(self.grid[0]), 0.0]),
+                  np.hstack([_pchip_coefficients(x, self.log_values), off_grid]))
         object.__setattr__(self, "_lookup", lookup)
         if not np.all(np.isin(np.arange(x.size) - self._guess(x), (0, 1))):
             raise ValueError("grid must be log-uniform (direct-index lookup)")
 
     def _guess(self, lx):
         """floor((lx - x_0) / h) clipped to [0, n-2]; NaN maps to 0."""
-        x, inv_step = self._lookup[:2]
-        t = np.fmax((lx - x[0]) * inv_step, 0.0)
-        return np.fmin(t, x.size - 2).astype(np.intp)
+        inv_step, upper, anchor = self._lookup[:3]
+        t = np.fmax((lx - anchor[0]) * inv_step, 0.0)
+        return np.fmin(t, upper.size - 1).astype(np.intp)
 
     def log_pdf(self, r):
-        """Vectorized log f(r); -inf at r = 0 for d >= 2, NaN at NaN."""
+        """Vectorized log f(r); -inf at r = inf and at r = 0 for d >= 2, NaN at NaN."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        lo, hi = self.grid[0], self.grid[-1]
+        _, upper, anchor, coef = self._lookup
         with np.errstate(divide="ignore"):
-            lr = np.log(r)
-        if r.size == 0 or (r.min() >= lo and r.max() <= hi):
-            out = self._interpolate(lr)
-        else:
-            below, above = r < lo, r > hi
-            mid = ~(below | above)  # NaN stays here and interpolates to NaN
-            out = np.empty_like(lr)
-            out[mid] = self._interpolate(lr[mid])
-            a, sigma, d = self.spec.alpha, self.spec.sigma, self.spec.d
-            slope = (d - 1) * (lr[below] - math.log(lo)) if d > 1 else 0.0
-            out[below] = self.log_values[0] + slope
-            out[above] = (_gaussian_log_amplitude_pdf(r[above], sigma, d) if a == 2.0
-                          else math.log(self.tail_constant) - (a + 1.0) * lr[above])
-        return float(out[0]) if scalar else out
-
-    def _interpolate(self, lx):
-        """The PCHIP cubic at log radii within the grid's ends."""
-        x, _, upper, coef = self._lookup
+            lx = np.log(r)
         i = self._guess(lx)
-        i -= lx < x.take(i)
+        i -= lx < anchor.take(i)  # below the grid this gives -1, reset next
         i += lx >= upper.take(i)
-        s = lx - x.take(i)
+        np.putmask(i, r < self.grid[0], upper.size)
+        np.putmask(i, r > self.grid[-1], upper.size + 1)
+        s = lx - anchor.take(i)
         out = coef[0].take(i)
         power = s.copy()
-        for c in coef[1:]:  # ((c0 + c1 s) + c2 s^2) + c3 s^3, in place
-            term = c.take(i)
-            term *= power
-            out += term
-            power *= s
-        return out
+        with np.errstate(invalid="ignore"):  # 0 * inf in an off-grid row, at r = 0 or inf
+            for c in coef[1:]:  # ((c0 + c1 s) + c2 s^2) + c3 s^3, in place
+                term = c.take(i)
+                term *= power
+                out += term
+                power *= s
+            if self.spec.alpha == 2.0:
+                above = r > self.grid[-1]
+                out[above] = _gaussian_log_amplitude_pdf(r[above], self.spec.sigma, self.spec.d)
+        np.putmask(out, np.isinf(lx), -np.inf)
+        if self.spec.d == 1:  # f(0) is finite
+            np.putmask(out, r == 0.0, self.log_values[0])
+        return float(out[0]) if scalar else out
 
     def save(self, path):
         """Dump (spec, grid, log_values) as a versioned .npz archive.

@@ -334,14 +334,11 @@ def run_experiment(name: str, configs, theory_receivers, overrides=None,
             {
                 "config": serialize_config(cfg).splitlines(),
                 "seed": cfg.master_seed,
-                "stopping": {
-                    rx: [
-                        {"snr_db": p.snr_db, "trials": p.trials,
-                         "stopped_on": p.stopped_on}
-                        for p in curve.points[rx]
-                    ]
-                    for rx in cfg.receivers
-                },
+                # the stopping rule is joint: every receiver has these trials
+                "points": [
+                    {"snr_db": p.snr_db, "trials": p.trials, "stopped_on": p.stopped_on}
+                    for p in curve.points[cfg.receivers[0]]
+                ],
             }
             for cfg, curve in zip(configs, curves)
         ],

@@ -115,11 +115,6 @@ def sample_channel(n_r: int, n_t: int, rng: np.random.Generator, size=None):
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / _SQRT2
 
 
-def codeword_products(h, codebook: Codebook) -> np.ndarray:
-    """``block_products`` trial first: h (B, n_r, n_t) -> (B, K, n_r, t_s)."""
-    return np.moveaxis(block_products(np.moveaxis(h, 0, -1), codebook), -1, 0)
-
-
 def block_products(h, codebook: Codebook) -> np.ndarray:
     """Noiseless blocks H_b C_k of every trial b under every codeword k,
     trial axis last: h (n_r, n_t, B) -> (K, n_r, t_s, B).

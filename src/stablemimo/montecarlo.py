@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -245,6 +244,8 @@ def run_sweep(
     bits = codebook.bits_per_codeword
     n_chunks = math.ceil(config.max_trials / CHUNK_TRIALS)
     points: dict[str, list[BerPoint]] = {r: [] for r in config.receivers}
+    if config.workers > 1:  # only pooled runs load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         for j, snr_db in enumerate(config.snr_grid_db):
             run = partial(_run_chunk, config, codebook, ml_table, j)

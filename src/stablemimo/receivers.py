@@ -12,17 +12,16 @@ small; each decision depends only on its own trial, so the block size
 never changes a result.  ``ResidualEnergies`` holds ``sq`` for a block and
 forms its per-column sums (over receive antennas) and per-codeword totals
 once, on first use, so the whole roster builds each only once.
-``METRICS`` maps each receiver name to its metric over those energies and
-to the selection (argmin or argmax over codewords) that turns the metric
-into a decision:
+``METRICS`` maps each receiver name to its cost over those energies; the
+decision is the codeword of least cost:
 
 * GAR  - genie-aided: whitens the noise with the (normally unknown)
   subordinator values, then minimizes Euclidean distance.  The genie
   record's shape selects the dependence structure: per-column values
   whiten column-wise, per-entry values whiten entry-wise (Hadamard).
 * MDR  - plain minimum Euclidean distance, optimal only for Gaussian noise.
-* ML   - maximizes summed log amplitude densities of residual norms,
-  evaluated from a cached density table (per column for the shared
+* ML   - minimizes the negated sum of log amplitude densities of residual
+  norms, evaluated from a cached density table (per column for the shared
   model, per entry for the i.i.d. model).
 * AOR  - minimizes summed log residual norms; needs no noise parameters.
 
@@ -32,13 +31,13 @@ sums over the (n_r, t_s) entries in row-major order, ((s00 + s01) + s10)
 below 8 terms but pairwise from 8 on, so where n_r * t_s >= 8 (no preset)
 a metric may differ from it in the last place.
 
-All rules are deterministic; exact metric ties resolve to the lowest
+All rules are deterministic; exact cost ties resolve to the lowest
 codeword index.  A codeword whose residual vanishes identically wins
-immediately (for ML this replaces the ill-defined log of a zero-radius
-amplitude density; for AOR it is the natural -inf metric).
+immediately with cost -inf (for ML this replaces the ill-defined log of a
+zero-radius amplitude density; for AOR it is the natural log of zero).
 
 The ``batch_*`` functions decode stacked trials from trial-first (y, h)
-arrays: they move the trial axis last and apply the same metrics.
+arrays: they move the trial axis last and apply the same costs.
 """
 
 from __future__ import annotations
@@ -117,21 +116,16 @@ def aor_metric(e: ResidualEnergies, genie, model, table):
 
 def ml_metric(e: ResidualEnergies, genie, model, table):
     radii = np.sqrt(e.column if model is NoiseModel.SHARED else e.sq)
-    with np.errstate(divide="ignore"):  # a codeword at a time: cache-sized temporaries
-        metric = entry_sum(np.stack([table.log_pdf(r) for r in radii]))
+    # a codeword at a time: cache-sized temporaries
+    cost = -entry_sum(np.stack([table.log_pdf(r) for r in radii]))
     # a codeword that fits the block exactly wins outright; the relative
     # threshold absorbs float cancellation noise in the residual
-    metric[e.total <= 1e-20 * e.total.max(axis=0)] = np.inf
-    return metric
+    cost[e.total <= 1e-20 * e.total.max(axis=0)] = -np.inf
+    return cost
 
 
-# receiver name -> (metric over residual energies, selection over codewords)
-METRICS = {
-    "gar": (gar_metric, np.argmin),
-    "mdr": (mdr_metric, np.argmin),
-    "ml": (ml_metric, np.argmax),
-    "aor": (aor_metric, np.argmin),
-}
+# receiver name -> cost over residual energies, least cost wins
+METRICS = {"gar": gar_metric, "mdr": mdr_metric, "ml": ml_metric, "aor": aor_metric}
 RECEIVER_KINDS = tuple(METRICS)
 
 
@@ -140,8 +134,7 @@ def decide(name: str, energies: ResidualEnergies, genie=None,
            table: AmplitudePdfTable | None = None):
     """Codeword index per trial chosen by receiver ``name``: (B,).  The genie
     record has the trial axis last."""
-    metric, select = METRICS[name]
-    return select(metric(energies, genie, model, table), axis=0)
+    return METRICS[name](energies, genie, model, table).argmin(axis=0)
 
 
 def _trial_last(a):

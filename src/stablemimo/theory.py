@@ -36,19 +36,6 @@ def digamma(x: float) -> float:
         1 / 252 - t * (1 / 240 - t * (1 / 132 - t * 691 / 32760)))))
 
 
-def q_function_craig(x: float) -> float:
-    """Q(x) via the finite-integral representation over (0, pi/2)."""
-    from scipy import integrate  # a cross-check only: off the import path
-    val, _ = integrate.quad(
-        lambda th: math.exp(-x * x / (2.0 * math.sin(th) ** 2)),
-        0.0,
-        math.pi / 2.0,
-        epsabs=1e-14,
-        epsrel=1e-12,
-    )
-    return val / math.pi
-
-
 def _check_antennas(n_t: int, n_r: int, alpha: float):
     if n_t < 1 or n_r < 1:
         raise ValueError("antenna counts must be >= 1")

@@ -1,0 +1,11 @@
+"""Trial-first views of the trial-axis-last kernel, for tests that build
+received blocks the way the engine does."""
+
+import numpy as np
+
+from stablemimo.codes import Codebook, block_products
+
+
+def codeword_products(h, codebook: Codebook) -> np.ndarray:
+    """``block_products`` trial first: h (B, n_r, n_t) -> (B, K, n_r, t_s)."""
+    return np.moveaxis(block_products(np.moveaxis(h, 0, -1), codebook), -1, 0)

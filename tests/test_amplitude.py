@@ -337,6 +337,119 @@ class TestDirectIndexLookup:
         assert np.isfinite(three.log_pdf(np.geomspace(1e-3, 64.0, 50))).all()
 
 
+def two_path_log_pdf(tab, r):
+    """The lookup the one-route table replaced, frozen as its oracle: PCHIP
+    when every radius is on the grid; otherwise boolean masks, PCHIP on the
+    on-grid subset and the off-grid laws by masked stores."""
+    r = np.asarray(r, dtype=float)
+    scalar = r.ndim == 0
+    r = np.atleast_1d(r)
+    x = np.log(tab.grid)
+    upper = np.append(x[1:-1], np.inf)
+    coef = amplitude._pchip_coefficients(x, tab.log_values)
+
+    def interpolate(lx):
+        t = np.fmax((lx - x[0]) * ((x.size - 1) / (x[-1] - x[0])), 0.0)
+        i = np.fmin(t, x.size - 2).astype(np.intp)
+        i -= lx < x.take(i)
+        i += lx >= upper.take(i)
+        s = lx - x.take(i)
+        out = coef[0].take(i)
+        power = s.copy()
+        for c in coef[1:]:
+            term = c.take(i)
+            term *= power
+            out += term
+            power *= s
+        return out
+
+    lo, hi = tab.grid[0], tab.grid[-1]
+    # invalid: the Gaussian law's inf - inf at r = inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lr = np.log(r)
+        if r.size == 0 or (r.min() >= lo and r.max() <= hi):
+            out = interpolate(lr)
+        else:
+            below, above = r < lo, r > hi
+            mid = ~(below | above)
+            out = np.empty_like(lr)
+            out[mid] = interpolate(lr[mid])
+            a, sigma, d = tab.spec.alpha, tab.spec.sigma, tab.spec.d
+            slope = (d - 1) * (lr[below] - math.log(lo)) if d > 1 else 0.0
+            out[below] = tab.log_values[0] + slope
+            out[above] = (_gaussian_log_amplitude_pdf(r[above], sigma, d) if a == 2.0
+                          else math.log(tab.tail_constant) - (a + 1.0) * lr[above])
+    return float(out[0]) if scalar else out
+
+
+class TestOneRouteLookup:
+    """Every radius through the interval table, against the two-path lookup."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return [build_amplitude_table(noise_amplitude_spec(a, d), n_nodes=128)
+                for a in (0.5, 1.43, 2.0) for d in (1, 2, 4)]
+
+    @staticmethod
+    def radii(tab):
+        rng = np.random.default_rng(12)
+        ends = np.array([tab.grid[0], tab.grid[-1]])
+        return np.concatenate([
+            [0.0, 5e-324, math.inf, math.nan], ends, np.nextafter(ends, 0.0),
+            np.nextafter(ends, math.inf), tab.grid,
+            np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 20_000)),
+        ])
+
+    @staticmethod
+    def expected(tab, r):
+        # the two-path lookup returned NaN (with a RuntimeWarning) at alpha = 2,
+        # r = inf; log f(inf) is -inf
+        want = two_path_log_pdf(tab, r)
+        if tab.spec.alpha == 2.0:
+            want = np.where(np.asarray(r) == math.inf, -math.inf, want)
+        return want
+
+    def lookup(self, tab, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return tab.log_pdf(r)
+
+    def test_bit_equal_to_two_path_lookup(self, tables):
+        for tab in tables:
+            r = self.radii(tab)
+            got = self.lookup(tab, r)
+            assert got.shape == r.shape
+            assert np.array_equal(got, self.expected(tab, r), equal_nan=True), tab.spec
+
+    def test_scalar_zero_d_and_2d_inputs(self, tables):
+        for tab in tables:
+            r = self.radii(tab)[:16]
+            want = self.expected(tab, r)
+            grid2d = self.lookup(tab, r.reshape(4, 4))
+            assert grid2d.shape == (4, 4)
+            assert np.array_equal(grid2d.ravel(), want, equal_nan=True)
+            for ri, wi in zip(r, want):
+                for arg in (float(ri), np.array(ri)):
+                    got = self.lookup(tab, arg)
+                    assert type(got) is float
+                    assert np.array_equal(got, wi, equal_nan=True), (tab.spec, ri)
+
+    def test_zero_tail_constant(self, tables):
+        # log K is -inf; the two-path lookup took it (and raised) whenever a
+        # radius was off the grid, except at alpha = 2
+        for tab in tables:
+            zero = AmplitudePdfTable(tab.spec, tab.grid, tab.log_values, 0.0)
+            r = self.radii(tab)
+            got = self.lookup(zero, r)
+            if tab.spec.alpha == 2.0:
+                assert np.array_equal(got, self.expected(zero, r), equal_nan=True)
+            else:
+                beyond = r > tab.grid[-1]
+                assert np.array_equal(got[~beyond], self.expected(tab, r[~beyond]),
+                                      equal_nan=True)
+                assert np.all(got[beyond] == -math.inf)
+
+
 class TestRMaxSearch:
     @pytest.mark.parametrize("alpha,d", list(PRESET_R_MAX))
     def test_preset_r_max_and_table(self, alpha, d):

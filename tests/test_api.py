@@ -24,11 +24,13 @@ def test_removed_scalar_names_not_exported():
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # scipy.interpolate/optimize/integrate pull in scipy.linalg and BLAS;
-    # only call sites that need them import them
+    # scipy.interpolate/optimize/integrate pull in scipy.linalg and BLAS, and
+    # the process pool pulls in multiprocessing; only call sites that need
+    # them import them
     code = (
         "import sys, stablemimo\n"
-        "heavy = ('scipy.interpolate', 'scipy.optimize', 'scipy.integrate')\n"
+        "heavy = ('scipy.interpolate', 'scipy.optimize', 'scipy.integrate',\n"
+        "         'concurrent.futures.process', 'multiprocessing')\n"
         "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
     )
     src = str(Path(stablemimo.__file__).resolve().parents[1])
@@ -38,7 +40,8 @@ def test_import_loads_no_heavy_scipy_subpackage():
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     # no scipy module at all on the run path: the package and its CLI, the ML
-    # tables of fig4 (d = 4) and fig6 model II (d = 2), a preset's theory curves
+    # tables of fig4 (d = 4) and fig6 model II (d = 2), a preset's theory
+    # curves; and no process pool in a 1-worker sweep
     code = (
         "import sys, stablemimo, stablemimo.cli\n"
         "from stablemimo import cliio, montecarlo\n"
@@ -51,7 +54,10 @@ def test_import_loads_no_heavy_scipy_subpackage():
         "print(loaded())\n"
         "cliio.theory_overlays(fig4.configs, fig4.theory_receivers)\n"
         "print(loaded())\n"
+        "montecarlo.run_sweep(montecarlo.SimConfig(snr_grid_db=(10.0,), receivers=('mdr',),\n"
+        "                                          max_trials=100, workers=1))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multi'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]"] * 3
+    assert out.splitlines() == ["[]"] * 4

@@ -201,13 +201,9 @@ class TestRunPreset:
             k: overrides[k] for k in sorted(overrides)
         }
         assert manifest["runs"][0]["seed"] == 7
-        stopping = manifest["runs"][0]["stopping"]
-        assert set(stopping) == {"gar", "mdr", "ml", "aor"}
-        assert all(
-            rec["stopped_on"] in ("errors", "trials")
-            for recs in stopping.values()
-            for rec in recs
-        )
+        points = manifest["runs"][0]["points"]
+        assert [p["snr_db"] for p in points] == list(resolve_preset("fig1").configs[0].snr_grid_db)
+        assert all(p["stopped_on"] in ("errors", "trials") for p in points)
 
     def test_seed_override_changes_sim_not_theory(self, preset_artifacts, tmp_path):
         paths, overrides = preset_artifacts
@@ -328,9 +324,9 @@ class TestCli:
         data = json.load(open(tmp_path / "mini_manifest.json"))
         assert data["overrides"] == {"seed": 4, "workers": 1}
         (run,) = data["runs"]
-        assert set(run) == {"config", "seed", "stopping"}
+        assert set(run) == {"config", "seed", "points"}
         assert parse_config("\n".join(run["config"])).master_seed == 4
-        assert set(run["stopping"]) == {"mdr"}
+        assert [p["snr_db"] for p in run["points"]] == [10.0]
         assert sorted(os.listdir(tmp_path)) == [
             "mini.cfg", "mini_manifest.json", "mini_sim.csv", "mini_theory.csv"
         ]

@@ -10,7 +10,9 @@ from stablemimo import (
     sample_channel,
     sample_noise_block,
 )
-from stablemimo.codes import CONSTELLATIONS, codeword_products
+from stablemimo.codes import CONSTELLATIONS
+
+from helpers import codeword_products
 
 
 def synthesize(h, tx, w, rho, cb):

@@ -23,7 +23,7 @@ from stablemimo import (
 )
 from stablemimo import montecarlo
 from stablemimo.cliio import resolve_preset
-from stablemimo.codes import codeword_products, enumerate_codebook, sample_channel
+from stablemimo.codes import enumerate_codebook, sample_channel
 from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _in_chunk_order, _run_chunk
 from stablemimo.receivers import (
     batch_aor,
@@ -33,6 +33,8 @@ from stablemimo.receivers import (
     batch_residuals,
 )
 from stablemimo.stable import sample_noise_block
+
+from helpers import codeword_products
 
 
 def tiny_config(**kwargs):

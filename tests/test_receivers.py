@@ -10,7 +10,7 @@ from stablemimo import (
     sample_noise_block,
 )
 from stablemimo.amplitude import build_amplitude_table, noise_amplitude_spec
-from stablemimo.codes import block_products, codeword_products
+from stablemimo.codes import block_products
 from stablemimo.receivers import (
     METRICS,
     RECEIVER_KINDS,
@@ -24,6 +24,8 @@ from stablemimo.receivers import (
     decide,
     ml_table_dimension,
 )
+
+from helpers import codeword_products
 
 
 @pytest.fixture(scope="module")
@@ -359,8 +361,7 @@ class TestSharedEnergies:
 
     def test_metric_table_covers_roster(self):
         assert RECEIVER_KINDS == tuple(METRICS) == ("gar", "mdr", "ml", "aor")
-        assert METRICS["ml"][1] is np.argmax
-        assert all(METRICS[rx][1] is np.argmin for rx in ("gar", "mdr", "aor"))
+        assert all(callable(METRICS[rx]) for rx in RECEIVER_KINDS)
 
     @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
     def test_shared_energies_decide_like_wrappers(self, codebook, table_a143_d2, model):
@@ -396,7 +397,15 @@ class TestMlTableDimension:
 
 
 # The trial-first (B, K, n_r, t_s) decode formulas the trial-axis-last
-# kernel replaced, frozen here as its oracle.
+# kernel replaced, frozen here as its oracle, with the selection each
+# applied over codewords.  The kernel's costs are these metrics with ML's
+# negated, and every kernel decision is an argmin.
+
+FROZEN_SELECT = {"gar": np.argmin, "mdr": np.argmin, "ml": np.argmax, "aor": np.argmin}
+
+
+def as_cost(rx, metric):
+    return -metric if rx == "ml" else metric
 
 def frozen_products(h, cb):
     c = cb.codewords
@@ -431,11 +440,11 @@ def frozen_metrics(y, h, genie, rho, cb, model, table):
 
 
 def kernel_metrics(y, h, genie, rho, cb, model, table):
-    """(K, B) metric of every receiver, through the trial-axis-last kernel."""
+    """(K, B) cost of every receiver, through the trial-axis-last kernel."""
     s = np.sqrt(rho) * block_products(trial_last(h), cb)
     e = ResidualEnergies(trial_last(y) - s)
-    return {rx: metric(e, trial_last(genie), model, table)
-            for rx, (metric, _) in METRICS.items()}
+    return {rx: cost(e, trial_last(genie), model, table)
+            for rx, cost in METRICS.items()}
 
 
 def drawn_block(cb, model, n_r, rho, seed, n=600, noiseless=0):
@@ -471,7 +480,8 @@ class TestKernelOracle:
             got = kernel_metrics(y, h, genie, rho, cb, model, table)
             assert np.isinf(want["ml"][:5]).any(axis=1).all()  # the exact-fit rule fired
             for rx in METRICS:
-                assert np.array_equal(got[rx], want[rx].T), (cb.kind, model, n_r, rho, rx)
+                assert np.array_equal(got[rx], as_cost(rx, want[rx]).T), (
+                    cb.kind, model, n_r, rho, rx)
 
     def test_qpsk_decisions_pinned(self, tables):
         for seed, (cb, model, n_r, rho) in enumerate(self.cases("qpsk", (1, 2, 3))):
@@ -479,8 +489,8 @@ class TestKernelOracle:
             y, h, genie = drawn_block(cb, model, n_r, rho, 100 + seed, noiseless=5)
             want = frozen_metrics(y, h, genie, rho, cb, model, table)
             got = kernel_metrics(y, h, genie, rho, cb, model, table)
-            for rx, (_, select) in METRICS.items():
-                assert np.array_equal(select(got[rx], axis=0), select(want[rx], axis=1)), rx
+            for rx, select in FROZEN_SELECT.items():
+                assert np.array_equal(got[rx].argmin(axis=0), select(want[rx], axis=1)), rx
 
     def test_eight_term_sums_keep_decisions(self, tables):
         # n_r = 4 under Alamouti: 8 entries per block, where the kernel's
@@ -491,6 +501,6 @@ class TestKernelOracle:
             y, h, genie = drawn_block(cb, model, 4, 10.0, 200, n=4000)
             want = frozen_metrics(y, h, genie, 10.0, cb, model, table)
             got = kernel_metrics(y, h, genie, 10.0, cb, model, table)
-            for rx, (_, select) in METRICS.items():
-                np.testing.assert_allclose(got[rx], want[rx].T, rtol=1e-13)
-                assert np.array_equal(select(got[rx], axis=0), select(want[rx], axis=1)), rx
+            for rx, select in FROZEN_SELECT.items():
+                np.testing.assert_allclose(got[rx], as_cost(rx, want[rx]).T, rtol=1e-13)
+                assert np.array_equal(got[rx].argmin(axis=0), select(want[rx], axis=1)), rx

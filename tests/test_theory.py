@@ -26,7 +26,6 @@ from stablemimo.theory import (
     log_coding_gain_gar,
     log_coding_gain_mdr,
     q_function,
-    q_function_craig,
 )
 
 # Frozen arbitrary-precision regression constants (30+ significant digits
@@ -249,6 +248,20 @@ class TestThresholds:
     def test_alpha_thresholds_type_validation(self):
         with pytest.raises(ValueError):
             AlphaThresholds(n_r=1, alpha0=1.5, alpha1=1.2)
+
+
+def q_function_craig(x: float) -> float:
+    """Q(x) via Craig's finite-integral representation over (0, pi/2)."""
+    from scipy import integrate
+
+    val, _ = integrate.quad(
+        lambda th: math.exp(-x * x / (2.0 * math.sin(th) ** 2)),
+        0.0,
+        math.pi / 2.0,
+        epsabs=1e-14,
+        epsrel=1e-12,
+    )
+    return val / math.pi
 
 
 class TestQFunction:
