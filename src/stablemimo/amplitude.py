@@ -95,7 +95,7 @@ def _gaussian_log_amplitude_pdf(r, sigma: float, d: int):
     """Exact log-density at alpha = 2: chi-type law with 2*sigma^2 per component."""
     r = np.asarray(r, dtype=float)
     v = 4.0 * sigma * sigma
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return (
             math.log(2.0)
             + (d - 1) * np.log(r)

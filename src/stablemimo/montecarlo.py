@@ -6,10 +6,13 @@ function of (master_seed, j, c), so results are bitwise identical for
 any worker count.  All requested receivers decode the same realizations
 (paired comparison), and per-point sampling stops once every receiver
 has collected the target number of bit errors or the trial cap is hit.
-Chunk results are folded in chunk order, so the stopping decision is
-independent of worker scheduling.  A pool keeps `workers` + 1 chunks in
-flight, so a worker that finishes finds the next chunk queued; at most
-`workers` chunks computed past the stop are discarded.
+Each point folds its chunk results in chunk order, so the stopping
+decision is independent of worker scheduling.  A pool keeps `workers` + 1
+chunks in flight across the whole SNR grid, needed chunks first: chunk 0
+of a point, or the next chunk of a point whose chunks are all folded.
+Only when none is left does it speculate on the lowest unfinished point.
+So the pool does not drain between points, and at most `workers` chunks
+computed past a stop are discarded.
 """
 
 from __future__ import annotations
@@ -198,24 +201,56 @@ def _run_chunk(
     return n, errors
 
 
-def _in_chunk_order(run, n_chunks: int, pool, window: int):
-    """Yield run(c) for c = 0, 1, ..., n_chunks - 1 in order.  A pool keeps
-    at most `window` chunks in flight; closing the stream early cancels
-    those not yet started."""
+def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int = 1):
+    """Fold (trials, errors) = run(j, c) per point j, in chunk order c = 0, 1,
+    ..., until stop(errors) holds or the n_chunks are spent; returns one
+    (trials, errors, stopped_on) per point.  A pool keeps `window` chunks in
+    flight, needed ones first (see the module docstring); a stopped point's
+    chunks keep their place until skipped, cancelled if not yet started.
+    Without a pool each chunk runs as it is picked, point after point."""
     if pool is None:
-        yield from map(run, range(n_chunks))
-        return
-    futures = deque()
+        window = 1
+    trials, errors, stopped_on = [0] * n_points, [0] * n_points, [None] * n_points
+    sent, folded = [0] * n_points, [0] * n_points
+    flight = deque()  # (point, future, or result without a pool), oldest first
+    lo = 0  # lowest unfinished point
     try:
-        for c in range(n_chunks):
-            if len(futures) == window:
-                yield futures.popleft().result()
-            futures.append(pool.submit(run, c))
-        while futures:
-            yield futures.popleft().result()
+        while lo < n_points:
+            while len(flight) < window:
+                spec = None
+                for j in range(lo, n_points):  # ends at the first unstarted point
+                    if stopped_on[j] is not None:
+                        continue
+                    if sent[j] == folded[j]:  # needed
+                        break
+                    if spec is None and sent[j] < n_chunks:
+                        spec = j
+                else:  # nothing needed: speculate, or fold first
+                    if spec is None:
+                        break
+                    j = spec
+                c, sent[j] = sent[j], sent[j] + 1
+                flight.append((j, run(j, c) if pool is None else pool.submit(run, j, c)))
+            j, chunk = flight.popleft()
+            if stopped_on[j] is not None:  # discarded
+                continue
+            n, chunk_errors = chunk if pool is None else chunk.result()
+            trials[j] += n
+            errors[j] = errors[j] + chunk_errors
+            folded[j] += 1
+            if stop(errors[j]):
+                stopped_on[j] = "errors"
+                for k, f in flight:
+                    if k == j:
+                        f.cancel()
+            elif folded[j] == n_chunks:
+                stopped_on[j] = "trials"
+            while lo < n_points and stopped_on[lo] is not None:
+                lo += 1
     finally:
-        for f in futures:
+        for _, f in flight:
             f.cancel()
+    return list(zip(trials, errors, stopped_on))
 
 
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:
@@ -244,34 +279,29 @@ def run_sweep(
     bits = codebook.bits_per_codeword
     n_chunks = math.ceil(config.max_trials / CHUNK_TRIALS)
     points: dict[str, list[BerPoint]] = {r: [] for r in config.receivers}
+    run = partial(_run_chunk, config, codebook, ml_table)
+    stop = lambda errors: np.all(errors >= config.min_errors)
     if config.workers > 1:  # only pooled runs load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
-        for j, snr_db in enumerate(config.snr_grid_db):
-            run = partial(_run_chunk, config, codebook, ml_table, j)
-            errors = np.zeros(len(config.receivers), dtype=np.int64)
-            trials = 0
-            stopped_on = "trials"
-            for n, chunk_errors in _in_chunk_order(run, n_chunks, pool, config.workers + 1):
-                trials += n
-                errors += chunk_errors
-                if np.all(errors >= config.min_errors):
-                    stopped_on = "errors"
-                    break
-            total_bits = trials * bits
-            for i, rx in enumerate(config.receivers):
-                lo, hi = wilson_interval(int(errors[i]), total_bits)
-                points[rx].append(
-                    BerPoint(
-                        snr_db=snr_db,
-                        trials=trials,
-                        bit_errors=int(errors[i]),
-                        ber=errors[i] / total_bits,
-                        ci_lo=lo,
-                        ci_hi=hi,
-                        stopped_on=stopped_on,
-                    )
+        totals = _fold_chunks(
+            run, len(config.snr_grid_db), n_chunks, stop, pool, config.workers + 1
+        )
+    for snr_db, (trials, errors, stopped_on) in zip(config.snr_grid_db, totals):
+        total_bits = trials * bits
+        for i, rx in enumerate(config.receivers):
+            lo, hi = wilson_interval(int(errors[i]), total_bits)
+            points[rx].append(
+                BerPoint(
+                    snr_db=snr_db,
+                    trials=trials,
+                    bit_errors=int(errors[i]),
+                    ber=errors[i] / total_bits,
+                    ci_lo=lo,
+                    ci_hi=hi,
+                    stopped_on=stopped_on,
                 )
+            )
 
     return BerCurve(
         config=config, points={r: tuple(v) for r, v in points.items()}

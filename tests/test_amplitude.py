@@ -206,6 +206,9 @@ class TestTable:
             assert tab.log_pdf(r) == pytest.approx(
                 float(_gaussian_log_amplitude_pdf(r, 1.0, 2)), rel=1e-12
             )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # r * r overflows to inf
+            assert tab.log_pdf(1e300) == -math.inf
 
     def test_below_grid_small_radius_slope(self, table_a143_d2):
         tab = table_a143_d2

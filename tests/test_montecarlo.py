@@ -22,9 +22,9 @@ from stablemimo import (
     wilson_interval,
 )
 from stablemimo import montecarlo
-from stablemimo.cliio import resolve_preset
+from stablemimo.cliio import emit_csv, resolve_preset
 from stablemimo.codes import enumerate_codebook, sample_channel
-from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _in_chunk_order, _run_chunk
+from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _fold_chunks, _run_chunk
 from stablemimo.receivers import (
     batch_aor,
     batch_gar,
@@ -276,61 +276,218 @@ def _chunk_failing_at_3(config, codebook, ml_table, snr_index, chunk_index):
 
 
 class _RecordingPool(ThreadPoolExecutor):
-    """One-thread pool that keeps every future it hands out."""
+    """Thread pool that keeps every future it hands out, and logs
+    ("submit", point, chunk) to `events` when given a list."""
 
-    def __init__(self):
-        super().__init__(max_workers=1)
+    def __init__(self, workers=1, events=None):
+        super().__init__(max_workers=workers)
         self.futures = []
+        self.events = [] if events is None else events
 
     def submit(self, fn, *args):
+        self.events.append(("submit", *args))
         self.futures.append(super().submit(fn, *args))
         return self.futures[-1]
 
 
+def _joined(fn, timeout=60):
+    """fn() on a daemon thread, joined under a timeout; returns its result
+    or raises its exception."""
+    out = []
+
+    def target():
+        try:
+            out.append((True, fn()))
+        except Exception as exc:  # handed back to the test thread
+            out.append((False, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive()
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _serial_fold(run, n_points, n_chunks, stop):
+    """The reference: every point in turn, its chunks in order until the stop."""
+    totals = []
+    for j in range(n_points):
+        trials, errors, stopped_on = 0, 0, "trials"
+        for c in range(n_chunks):
+            n, chunk_errors = run(j, c)
+            trials, errors = trials + n, errors + chunk_errors
+            if stop(errors):
+                stopped_on = "errors"
+                break
+        totals.append((trials, errors, stopped_on))
+    return totals
+
+
+def _stop_after(chunks, events=None):
+    """run and stop for points where point j stops after chunks[j] chunks.
+
+    Chunk c of point j reports one trial and a one-hot error vector on j, so
+    stop() sees which point folded and how many of its chunks are folded;
+    it logs ("fold", point, chunk) to `events` when given a list."""
+    n_points = len(chunks)
+
+    def run(j, c):
+        return 1, np.eye(n_points, dtype=np.int64)[j]
+
+    def stop(errors):
+        j = int(np.flatnonzero(errors)[0])
+        if events is not None:
+            events.append(("fold", j, int(errors[j]) - 1))
+        return errors[j] >= chunks[j]
+
+    return run, stop
+
+
 class TestChunkOrder:
     def test_serial_stream_is_lazy(self):
-        seen = []
-        stream = _in_chunk_order(seen.append, 10, None, 1)
-        next(stream), next(stream)
-        assert seen == [0, 1]
+        # point 0 stops after 3 chunks, point 1 after 1, point 2 at the cap;
+        # each chunk runs only once the one before it is folded
+        events = []
+        run, stop = _stop_after([3, 1, 9], events)
+
+        def logged(j, c):
+            events.append(("run", j, c))
+            return run(j, c)
+
+        totals = _fold_chunks(logged, 3, 4, stop)
+        order = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3)]
+        assert events == [e for j, c in order for e in (("run", j, c), ("fold", j, c))]
+        assert [(n, s) for n, _, s in totals] == [(3, "errors"), (1, "errors"), (4, "trials")]
 
     def test_pool_window_order_and_cancel(self):
+        # point 0 stops on chunk 0 while its chunk 1 holds the only thread and
+        # its chunk 2 waits; submitting point 1's chunk 1, after the stop,
+        # releases chunk 1, and point 1 stops on that chunk
         started, gate = threading.Event(), threading.Event()
+        base_run, base_stop = _stop_after([1, 2])
 
-        def run(c):
-            if c >= 4:
+        def run(j, c):
+            if (j, c) == (0, 1):
                 started.set()
                 gate.wait(timeout=30)
-            return c * c
+            return base_run(j, c)
+
+        def stop(errors):
+            assert started.wait(timeout=30)
+            return base_stop(errors)
+
+        class GatedPool(_RecordingPool):
+            def submit(self, fn, *args):
+                if args == (1, 1):
+                    gate.set()
+                return super().submit(fn, *args)
+
+        with GatedPool() as pool:
+            try:
+                totals = _joined(lambda: _fold_chunks(run, 2, 10, stop, pool, 4))
+            finally:
+                gate.set()
+        assert pool.events[:5] == [("submit", 0, 0), ("submit", 1, 0), ("submit", 0, 1),
+                                   ("submit", 0, 2), ("submit", 1, 1)]
+        assert [(n, s) for n, _, s in totals] == [(1, "errors"), (2, "errors")]
+        # point 0's chunk 1 had started and cannot be cancelled; its chunk 2,
+        # queued before point 1's chunk 1, never started
+        assert pool.futures[3].cancelled()
+        assert not pool.futures[2].cancelled()
+
+    def test_raised_chunk_cancels_pending(self):
+        # chunk 1 raises while chunk 2 holds the only thread and chunk 3 waits
+        started, gate = threading.Event(), threading.Event()
+
+        def run(j, c):
+            if c == 1:
+                raise RuntimeError("chunk 1 failed")
+            if c >= 2:
+                started.set()
+                gate.wait(timeout=30)
+            return 1, np.zeros(1, dtype=np.int64)
+
+        def stop(errors):
+            assert started.wait(timeout=30)
+            return False
 
         with _RecordingPool() as pool:
             try:
-                stream = _in_chunk_order(run, 10, pool, 3)
-                assert [next(stream) for _ in range(4)] == [0, 1, 4, 9]
-                # chunks 4 and 5 are in flight, chunk 6 is not yet submitted
-                assert len(pool.futures) == 6
-                assert started.wait(timeout=30)
-                stream.close()
+                with pytest.raises(RuntimeError, match="chunk 1 failed"):
+                    _joined(lambda: _fold_chunks(run, 1, 10, stop, pool, 3))
             finally:
                 gate.set()
-        # chunk 4 held the only thread; chunk 5 never started
-        assert pool.futures[5].cancelled()
-        assert not pool.futures[4].cancelled()
+        assert len(pool.futures) == 4
+        assert pool.futures[3].cancelled()
+        assert not pool.futures[2].cancelled()
+
+    @pytest.mark.parametrize("window", [2, 3, 4])
+    def test_one_chunk_points_bound_the_discards(self, window):
+        # the per-point pipeline submitted up to `window` chunks per point
+        n_points = 3 * window
+        run, stop = _stop_after([1] * n_points)
+        with _RecordingPool(workers=window - 1) as pool:
+            totals = _joined(lambda: _fold_chunks(run, n_points, 8, stop, pool, window))
+        assert [(n, s) for n, _, s in totals] == [(1, "errors")] * n_points
+        assert len(pool.futures) <= n_points + window - 1
+
+    def test_next_point_starts_before_the_last_fold(self):
+        # the per-point pipeline submitted nothing of point j + 1 before
+        # point j stopped, so the pool drained at every point
+        events = []
+        chunks = [4, 2, 2, 3, 2]
+        run, stop = _stop_after(chunks, events)
+        with _RecordingPool(workers=2, events=events) as pool:
+            _joined(lambda: _fold_chunks(run, len(chunks), 8, stop, pool, 3))
+        for j in range(len(chunks) - 1):
+            last_fold = events.index(("fold", j, chunks[j] - 1))
+            assert events.index(("submit", j + 1, 0)) < last_fold
+        folds = [(j, c) for kind, j, c in events if kind == "fold"]
+        for j, n in enumerate(chunks):
+            assert [c for k, c in folds if k == j] == list(range(n))
+
+    def test_matches_serial_fold_on_random_scenarios(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(50):
+            n_points = int(rng.integers(1, 9))
+            n_chunks = int(rng.integers(1, 7))
+            cap = (n_chunks - 1) * CHUNK_TRIALS + int(rng.integers(1, CHUNK_TRIALS))
+            stop_at = rng.integers(0, n_chunks + 2, size=n_points)  # past the end: capped
+            extra = rng.integers(0, 50, size=(n_points, n_chunks))
+            window = int(rng.integers(2, 5))
+
+            def run(j, c):
+                n = min(CHUNK_TRIALS, cap - c * CHUNK_TRIALS)
+                return n, np.array([int(c >= stop_at[j]), extra[j, c]])
+
+            def stop(errors):
+                return errors[0] >= 1
+
+            want = _serial_fold(run, n_points, n_chunks, stop)
+            with ThreadPoolExecutor(window - 1) as pool:
+                got = _joined(lambda: _fold_chunks(run, n_points, n_chunks, stop, pool, window))
+            assert len(got) == n_points
+            for (gt, ge, gs), (wt, we, ws) in zip(got, want):
+                assert (gt, gs) == (wt, ws)
+                assert np.array_equal(ge, we)
 
     def test_sweep_queues_one_chunk_past_the_workers(self, monkeypatch):
         windows = []
 
-        def spy(run, n_chunks, pool, window):
+        def spy(run, n_points, n_chunks, stop, pool, window):
             windows.append(window)
-            return _in_chunk_order(run, n_chunks, pool, window)
+            return _fold_chunks(run, n_points, n_chunks, stop, pool, window)
 
-        monkeypatch.setattr(montecarlo, "_in_chunk_order", spy)
+        monkeypatch.setattr(montecarlo, "_fold_chunks", spy)
         run_sweep(tiny_config(snr_grid_db=(40.0,), max_trials=CHUNK_TRIALS, workers=2))
         assert windows == [3]
 
 
 class TestRunSweep:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, tmp_path):
         # the 35 dB point stops after 5 chunks, a multiple of neither window,
         # and the 45 dB point runs to a cap that ends in a partial chunk
         cfg = tiny_config(
@@ -338,11 +495,29 @@ class TestRunSweep:
             min_errors=500,
             max_trials=6 * CHUNK_TRIALS + 1000,
         )
+        # six points stop after one or two chunks, more than the 3-worker
+        # window, next to a 50 dB point capped in a partial third chunk
+        short = tiny_config(
+            snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0),
+            min_errors=300,
+            max_trials=2 * CHUNK_TRIALS + 1000,
+        )
         c1 = run_sweep(cfg)
         stops = [(p.trials, p.stopped_on) for p in c1.points["gar"]]
         assert stops[1:] == [(5 * CHUNK_TRIALS, "errors"), (cfg.max_trials, "trials")]
-        for workers in (2, 3):
-            assert run_sweep(replace(cfg, workers=workers)).points == c1.points
+        s1 = run_sweep(short)
+        stops = [(p.trials // CHUNK_TRIALS, p.stopped_on) for p in s1.points["gar"]]
+        assert stops == [(1, "errors")] * 5 + [(2, "errors"), (2, "trials")]
+        assert s1.points["gar"][-1].trials == short.max_trials
+        for c, base in ((cfg, c1), (short, s1)):
+            emit_csv(base, tmp_path / "w1.csv")
+            for workers in (2, 3):
+                curve = run_sweep(replace(c, workers=workers))
+                assert curve.points == base.points
+                emit_csv(curve, tmp_path / f"w{workers}.csv")
+                assert (tmp_path / f"w{workers}.csv").read_bytes() == (
+                    tmp_path / "w1.csv"
+                ).read_bytes()
 
     def test_pooled_chunk_failure_propagates(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_run_chunk", _chunk_failing_at_3)
