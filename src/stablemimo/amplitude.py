@@ -14,9 +14,10 @@ geometric sub-segments of [0, z_1]) depends only on d and is cached; Euler
 averaging sums the alternating segment contributions for every radius at
 once.  J_n (d = 2, 4, 6, 8) is the midpoint rule on Bessel's integral
 (Trefethen & Weideman 2014) with Newton-refined McMahon zeros; d = 1, 3 use
-closed forms, other d scipy.  Large radii use the tail term K * r^(-alpha-1);
-tables hold the log-density on a log-uniform grid, read by a direct-index
-PCHIP lookup (monotone cubic, Fritsch & Carlson 1980) that equals scipy's
+closed forms, other d scipy.  Large radii use the tail term K * r^(-alpha-1),
+K a function of the spec alone.  Tables hold the log-density on a
+log-uniform grid from r = 1e-3, read by a direct-index PCHIP lookup
+(monotone cubic, Fritsch & Carlson 1980) that equals scipy's
 PchipInterpolator bit for bit, with the below-grid and tail laws as two
 more rows of its interval table, and save/load as versioned .npz archives.
 """
@@ -34,13 +35,15 @@ TABLE_FORMAT_VERSION = 1
 # Quadrature: Bessel zeros bounding the oscillatory segments; halvings of
 # [0, z_1] into head sub-segments; two Gauss-Legendre orders whose
 # difference estimates the error; radii per block, so that no (radii,
-# segments, nodes) temporary exceeds 1 MB; the error target.
+# segments, nodes) temporary exceeds 1 MB; the error target.  Tables: the
+# first grid node.
 _N_ZEROS = 50
 _HEAD_HALVINGS = 48
 _RULE_ORDERS = (24, 32)
 _BLOCK_RADII = 16
 _ATOL = 1e-10
 _RTOL = 1e-6
+_R_MIN = 1e-3
 
 
 class QuadratureError(RuntimeError):
@@ -136,15 +139,15 @@ def _bessel(nu: float, n: int):
 
 
 @functools.cache
-def _hankel_rule(d: int, n_zeros: int, halvings: int, orders: tuple):
+def _hankel_rule(d: int):
     """Head size; per rule order, read-only nodes u, weights w u^(d/2) J_nu(u)."""
-    jv, zeros = _bessel(d / 2.0 - 1.0, n_zeros)
+    jv, zeros = _bessel(d / 2.0 - 1.0, _N_ZEROS)
     # head [0, z_1]: geometric sub-segments resolve the peak near u ~ r/sigma
-    head = zeros[0] * 2.0 ** -np.arange(halvings, -1, -1.0)
+    head = zeros[0] * 2.0 ** -np.arange(_HEAD_HALVINGS, -1, -1.0)
     edges = np.concatenate([[0.0], head, zeros[1:]])
     half = 0.5 * np.diff(edges)[:, None]
     rules = []
-    for order in orders:
+    for order in _RULE_ORDERS:
         x, w = np.polynomial.legendre.leggauss(order)
         u = edges[:-1, None] + half * (x + 1.0)  # (segments, order) nodes
         weights = half * w * u ** (d / 2.0) * jv(u)
@@ -157,7 +160,7 @@ def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
     """f(r) for every r in (0, inf): the substituted integral (module
     docstring) by two rule orders, checked against (_ATOL, _RTOL)."""
     a, d = spec.alpha, spec.d
-    n_head, rules = _hankel_rule(d, _N_ZEROS, _HEAD_HALVINGS, _RULE_ORDERS)
+    n_head, rules = _hankel_rule(d)
     decay = (spec.sigma / r) ** a
     totals = []
     for u, weights in rules:
@@ -245,14 +248,13 @@ class AmplitudePdfTable:
     hold the laws off the grid, so every radius takes one route.  Below the
     grid: the exact r^(d-1) small-radius power behavior anchored at the
     first node.  Beyond the grid: the dominant tail term log K - (alpha+1)
-    log r (anchored at log r = 0); at alpha = 2 the exact Gaussian law
-    overwrites it.
+    log r (anchored at log r = 0), K = amplitude_tail_constant(spec); at
+    alpha = 2 the exact Gaussian law overwrites it.
     """
 
     spec: IsotropicAmplitudeSpec
     grid: np.ndarray
     log_values: np.ndarray
-    tail_constant: float
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.log_values)):
@@ -260,9 +262,10 @@ class AmplitudePdfTable:
         if self.grid.size < 3 or np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing, with >= 3 nodes")
         x = np.log(self.grid)
-        k = self.tail_constant
+        # K > 0, also at alpha = 2; a sigma^alpha that underflows to 0 raises here
+        log_k = math.log(amplitude_tail_constant(self.spec))
         # extra rows: n - 1 below the grid, n beyond it
-        off_grid = [[self.log_values[0], math.log(k) if k else -math.inf],
+        off_grid = [[self.log_values[0], log_k],
                     [self.spec.d - 1.0, -(self.spec.alpha + 1.0)], [0.0, 0.0], [0.0, 0.0]]
         # 1/h, interval upper ends (the last is closed), per-row anchors, cubics
         lookup = ((x.size - 1) / (x[-1] - x[0]), np.append(x[1:-1], np.inf),
@@ -312,7 +315,8 @@ class AmplitudePdfTable:
         """Dump (spec, grid, log_values) as a versioned .npz archive.
 
         Arrays use the NumPy .npy container, which records dtype and byte
-        order in each entry's header.
+        order in each entry's header.  The archive also holds the tail
+        constant K, which load ignores: K follows from the spec.
         """
         with open(path, "wb") as fh:  # a path string would gain ".npz"
             np.savez(
@@ -323,7 +327,7 @@ class AmplitudePdfTable:
                 d=np.int64(self.spec.d),
                 grid=self.grid,
                 log_values=self.log_values,
-                tail_constant=np.float64(self.tail_constant),
+                tail_constant=np.float64(amplitude_tail_constant(self.spec)),
             )
 
     @classmethod
@@ -341,15 +345,14 @@ class AmplitudePdfTable:
                 spec=spec,
                 grid=data["grid"].copy(),
                 log_values=data["log_values"].copy(),
-                tail_constant=float(data["tail_constant"]),
             )
 
 
-def _find_r_max(spec: IsotropicAmplitudeSpec, agreement: float = 0.01) -> float:
+def _find_r_max(spec: IsotropicAmplitudeSpec) -> float:
     """Smallest radius 2^4 ... 2^39 where quadrature and tail agree to 1%."""
     r = 2.0 ** np.arange(4, 40)
     ratio = amplitude_pdf(r, spec) / amplitude_tail_pdf(r, spec)
-    ok = np.flatnonzero(np.abs(ratio - 1.0) < agreement)
+    ok = np.flatnonzero(np.abs(ratio - 1.0) < 0.01)
     if ok.size:
         return float(r[ok[0]])
     raise QuadratureError(
@@ -360,10 +363,10 @@ def _find_r_max(spec: IsotropicAmplitudeSpec, agreement: float = 0.01) -> float:
 def build_amplitude_table(
     spec: IsotropicAmplitudeSpec,
     n_nodes: int = 512,
-    r_min: float = 1e-3,
     r_max: float | None = None,
 ) -> AmplitudePdfTable:
-    """Tabulate log f on a log-spaced grid from direct quadrature.
+    """Tabulate log f on a log-spaced grid from _R_MIN to r_max by direct
+    quadrature.
 
     r_max defaults to the radius where the tail formula is accurate to 1%
     (alpha < 2) or a fixed multiple of the Gaussian spread (alpha = 2).
@@ -377,16 +380,11 @@ def build_amplitude_table(
             r_max = 8.5 * spec.sigma
         else:
             r_max = _find_r_max(spec)
-    grid = np.geomspace(r_min, r_max, n_nodes)
+    grid = np.geomspace(_R_MIN, r_max, n_nodes)
     values = amplitude_pdf(grid, spec)
     if np.any(values <= 0.0):
         raise QuadratureError("nonpositive density on the table grid")
-    return AmplitudePdfTable(
-        spec=spec,
-        grid=grid,
-        log_values=np.log(values),
-        tail_constant=amplitude_tail_constant(spec),
-    )
+    return AmplitudePdfTable(spec=spec, grid=grid, log_values=np.log(values))
 
 
 def noise_amplitude_spec(alpha: float, d: int) -> IsotropicAmplitudeSpec:

@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_preset = sub.add_parser("preset", help="run a named preset")
     p_preset.add_argument("name", help="preset name or figN alias")
-    p_preset.add_argument("--full", action="store_true",
-                          help="raise the trial cap to publication scale")
     _add_common(p_preset)
 
     p_theory = sub.add_parser("theory", help="emit bound curves only")
@@ -101,8 +99,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    return _report(run_preset(args.name, _overrides(args), out_dir=args.out_dir,
-                              full=args.full))
+    return _report(run_preset(args.name, _overrides(args), out_dir=args.out_dir))
 
 
 def _cmd_theory(args) -> int:

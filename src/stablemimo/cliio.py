@@ -118,11 +118,11 @@ def serialize_config(config: SimConfig) -> str:
 
 
 def apply_overrides(config: SimConfig, overrides: dict) -> SimConfig:
-    """Config with OVERRIDE_KEYS values set through the schema's parsers."""
+    """Config with OVERRIDE_KEYS values set as given; SimConfig checks them."""
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ConfigError(f"unknown overrides: {sorted(unknown)}")
-    updates = {_FIELDS[k][0]: _FIELDS[k][1](v) for k, v in overrides.items()}
+    updates = {_FIELDS[k][0]: v for k, v in overrides.items()}
     try:
         return replace(config, **updates)
     except ValueError as exc:
@@ -202,10 +202,6 @@ def emit_csv(curves, destination) -> None:
         fh.write(CSV_HEADER + "\n")
         for _, _, _, fields in rows:
             fh.write(",".join(fields) + "\n")
-
-
-# trial cap per SNR point of a preset run with full=True
-FULL_MAX_TRIALS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -352,17 +348,14 @@ def run_experiment(name: str, configs, theory_receivers, overrides=None,
     return paths
 
 
-def run_preset(name: str, overrides: dict | None = None, out_dir: str = ".",
-               full: bool = False) -> dict:
+def run_preset(name: str, overrides: dict | None = None, out_dir: str = ".") -> dict:
     """Run a named preset: simulation CSV, theory CSV, and a run manifest.
 
-    overrides may set seed, workers, min_errors, max_trials; full raises
-    the trial cap to FULL_MAX_TRIALS unless max_trials is overridden.
+    overrides may set seed, workers, min_errors, max_trials.  The presets
+    cap each point at 2 or 4 million trials; max_trials = 10,000,000
+    (SimConfig's default) gives publication-scale curves.
     Returns the mapping of artifact names to paths.
     """
     preset = resolve_preset(name)
-    configs = preset.configs
-    if full:
-        configs = [replace(cfg, max_trials=FULL_MAX_TRIALS) for cfg in configs]
-    return run_experiment(preset.name, configs, preset.theory_receivers,
-                          overrides, out_dir, {"preset": preset.name, "full": full})
+    return run_experiment(preset.name, preset.configs, preset.theory_receivers,
+                          overrides, out_dir, {"preset": preset.name})

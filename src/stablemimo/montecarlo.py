@@ -42,6 +42,7 @@ DECODE_TRIALS = 2048  # a chunk decodes in blocks of this many trials
 # the Philox key packs (snr_index, chunk_index) into one 64-bit word
 _KEY_FIELD_LIMIT = 2**32
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_SLOPE_POINT_ERRORS = 100  # bit errors a point needs to enter a slope fit
 
 
 class SlopeFitError(RuntimeError):
@@ -143,8 +144,9 @@ class BerCurve:
         return np.array([p.ber for p in self.points[receiver]])
 
 
-def wilson_interval(errors: int, total: int, z: float = _WILSON_Z):
+def wilson_interval(errors: int, total: int):
     """95% Wilson score interval for a binomial proportion."""
+    z = _WILSON_Z
     if total == 0:
         return 0.0, 1.0
     p = errors / total
@@ -253,10 +255,14 @@ def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int
     return list(zip(trials, errors, stopped_on))
 
 
+def _ml_spec(config: SimConfig):
+    """Amplitude law of the configured noise model's ML density argument."""
+    return noise_amplitude_spec(config.alpha, ml_table_dimension(config.model, config.n_r))
+
+
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:
     """Amplitude table matched to the configured noise model."""
-    d = ml_table_dimension(config.model, config.n_r)
-    return build_amplitude_table(noise_amplitude_spec(config.alpha, d))
+    return build_amplitude_table(_ml_spec(config))
 
 
 def run_sweep(
@@ -266,7 +272,8 @@ def run_sweep(
 
     Identical master_seed gives bitwise-identical results for any worker
     count.  An ML table is built on demand when the roster asks for the
-    ml receiver and none is supplied.
+    ml receiver and none is supplied; a supplied one must have the spec
+    that build_ml_table would use.
     """
     if "ml" not in config.receivers:
         ml_table = None
@@ -274,6 +281,9 @@ def run_sweep(
         if ml_table is None:
             ml_table = build_ml_table(config)
         check_ml_table(ml_table, config.model, config.n_r)
+        want = _ml_spec(config)
+        if ml_table.spec != want:
+            raise ValueError(f"table spec {ml_table.spec} does not match the sweep (want {want})")
 
     codebook = enumerate_codebook(config.code, config.constellation)
     bits = codebook.bits_per_codeword
@@ -321,18 +331,17 @@ class SlopeFit:
         return -self.slope
 
 
-def fit_slope(
-    curve: BerCurve, receiver: str, window: int = 4, min_point_errors: int = 100
-) -> SlopeFit:
+def fit_slope(curve: BerCurve, receiver: str, window: int = 4) -> SlopeFit:
     """Fit the high-SNR slope over the top `window` SNR points.
 
-    Requires at least 3 points in the window with min_point_errors bit
+    Requires at least 3 points in the window with _SLOPE_POINT_ERRORS bit
     errors each; raises SlopeFitError otherwise.
     """
-    pts = [p for p in curve.points[receiver][-window:] if p.bit_errors >= min_point_errors]
+    pts = [p for p in curve.points[receiver][-window:]
+           if p.bit_errors >= _SLOPE_POINT_ERRORS]
     if len(pts) < 3:
         raise SlopeFitError(
-            f"need >= 3 points with >= {min_point_errors} bit errors in the "
+            f"need >= 3 points with >= {_SLOPE_POINT_ERRORS} bit errors in the "
             f"top-{window} window for {receiver!r}, have {len(pts)}"
         )
     x = np.array([p.snr_db / 10.0 for p in pts])  # log10 rho
@@ -340,10 +349,7 @@ def fit_slope(
     n = len(pts)
     coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
     slope = float(coeffs[0])
-    if n > 2 and residuals.size:
-        s_sq = float(residuals[0]) / (n - 2)
-    else:
-        s_sq = 0.0
+    s_sq = float(residuals[0]) / (n - 2) if residuals.size else 0.0
     sxx = float(np.sum((x - x.mean()) ** 2))
     stderr = math.sqrt(s_sq / sxx) if sxx > 0 else math.inf
     return SlopeFit(slope=slope, stderr=stderr, n_points=n)

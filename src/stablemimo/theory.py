@@ -163,11 +163,11 @@ def dlog_gain(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> floa
     )
 
 
-def dlog_gain_numeric(
-    receiver: str, wrt: str, n_t: int, n_r: int, alpha: float, step: float = 1e-4
-) -> float:
-    """Central finite difference of a log coding gain in a real antenna count."""
+def dlog_gain_numeric(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> float:
+    """Central finite difference, step 1e-4, of a log coding gain in a real
+    antenna count."""
     _check_antennas(n_t, n_r, alpha)
+    step = 1e-4
     if receiver == "gar":
         fn = lambda nt, nr: log_coding_gain_gar(nt, nr, alpha)
     elif receiver == "mdr":
@@ -194,19 +194,17 @@ class AlphaThresholds:
             raise ValueError("thresholds must satisfy 0 < alpha0 < alpha1 < 2")
 
 
-def find_alpha_thresholds(
-    n_r: int, nt_lo: int = 2, nt_hi: int = 10, tol: float = 1e-6
-) -> AlphaThresholds:
+def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
     """Locate the exponents separating the MDR gain's monotonicity regimes.
 
     Below alpha0 the gain decreases across every adjacent transmit-antenna
-    pair in [nt_lo, nt_hi]; above alpha1 it increases across every pair;
+    pair in [2, 10]; above alpha1 it increases across every pair;
     in between it is concave (rises then falls).  Each boundary is the
-    bisection root of the worst adjacent log-gain difference.
+    bisection root, to 1e-6, of the worst adjacent log-gain difference.
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    pairs = [(nt, nt + 1) for nt in range(nt_lo, nt_hi)]
+    pairs = [(nt, nt + 1) for nt in range(2, 10)]
 
     def diffs(alpha):
         return np.array(
@@ -223,7 +221,7 @@ def find_alpha_thresholds(
                 f"threshold not bracketed on ({lo}, {hi}): f(lo)={flo:.3g}, "
                 f"f(hi)={fhi:.3g}"
             )
-        while hi - lo > tol:
+        while hi - lo > 1e-6:
             mid = 0.5 * (lo + hi)
             if fn(mid) < 0.0:
                 lo = mid

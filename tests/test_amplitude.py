@@ -16,7 +16,11 @@ from stablemimo import (
     noise_amplitude_spec,
 )
 from stablemimo import amplitude
-from stablemimo.amplitude import QuadratureError, _gaussian_log_amplitude_pdf
+from stablemimo.amplitude import (
+    QuadratureError,
+    _gaussian_log_amplitude_pdf,
+    amplitude_tail_constant,
+)
 
 
 def rayleigh_type(r, sigma=1.0):
@@ -81,6 +85,8 @@ class TestArrayContract:
     def test_too_few_zeros_raise(self, monkeypatch):
         # two segment contributions: the Euler spread misses the target
         monkeypatch.setattr(amplitude, "_N_ZEROS", 3)
+        # the cached rule is keyed by d alone, so bypass the cache
+        monkeypatch.setattr(amplitude, "_hankel_rule", amplitude._hankel_rule.__wrapped__)
         spec = IsotropicAmplitudeSpec(0.5, 1.0, 2)
         with pytest.raises(QuadratureError):
             amplitude_pdf(1.0, spec)
@@ -184,7 +190,8 @@ class TestTable:
     def test_beyond_grid_equals_tail_formula(self, table_a143_d2):
         tab = table_a143_d2
         r = tab.grid[-1] * 7.3
-        expected = math.log(tab.tail_constant) - (tab.spec.alpha + 1.0) * math.log(r)
+        expected = (math.log(amplitude_tail_constant(tab.spec))
+                    - (tab.spec.alpha + 1.0) * math.log(r))
         assert tab.log_pdf(r) == expected
 
     def test_tail_matches_quadrature_at_grid_end(self, table_a143_d2):
@@ -225,6 +232,39 @@ class TestTable:
         assert loaded.spec == table_a143_d2.spec
         r = np.geomspace(1e-4, 1e3, 64)
         assert np.array_equal(loaded.log_pdf(r), table_a143_d2.log_pdf(r))
+
+    def test_save_writes_the_v1_keys(self, tmp_path, table_a143_d2):
+        tab = table_a143_d2
+        path = tmp_path / "table.npz"
+        tab.save(path)
+        want = {"format_version": np.int64(1), "alpha": np.float64(1.43),
+                "sigma": np.float64(2.0**-0.5), "d": np.int64(2), "grid": tab.grid,
+                "log_values": tab.log_values,
+                "tail_constant": np.float64(amplitude_tail_constant(tab.spec))}
+        with np.load(path) as data:
+            assert sorted(data.files) == sorted(want)
+            for key, value in want.items():
+                assert data[key].dtype == value.dtype, key
+                assert np.array_equal(data[key], value), key
+
+    @pytest.mark.parametrize("tail_constant", ["spec", 0.0])
+    def test_v1_file_loads_bit_equal(self, tmp_path, table_a143_d2, tail_constant):
+        # an archive as written with the tail constant stored in the table;
+        # load derives K from the spec, whatever the file holds
+        tab = table_a143_d2
+        k = amplitude_tail_constant(tab.spec) if tail_constant == "spec" else tail_constant
+        path = tmp_path / "table.npz"
+        np.savez(path, format_version=np.int64(1), alpha=np.float64(1.43),
+                 sigma=np.float64(2.0**-0.5), d=np.int64(2), grid=tab.grid,
+                 log_values=tab.log_values, tail_constant=np.float64(k))
+        loaded = AmplitudePdfTable.load(path)
+        assert loaded.spec == tab.spec
+        assert np.array_equal(loaded.grid, tab.grid)
+        assert np.array_equal(loaded.log_values, tab.log_values)
+        for ours, theirs in zip(loaded._lookup, tab._lookup):
+            assert np.array_equal(ours, theirs)
+        r = np.concatenate([[0.0, math.inf], np.geomspace(1e-6, 1e6, 257)])
+        assert np.array_equal(loaded.log_pdf(r), tab.log_pdf(r))
 
     def test_load_rejects_unknown_version(self, tmp_path, table_a143_d2):
         path = tmp_path / "table.npz"
@@ -281,7 +321,7 @@ class TestDirectIndexLookup:
             if trial % 2:  # steep first and last steps against the next ones
                 y[[0, -1]] = y[[1, -2]] + np.array([-5.0, 5.0]) * np.sign(
                     y[[2, -3]] - y[[1, -2]])
-            tab = AmplitudePdfTable(spec, grid, y, 1.0)
+            tab = AmplitudePdfTable(spec, grid, y)
             ref = PchipInterpolator(np.log(grid), y, extrapolate=False)
             r = np.exp(rng.uniform(math.log(grid[0]), math.log(grid[-1]), 2000))
             r = np.concatenate([r[(r >= grid[0]) & (r <= grid[-1])], grid])
@@ -314,7 +354,7 @@ class TestDirectIndexLookup:
         with pytest.raises(ValueError, match="log-uniform"):
             AmplitudePdfTable(
                 tab.spec, np.linspace(tab.grid[0], tab.grid[-1], tab.grid.size),
-                tab.log_values, tab.tail_constant,
+                tab.log_values,
             )
         # a foreign file whose grid changes its log step at r = 1
         path = tmp_path / "table.npz"
@@ -335,7 +375,7 @@ class TestDirectIndexLookup:
             build_amplitude_table(spec, n_nodes=2, r_max=64.0)
         tab = table_a143_d2
         with pytest.raises(ValueError, match="3 nodes"):
-            AmplitudePdfTable(spec, tab.grid[:2], tab.log_values[:2], tab.tail_constant)
+            AmplitudePdfTable(spec, tab.grid[:2], tab.log_values[:2])
         three = build_amplitude_table(spec, n_nodes=3, r_max=64.0)
         assert np.isfinite(three.log_pdf(np.geomspace(1e-3, 64.0, 50))).all()
 
@@ -381,7 +421,8 @@ def two_path_log_pdf(tab, r):
             slope = (d - 1) * (lr[below] - math.log(lo)) if d > 1 else 0.0
             out[below] = tab.log_values[0] + slope
             out[above] = (_gaussian_log_amplitude_pdf(r[above], sigma, d) if a == 2.0
-                          else math.log(tab.tail_constant) - (a + 1.0) * lr[above])
+                          else math.log(amplitude_tail_constant(tab.spec))
+                          - (a + 1.0) * lr[above])
     return float(out[0]) if scalar else out
 
 
@@ -437,21 +478,6 @@ class TestOneRouteLookup:
                     assert type(got) is float
                     assert np.array_equal(got, wi, equal_nan=True), (tab.spec, ri)
 
-    def test_zero_tail_constant(self, tables):
-        # log K is -inf; the two-path lookup took it (and raised) whenever a
-        # radius was off the grid, except at alpha = 2
-        for tab in tables:
-            zero = AmplitudePdfTable(tab.spec, tab.grid, tab.log_values, 0.0)
-            r = self.radii(tab)
-            got = self.lookup(zero, r)
-            if tab.spec.alpha == 2.0:
-                assert np.array_equal(got, self.expected(zero, r), equal_nan=True)
-            else:
-                beyond = r > tab.grid[-1]
-                assert np.array_equal(got[~beyond], self.expected(tab, r[~beyond]),
-                                      equal_nan=True)
-                assert np.all(got[beyond] == -math.inf)
-
 
 class TestRMaxSearch:
     @pytest.mark.parametrize("alpha,d", list(PRESET_R_MAX))
@@ -473,9 +499,7 @@ class TestBesselRule:
         from scipy.special import jv
 
         for n in range(4):
-            _, rules = amplitude._hankel_rule(
-                2 * n + 2, amplitude._N_ZEROS, amplitude._HEAD_HALVINGS,
-                amplitude._RULE_ORDERS)
+            _, rules = amplitude._hankel_rule(2 * n + 2)
             for u, _ in rules:
                 assert np.max(np.abs(amplitude._jn(n, u) - jv(n, u))) <= 1e-14, n
 
@@ -507,8 +531,7 @@ class TestBesselRule:
         # the r_max search and the grid each find the rule cached
         assert after.misses == before.misses
         assert after.hits == before.hits + 2
-        _, rules = amplitude._hankel_rule(
-            4, amplitude._N_ZEROS, amplitude._HEAD_HALVINGS, amplitude._RULE_ORDERS)
+        _, rules = amplitude._hankel_rule(4)
         assert not any(a.flags.writeable for rule in rules for a in rule)
 
     def test_preset_tables_match_scipy_weights(self, monkeypatch):

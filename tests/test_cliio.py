@@ -197,6 +197,8 @@ class TestRunPreset:
         paths, overrides = preset_artifacts
         manifest = json.load(open(paths["manifest"]))
         assert manifest["preset"] == "fig1_alamouti_2x1_alpha05"
+        assert set(manifest) == {"preset", "overrides", "package_version", "numpy_version",
+                                 "wall_time_s", "runs", "artifacts"}
         assert manifest["overrides"] == {
             k: overrides[k] for k in sorted(overrides)
         }
@@ -219,21 +221,13 @@ class TestRunPreset:
         with pytest.raises(ValueError, match="overrides"):
             run_preset("fig1", {"alpha": 1.0}, out_dir=str(tmp_path))
 
-    def test_full_raises_cap_unless_overridden(self, tmp_path, monkeypatch):
-        from stablemimo import cliio
-
-        seen = []
-
-        def record(cfg):
-            seen.append(cfg.max_trials)
-            raise RuntimeError("stop before sampling")
-
-        monkeypatch.setattr(cliio, "run_sweep", record)
-        with pytest.raises(RuntimeError):
-            run_preset("fig1", {}, out_dir=str(tmp_path), full=True)
-        with pytest.raises(RuntimeError):
-            run_preset("fig1", {"max_trials": 8192}, out_dir=str(tmp_path), full=True)
-        assert seen == [cliio.FULL_MAX_TRIALS, 8192]
+    @pytest.mark.parametrize("key,value", [("workers", 1.9), ("max_trials", 8192.7),
+                                           ("seed", 7.0), ("min_errors", "5")])
+    def test_non_integer_override_rejected(self, tmp_path, key, value):
+        # overrides are not truncated or parsed: SimConfig's integer check applies
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_preset("fig1", {key: value}, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_fig5_emits_both_models(self, tmp_path):
         paths = run_preset(
@@ -249,6 +243,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["bogus-verb"])
         assert exc.value.code == 1
+
+    def test_full_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "fig1", "--full", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "--full" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_runtime_error_exit_code(self, tmp_path):
         code = main(["preset", "fig99", "--out-dir", str(tmp_path)])

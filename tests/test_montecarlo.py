@@ -625,6 +625,19 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="dimension"):
             run_sweep(cfg, ml_table=table_a05_d2)
 
+    def test_ml_table_spec_mismatch_rejected(self, table_a05_d2):
+        from stablemimo import IsotropicAmplitudeSpec, build_amplitude_table
+
+        # right dimension, wrong exponent: alpha = 1.43, n_r = 1 needs (1.43, d = 2)
+        cfg = tiny_config(receivers=("ml",), alpha=1.43)
+        with pytest.raises(ValueError, match="spec"):
+            run_sweep(cfg, ml_table=table_a05_d2)
+        # right exponent and dimension, wrong scale
+        other_sigma = build_amplitude_table(IsotropicAmplitudeSpec(0.5, 1.0, 2),
+                                            n_nodes=3, r_max=64.0)
+        with pytest.raises(ValueError, match="spec"):
+            run_sweep(tiny_config(receivers=("ml",)), ml_table=other_sigma)
+
     def test_aor_ml_gap_alpha_143(self, table_a143_d2):
         # the parameter-free rule stays within 0.3 dB of the density rule
         # in the milder-noise scenario too; evaluated at 1e-3, deep enough

@@ -181,7 +181,7 @@ class TestDerivatives:
     @pytest.mark.parametrize("rx,wrt,nt,nr,alpha", WELL_CONDITIONED)
     def test_matches_finite_differences(self, rx, wrt, nt, nr, alpha):
         closed = dlog_gain(rx, wrt, nt, nr, alpha)
-        numeric = dlog_gain_numeric(rx, wrt, nt, nr, alpha, step=1e-4)
+        numeric = dlog_gain_numeric(rx, wrt, nt, nr, alpha)
         assert abs(closed - numeric) < 1e-6
 
     def test_gar_nr_frozen_value(self):
