@@ -65,6 +65,15 @@ class IsotropicAmplitudeSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.d >= 1 and float(self.d).is_integer()):
             raise ValueError(f"d must be a positive integer, got {self.d}")
+        try:  # the density's scale; 0 or overflow leaves no usable tail or quadrature
+            scale = self.sigma**self.alpha
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(
+                f"sigma^alpha is not a positive finite float "
+                f"(sigma={self.sigma}, alpha={self.alpha})"
+            )
 
 
 def amplitude_tail_constant(spec: IsotropicAmplitudeSpec) -> float:
@@ -262,7 +271,7 @@ class AmplitudePdfTable:
         if self.grid.size < 3 or np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing, with >= 3 nodes")
         x = np.log(self.grid)
-        # K > 0, also at alpha = 2; a sigma^alpha that underflows to 0 raises here
+        # K > 0, also at alpha = 2 (the spec rejects a sigma^alpha of 0)
         log_k = math.log(amplitude_tail_constant(self.spec))
         # extra rows: n - 1 below the grid, n beyond it
         off_grid = [[self.log_values[0], log_k],

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .montecarlo import BerCurve, SimConfig, run_sweep
+from .montecarlo import BerCurve, SimConfig, run_sweep, snr_grid
 from .stable import NoiseModel
 from .theory import pep_asymptote
 
@@ -150,9 +150,10 @@ def theory_curve(
     alpha: float,
     snr_grid_db,
 ) -> TheoryCurve:
-    """Evaluate the (G_c * rho)^(-G_d) asymptote on a dB grid."""
+    """Evaluate the (G_c * rho)^(-G_d) asymptote on a dB grid of distinct,
+    finite points in any order."""
     asym = pep_asymptote(receiver, model, n_t, n_r, alpha)
-    grid = tuple(float(s) for s in snr_grid_db)
+    grid = snr_grid(snr_grid_db, ordered=False)
     rho = 10.0 ** (np.array(grid) / 10.0)
     return TheoryCurve(
         receiver=receiver,
@@ -312,9 +313,9 @@ def run_experiment(name: str, configs, theory_receivers, overrides=None,
     configs = [apply_overrides(cfg, overrides) for cfg in configs]
     overlays = theory_overlays(configs, theory_receivers)
     os.makedirs(out_dir, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     curves = [run_sweep(cfg) for cfg in configs]
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     paths = {
         kind: os.path.join(out_dir, f"{name}_{kind}.{ext}")

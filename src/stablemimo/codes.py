@@ -4,55 +4,67 @@ Received blocks follow Y = sqrt(rho) * H * S + W with H an N_r x N_t
 Rayleigh-fading matrix (i.i.d. circularly symmetric complex Gaussian,
 unit variance per entry), S drawn uniformly from an enumerated codeword
 set, and W an impulsive noise block.  Constellations are normalized to
-unit average symbol energy so rho is the per-antenna SNR scale.
+unit average symbol energy so rho is the per-antenna SNR scale.  A
+Codebook is its codeword matrices and their Gray bit labels; the antenna
+count, block length and bits per codeword are read from their shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
-# Gray-labelled unit-energy constellations: bit tuples -> symbols
+# Gray-labelled unit-energy constellations: (symbols, bit labels), row i
+# labelling symbol i
 CONSTELLATIONS = {
-    "bpsk": {
-        "bits_per_symbol": 1,
-        "symbols": np.array([1.0 + 0.0j, -1.0 + 0.0j]),
-        "labels": np.array([[0], [1]], dtype=np.uint8),
-    },
-    "qpsk": {
-        "bits_per_symbol": 2,
-        "symbols": np.array(
-            [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=complex
-        )
-        / _SQRT2,
-        "labels": np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8),
-    },
+    "bpsk": (
+        np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+        np.array([[0], [1]], dtype=np.uint8),
+    ),
+    "qpsk": (
+        np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=complex) / _SQRT2,
+        np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8),
+    ),
 }
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Enumerated space-time code: all codeword matrices plus bit labels."""
+    """Enumerated space-time code: every codeword matrix and its bit label."""
 
-    kind: str
-    constellation: str
-    n_t: int
-    t_s: int
-    symbols: np.ndarray
     codewords: np.ndarray  # (n_codewords, n_t, t_s) complex
     bit_labels: np.ndarray  # (n_codewords, bits_per_codeword) uint8
-    bits_per_codeword: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bits_per_codeword", self.bit_labels.shape[1])
+        if self.codewords.ndim != 3 or self.bit_labels.ndim != 2:
+            raise ValueError(
+                f"want codewords (n_codewords, n_t, t_s) and bit_labels "
+                f"(n_codewords, bits), got shapes {self.codewords.shape} and "
+                f"{self.bit_labels.shape}"
+            )
         if len(self.codewords) != 2**self.bits_per_codeword:
-            raise ValueError("codeword count must be 2**bits_per_codeword")
+            raise ValueError(
+                f"{len(self.codewords)} codewords for "
+                f"{self.bits_per_codeword}-bit labels; want 2**bits"
+            )
         # pairwise Hamming distances, used to count bit errors per decision
         diff = self.bit_labels[:, None, :] != self.bit_labels[None, :, :]
         object.__setattr__(self, "bit_distance", diff.sum(axis=2))
+
+    @property
+    def n_t(self) -> int:
+        return self.codewords.shape[1]
+
+    @property
+    def t_s(self) -> int:
+        return self.codewords.shape[2]
+
+    @property
+    def bits_per_codeword(self) -> int:
+        return self.bit_labels.shape[1]
 
     def __len__(self):
         return len(self.codewords)
@@ -72,40 +84,21 @@ def enumerate_codebook(kind: str, constellation: str = "bpsk") -> Codebook:
     (single antenna, one symbol per block).
     """
     try:
-        con = CONSTELLATIONS[constellation]
+        symbols, labels = CONSTELLATIONS[constellation]
     except KeyError:
         raise ValueError(f"unsupported constellation: {constellation!r}") from None
-    symbols = con["symbols"]
-    labels = con["labels"]
     m = len(symbols)
 
     if kind == "alamouti":
         codewords = np.empty((m * m, 2, 2), dtype=complex)
-        bit_labels = np.empty((m * m, 2 * con["bits_per_symbol"]), dtype=np.uint8)
+        bit_labels = np.empty((m * m, 2 * labels.shape[1]), dtype=np.uint8)
         for i in range(m):
             for j in range(m):
                 codewords[i * m + j] = alamouti_encode(symbols[i], symbols[j])
                 bit_labels[i * m + j] = np.concatenate([labels[i], labels[j]])
-        return Codebook(
-            kind=kind,
-            constellation=constellation,
-            n_t=2,
-            t_s=2,
-            symbols=symbols,
-            codewords=codewords,
-            bit_labels=bit_labels,
-        )
+        return Codebook(codewords, bit_labels)
     if kind == "uncoded":
-        codewords = symbols.reshape(m, 1, 1).astype(complex)
-        return Codebook(
-            kind=kind,
-            constellation=constellation,
-            n_t=1,
-            t_s=1,
-            symbols=symbols,
-            codewords=codewords,
-            bit_labels=labels.copy(),
-        )
+        return Codebook(symbols.reshape(m, 1, 1).astype(complex), labels.copy())
     raise ValueError(f"unsupported code kind: {kind!r}")
 
 

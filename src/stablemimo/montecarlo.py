@@ -49,6 +49,17 @@ class SlopeFitError(RuntimeError):
     """Not enough well-populated points to fit a diversity slope."""
 
 
+def snr_grid(values, ordered: bool) -> tuple[float, ...]:
+    """SNR points in dB as floats; raises ValueError unless they are
+    non-empty, finite and distinct, and strictly increasing if ordered."""
+    grid = tuple(float(s) for s in values)
+    steps = np.diff(grid if ordered else np.sort(grid))
+    if not grid or not np.all(np.isfinite(grid)) or np.any(steps <= 0.0):
+        rule = "strictly increasing" if ordered else "without repeats"
+        raise ValueError(f"snr_grid_db must be non-empty, finite and {rule}")
+    return grid
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one BER sweep; the defaults are also the config
@@ -77,15 +88,7 @@ class SimConfig:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.n_r < 1:
             raise ValueError("n_r must be >= 1")
-        grid = tuple(float(s) for s in self.snr_grid_db)
-        if (
-            len(grid) == 0
-            or not np.all(np.isfinite(grid))
-            or np.any(np.diff(grid) <= 0.0)
-        ):
-            raise ValueError(
-                "snr_grid_db must be non-empty, finite and strictly increasing"
-            )
+        grid = snr_grid(self.snr_grid_db, ordered=True)
         if len(grid) > _KEY_FIELD_LIMIT:
             raise ValueError(
                 f"snr_grid_db has {len(grid)} points; chunk streams allow at "

@@ -7,6 +7,8 @@ counts, with a coding gain penalized by N_r^(-2/alpha) when the noise is
 i.i.d. across antennas.  Coding gains are evaluated in log-gamma
 arithmetic (math.lgamma; digamma by its asymptotic series; Q by math.erfc);
 digamma derivatives and alpha thresholds track the MDR gain in antenna counts.
+Result objects hold only what was computed (PepAsymptote: gain and order;
+AlphaThresholds: the two exponents), not the arguments that produced it.
 """
 
 from __future__ import annotations
@@ -103,8 +105,6 @@ class PepAsymptote:
 
     coding_gain: float
     diversity_order: float
-    receiver: str
-    model: NoiseModel
 
     def __post_init__(self):
         if self.coding_gain <= 0.0 or self.diversity_order <= 0.0:
@@ -126,19 +126,9 @@ def pep_asymptote(
                 "no closed-form asymptote for the genie-aided receiver with "
                 "i.i.d. noise"
             )
-        return PepAsymptote(
-            coding_gain=coding_gain_gar(n_t, n_r, alpha),
-            diversity_order=alpha * n_t / 2.0,
-            receiver=receiver,
-            model=model,
-        )
+        return PepAsymptote(coding_gain_gar(n_t, n_r, alpha), alpha * n_t / 2.0)
     if receiver == "mdr":
-        return PepAsymptote(
-            coding_gain=coding_gain_mdr(n_t, n_r, alpha, model),
-            diversity_order=alpha / 2.0,
-            receiver=receiver,
-            model=model,
-        )
+        return PepAsymptote(coding_gain_mdr(n_t, n_r, alpha, model), alpha / 2.0)
     raise ValueError(f"no asymptote for receiver {receiver!r}")
 
 
@@ -185,7 +175,6 @@ def dlog_gain_numeric(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float)
 class AlphaThresholds:
     """Exponent thresholds of the three MDR gain-vs-N_t regimes."""
 
-    n_r: int
     alpha0: float
     alpha1: float
 
@@ -195,7 +184,8 @@ class AlphaThresholds:
 
 
 def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
-    """Locate the exponents separating the MDR gain's monotonicity regimes.
+    """Locate the exponents separating the MDR gain's monotonicity regimes
+    with n_r receive antennas.
 
     Below alpha0 the gain decreases across every adjacent transmit-antenna
     pair in [2, 10]; above alpha1 it increases across every pair;
@@ -232,7 +222,7 @@ def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
     lo, hi = 0.05, 1.999
     alpha0 = bisect(lambda a: float(np.max(diffs(a))), lo, hi)
     alpha1 = bisect(lambda a: float(np.min(diffs(a))), lo, hi)
-    return AlphaThresholds(n_r=n_r, alpha0=alpha0, alpha1=alpha1)
+    return AlphaThresholds(alpha0=alpha0, alpha1=alpha1)
 
 
 def conditional_pep_gar(h, genie, rho, s, s_prime) -> float:

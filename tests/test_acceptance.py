@@ -73,6 +73,29 @@ def _integrate_amplitude(spec, r_split=1e4):
     return total
 
 
+def _large_r_series(r, alpha, d, sigma, terms):
+    """Series in (2 sigma / r)^(k alpha), k >= 1, from expanding exp(-(sigma t)^alpha)
+    term by term: convergent for alpha < 1, asymptotic for alpha > 1 (Bergstrom
+    1952 at d = 1); its k = 1 term is the tail K r^(-alpha-1)."""
+    total = 0.0
+    for k in range(1, terms + 1):
+        ka = k * alpha
+        log_mag = (math.lgamma(ka / 2.0 + 1.0) + math.lgamma((ka + d) / 2.0)
+                   - math.lgamma(k + 1.0) + ka * math.log(2.0 * sigma / r))
+        total += (-1) ** (k + 1) * math.sin(k * math.pi * alpha / 2.0) * math.exp(log_mag)
+    return 2.0 * total / (math.pi * r * math.gamma(d / 2.0))
+
+
+def _small_r_series(r, alpha, d, sigma, terms):
+    """Series in (r / 2 sigma)^(2k + d), k >= 0: convergent for alpha > 1."""
+    total = 0.0
+    for k in range(terms):
+        log_mag = (math.lgamma((2.0 * k + d) / alpha) - math.lgamma(k + 1.0)
+                   - math.lgamma(k + d / 2.0) + (2 * k + d) * math.log(r / (2.0 * sigma)))
+        total += (-1) ** k * math.exp(log_mag)
+    return 4.0 * total / (alpha * r * math.gamma(d / 2.0))
+
+
 def test_criterion_2_amplitude_pdf_oracles():
     t0 = time.time()
     radii = np.geomspace(0.3, 4.0, 10)
@@ -86,15 +109,30 @@ def test_criterion_2_amplitude_pdf_oracles():
         spec = IsotropicAmplitudeSpec(alpha, 1.0, d)
         err = np.max(np.abs(amplitude_pdf(radii, spec) - oracle(radii)))
         worst_pdf = max(worst_pdf, err)
+    # the paper's exponents at the noise scale 2^-1/2, where each series
+    # reaches 1e-9 relative: r past 256 would test amplitude_pdf's absolute
+    # error target instead
+    worst_series = 0.0
+    for alpha, radii, series, terms in [
+        (0.5, np.geomspace(0.05, 1000.0, 13), _large_r_series, 400),
+        (1.43, np.geomspace(1e-3, 1.0, 7), _small_r_series, 100),
+        (1.43, np.geomspace(64.0, 256.0, 5), _large_r_series, 8),
+    ]:
+        for d in (2, 4):
+            spec = noise_amplitude_spec(alpha, d)
+            want = np.array([series(r, alpha, d, spec.sigma, terms) for r in radii])
+            err = np.max(np.abs(amplitude_pdf(radii, spec) / want - 1.0))
+            worst_series = max(worst_series, err)
     worst_norm = 0.0
     for alpha, d in [(2.0, 2), (2.0, 4), (1.0, 2), (1.43, 2), (0.5, 4)]:
         total = _integrate_amplitude(IsotropicAmplitudeSpec(alpha, 1.0, d))
         worst_norm = max(worst_norm, abs(total - 1.0))
     report(
         2,
-        worst_pdf < 1e-5 and worst_norm < 1e-4,
-        f"max closed-form error {worst_pdf:.2e}, max |integral-1| "
-        f"{worst_norm:.2e} ({time.time() - t0:.0f}s)",
+        worst_pdf < 1e-5 and worst_series < 1e-9 and worst_norm < 1e-4,
+        f"max closed-form error {worst_pdf:.2e}, max series relative error "
+        f"{worst_series:.2e}, max |integral-1| {worst_norm:.2e} "
+        f"({time.time() - t0:.0f}s)",
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -57,6 +58,12 @@ class TestSpecValidation:
         ):
             with pytest.raises(ValueError):
                 IsotropicAmplitudeSpec(**bad)
+
+    @pytest.mark.parametrize("alpha, sigma", [(1.7, 1e-200), (1.5, 1e300), (2.0, 1e-170)])
+    def test_rejects_scale_power_out_of_range(self, alpha, sigma):
+        # sigma^alpha underflows to 0 or overflows: no tail constant, no quadrature
+        with pytest.raises(ValueError, match=re.escape(f"(sigma={sigma}, alpha={alpha})")):
+            IsotropicAmplitudeSpec(alpha=alpha, sigma=sigma, d=2)
 
     def test_rejects_negative_radius(self):
         spec = IsotropicAmplitudeSpec(1.0, 1.0, 2)

@@ -268,6 +268,14 @@ class TestCli:
         assert out.exists()
         assert len(out.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("snr", ["10,nan", "30,10,10", "inf"])
+    def test_theory_verb_rejects_bad_grid(self, tmp_path, capsys, snr):
+        assert main(["theory", "--receiver", "gar", "--alpha", "0.5", "--snr", snr,
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stablemimo: snr_grid_db") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_table_verb_writes_exact_path(self, tmp_path):
         out = tmp_path / "amp"
         assert main(["table", "--alpha", "1.43", "--d", "2", "--out", str(out)]) == 0
@@ -292,6 +300,15 @@ class TestCli:
         assert main(["table", "--alpha", "1.43", "--d", "2", "--sigma", "nan",
                      "--out", str(out)]) == 2
         assert "sigma" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("alpha, sigma", [("1.7", "1e-200"), ("1.5", "1e300")])
+    def test_table_verb_rejects_unrepresentable_scale(self, tmp_path, capsys, alpha, sigma):
+        out = tmp_path / "amp.npz"
+        assert main(["table", "--alpha", alpha, "--d", "2", "--sigma", sigma,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stablemimo: sigma^alpha") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_run_verb(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stablemimo import (
+    Codebook,
     NoiseModel,
     alamouti_encode,
     enumerate_codebook,
@@ -74,14 +75,13 @@ class TestCodebook:
             enumerate_codebook("alamouti", "64qam")
 
     def test_unit_average_energy(self):
-        for name, con in CONSTELLATIONS.items():
-            assert np.mean(np.abs(con["symbols"]) ** 2) == pytest.approx(1.0), name
+        for name, (symbols, _) in CONSTELLATIONS.items():
+            assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0), name
 
     def test_gray_labels_qpsk(self):
-        con = CONSTELLATIONS["qpsk"]
-        labels = con["labels"]
+        symbols, labels = CONSTELLATIONS["qpsk"]
         # ring neighbours (sorted by angle) differ in exactly one bit
-        order = np.argsort(np.angle(con["symbols"]))
+        order = np.argsort(np.angle(symbols))
         for a, b in zip(order, np.roll(order, -1)):
             assert np.sum(labels[a] != labels[b]) == 1
 
@@ -90,6 +90,18 @@ class TestCodebook:
         assert cb.bit_distance[0, 0] == 0
         assert cb.bit_distance.max() == 2
         assert np.array_equal(cb.bit_distance, cb.bit_distance.T)
+
+    def test_rejects_arrays_of_wrong_rank(self):
+        cb = enumerate_codebook("alamouti", "bpsk")
+        with pytest.raises(ValueError, match=r"got shapes \(4, 4\) and \(4, 2\)"):
+            Codebook(cb.codewords.reshape(4, 4), cb.bit_labels)
+        with pytest.raises(ValueError, match=r"got shapes \(4, 2, 2\) and \(8,\)"):
+            Codebook(cb.codewords, cb.bit_labels.ravel())
+
+    def test_rejects_count_not_two_to_the_bits(self):
+        cb = enumerate_codebook("alamouti", "bpsk")
+        with pytest.raises(ValueError, match="2 codewords for 2-bit labels"):
+            Codebook(cb.codewords[:2], cb.bit_labels[:2])
 
 
 class TestSynthesis:

@@ -481,7 +481,7 @@ class TestKernelOracle:
             assert np.isinf(want["ml"][:5]).any(axis=1).all()  # the exact-fit rule fired
             for rx in METRICS:
                 assert np.array_equal(got[rx], as_cost(rx, want[rx]).T), (
-                    cb.kind, model, n_r, rho, rx)
+                    cb.n_t, model, n_r, rho, rx)
 
     def test_qpsk_decisions_pinned(self, tables):
         for seed, (cb, model, n_r, rho) in enumerate(self.cases("qpsk", (1, 2, 3))):

@@ -247,7 +247,7 @@ class TestThresholds:
 
     def test_alpha_thresholds_type_validation(self):
         with pytest.raises(ValueError):
-            AlphaThresholds(n_r=1, alpha0=1.5, alpha1=1.2)
+            AlphaThresholds(alpha0=1.5, alpha1=1.2)
 
 
 def q_function_craig(x: float) -> float:
@@ -390,11 +390,6 @@ class TestAsymptoteConsistency:
 
         cb = enumerate_codebook("alamouti", "bpsk")
         pair = Codebook(
-            kind="alamouti",
-            constellation="bpsk",
-            n_t=2,
-            t_s=2,
-            symbols=cb.symbols,
             codewords=cb.codewords[:2].copy(),
             bit_labels=np.array([[0], [1]], dtype=np.uint8),
         )
@@ -440,11 +435,6 @@ class TestUnionBound:
         codewords[0] = [[1, 1], [0, 0]]
         codewords[1] = [[-1, -1], [0, 0]]
         cb = Codebook(
-            kind="alamouti",
-            constellation="bpsk",
-            n_t=2,
-            t_s=2,
-            symbols=np.array([1.0, -1.0]),
             codewords=codewords,
             bit_labels=np.array([[0], [1]], dtype=np.uint8),
         )
