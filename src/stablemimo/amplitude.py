@@ -16,7 +16,8 @@ once.  J_n (d = 2, 4, 6, 8) is the midpoint rule on Bessel's integral
 (Trefethen & Weideman 2014) with Newton-refined McMahon zeros; d = 1, 3 use
 closed forms, other d scipy.  Large radii use the tail term K * r^(-alpha-1),
 K a function of the spec alone.  Tables hold the log-density on a
-log-uniform grid from r = 1e-3, read by a direct-index PCHIP lookup
+log-uniform grid from r = 1e-3 * sigma / 2^(-1/2) (1e-3 at the simulator's
+noise scale), read by a direct-index PCHIP lookup
 (monotone cubic, Fritsch & Carlson 1980) that equals scipy's
 PchipInterpolator bit for bit, with the below-grid and tail laws as two
 more rows of its interval table, and save/load as versioned .npz archives.
@@ -36,7 +37,7 @@ TABLE_FORMAT_VERSION = 1
 # [0, z_1] into head sub-segments; two Gauss-Legendre orders whose
 # difference estimates the error; radii per block, so that no (radii,
 # segments, nodes) temporary exceeds 1 MB; the error target.  Tables: the
-# first grid node.
+# first grid node at sigma = 2^(-1/2), scaled with sigma.
 _N_ZEROS = 50
 _HEAD_HALVINGS = 48
 _RULE_ORDERS = (24, 32)
@@ -357,9 +358,15 @@ class AmplitudePdfTable:
             )
 
 
+def _scale(spec: IsotropicAmplitudeSpec) -> float:
+    """sigma relative to the simulator's 2^(-1/2): exactly 1.0 there."""
+    return spec.sigma / 2**-0.5
+
+
 def _find_r_max(spec: IsotropicAmplitudeSpec) -> float:
-    """Smallest radius 2^4 ... 2^39 where quadrature and tail agree to 1%."""
-    r = 2.0 ** np.arange(4, 40)
+    """Smallest radius (2^4 ... 2^39) * _scale(spec) where quadrature and
+    tail agree to 1%."""
+    r = 2.0 ** np.arange(4, 40) * _scale(spec)
     ratio = amplitude_pdf(r, spec) / amplitude_tail_pdf(r, spec)
     ok = np.flatnonzero(np.abs(ratio - 1.0) < 0.01)
     if ok.size:
@@ -374,8 +381,8 @@ def build_amplitude_table(
     n_nodes: int = 512,
     r_max: float | None = None,
 ) -> AmplitudePdfTable:
-    """Tabulate log f on a log-spaced grid from _R_MIN to r_max by direct
-    quadrature.
+    """Tabulate log f on a log-spaced grid from _R_MIN * _scale(spec) (r =
+    1e-3 at sigma = 2^(-1/2)) to r_max by direct quadrature.
 
     r_max defaults to the radius where the tail formula is accurate to 1%
     (alpha < 2) or a fixed multiple of the Gaussian spread (alpha = 2).
@@ -389,7 +396,7 @@ def build_amplitude_table(
             r_max = 8.5 * spec.sigma
         else:
             r_max = _find_r_max(spec)
-    grid = np.geomspace(_R_MIN, r_max, n_nodes)
+    grid = np.geomspace(_R_MIN * _scale(spec), r_max, n_nodes)
     values = amplitude_pdf(grid, spec)
     if np.any(values <= 0.0):
         raise QuadratureError("nonpositive density on the table grid")

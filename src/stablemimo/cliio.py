@@ -176,10 +176,11 @@ def _curve_rows(curve) -> list[tuple]:
         cfg = curve.config
         head = (cfg.model.value, _fmt(cfg.alpha), str(cfg.n_t), str(cfg.n_r))
         return [
-            (rx, p.snr_db, cfg.model.value,
-             ("sim", rx, *head, _fmt(p.snr_db), _fmt(p.ber), _fmt(p.ci_lo),
-              _fmt(p.ci_hi), str(p.trials), str(p.bit_errors)))
-            for rx, pts in curve.points.items() for p in pts
+            (rx, snr, cfg.model.value,
+             ("sim", rx, *head, _fmt(snr), _fmt(p.ber), _fmt(p.ci_lo),
+              _fmt(p.ci_hi), str(n), str(p.bit_errors)))
+            for rx, pts in curve.points.items()
+            for snr, n, p in zip(cfg.snr_grid_db, curve.trials, pts)
         ]
     if isinstance(curve, TheoryCurve):
         head = (curve.model.value, _fmt(curve.alpha), str(curve.n_t), str(curve.n_r))
@@ -331,10 +332,9 @@ def run_experiment(name: str, configs, theory_receivers, overrides=None,
             {
                 "config": serialize_config(cfg).splitlines(),
                 "seed": cfg.master_seed,
-                # the stopping rule is joint: every receiver has these trials
                 "points": [
-                    {"snr_db": p.snr_db, "trials": p.trials, "stopped_on": p.stopped_on}
-                    for p in curve.points[cfg.receivers[0]]
+                    {"snr_db": snr, "trials": n, "stopped_on": stop}
+                    for snr, n, stop in zip(cfg.snr_grid_db, curve.trials, curve.stopped_on)
                 ],
             }
             for cfg, curve in zip(configs, curves)

@@ -124,24 +124,22 @@ class SimConfig:
 class BerPoint:
     """One (receiver, SNR) measurement with its Wilson interval."""
 
-    snr_db: float
-    trials: int
     bit_errors: int
     ber: float
     ci_lo: float
     ci_hi: float
-    stopped_on: str  # "errors" | "trials"
 
 
 @dataclass(frozen=True)
 class BerCurve:
-    """Per-receiver BER measurements over the SNR grid, plus config echo."""
+    """Per-receiver BER measurements over config.snr_grid_db.  The stopping
+    rule is joint, so every receiver shares each point's trial count and
+    stop reason ("errors" | "trials")."""
 
     config: SimConfig
     points: dict[str, tuple[BerPoint, ...]]
-
-    def snr_db(self, receiver: str) -> np.ndarray:
-        return np.array([p.snr_db for p in self.points[receiver]])
+    trials: tuple[int, ...]
+    stopped_on: tuple[str, ...]
 
     def ber(self, receiver: str) -> np.ndarray:
         return np.array([p.ber for p in self.points[receiver]])
@@ -199,9 +197,9 @@ def _run_chunk(
         sent = tx[block]
         s = np.sqrt(rho) * block_products(h[..., block], codebook)
         y = np.take_along_axis(s, sent[None, None, None], axis=0)[0] + w[..., block]
-        energies = ResidualEnergies(y - s)
+        energies = ResidualEnergies(y - s, config.model)
         for i, rx in enumerate(config.receivers):
-            dec = decide(rx, energies, genie[..., block], config.model, ml_table)
+            dec = decide(rx, energies, genie[..., block], ml_table)
             errors[i] += codebook.bit_distance[sent, dec].sum()
     return n, errors
 
@@ -291,7 +289,6 @@ def run_sweep(
     codebook = enumerate_codebook(config.code, config.constellation)
     bits = codebook.bits_per_codeword
     n_chunks = math.ceil(config.max_trials / CHUNK_TRIALS)
-    points: dict[str, list[BerPoint]] = {r: [] for r in config.receivers}
     run = partial(_run_chunk, config, codebook, ml_table)
     stop = lambda errors: np.all(errors >= config.min_errors)
     if config.workers > 1:  # only pooled runs load multiprocessing
@@ -300,25 +297,16 @@ def run_sweep(
         totals = _fold_chunks(
             run, len(config.snr_grid_db), n_chunks, stop, pool, config.workers + 1
         )
-    for snr_db, (trials, errors, stopped_on) in zip(config.snr_grid_db, totals):
-        total_bits = trials * bits
-        for i, rx in enumerate(config.receivers):
-            lo, hi = wilson_interval(int(errors[i]), total_bits)
-            points[rx].append(
-                BerPoint(
-                    snr_db=snr_db,
-                    trials=trials,
-                    bit_errors=int(errors[i]),
-                    ber=errors[i] / total_bits,
-                    ci_lo=lo,
-                    ci_hi=hi,
-                    stopped_on=stopped_on,
-                )
-            )
+    trials, errors, stopped_on = zip(*totals)
 
-    return BerCurve(
-        config=config, points={r: tuple(v) for r, v in points.items()}
-    )
+    def point(n_errors: int, n_bits: int) -> BerPoint:
+        return BerPoint(n_errors, n_errors / n_bits, *wilson_interval(n_errors, n_bits))
+
+    points = {
+        rx: tuple(point(int(e[i]), n * bits) for n, e in zip(trials, errors))
+        for i, rx in enumerate(config.receivers)
+    }
+    return BerCurve(config, points, trials, stopped_on)
 
 
 @dataclass(frozen=True)
@@ -340,15 +328,16 @@ def fit_slope(curve: BerCurve, receiver: str, window: int = 4) -> SlopeFit:
     Requires at least 3 points in the window with _SLOPE_POINT_ERRORS bit
     errors each; raises SlopeFitError otherwise.
     """
-    pts = [p for p in curve.points[receiver][-window:]
+    pts = [(snr, p) for snr, p in zip(curve.config.snr_grid_db[-window:],
+                                      curve.points[receiver][-window:])
            if p.bit_errors >= _SLOPE_POINT_ERRORS]
     if len(pts) < 3:
         raise SlopeFitError(
             f"need >= 3 points with >= {_SLOPE_POINT_ERRORS} bit errors in the "
             f"top-{window} window for {receiver!r}, have {len(pts)}"
         )
-    x = np.array([p.snr_db / 10.0 for p in pts])  # log10 rho
-    y = np.log10([p.ber for p in pts])
+    x = np.array([snr / 10.0 for snr, _ in pts])  # log10 rho
+    y = np.log10([p.ber for _, p in pts])
     n = len(pts)
     coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
     slope = float(coeffs[0])
@@ -364,12 +353,12 @@ def snr_at_ber(curve: BerCurve, receiver: str, ber_target: float) -> float:
     Log-linear interpolation between the first bracketing pair of grid
     points; raises ValueError when the target is not bracketed.
     """
-    pts = curve.points[receiver]
-    for a, b in zip(pts, pts[1:]):
+    pts = list(zip(curve.config.snr_grid_db, curve.points[receiver]))
+    for (sa, a), (sb, b) in zip(pts, pts[1:]):
         lo, hi = min(a.ber, b.ber), max(a.ber, b.ber)
         if lo <= ber_target <= hi and a.ber != b.ber and lo > 0.0:
             la, lb, lt = math.log10(a.ber), math.log10(b.ber), math.log10(ber_target)
-            return a.snr_db + (b.snr_db - a.snr_db) * (lt - la) / (lb - la)
+            return sa + (sb - sa) * (lt - la) / (lb - la)
     raise ValueError(
         f"BER target {ber_target:g} not bracketed by the {receiver!r} curve"
     )

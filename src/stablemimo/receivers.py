@@ -9,21 +9,22 @@ elementwise step runs one long inner loop per (k, i, t) rather than a
 two-element loop per trial.  The Monte Carlo engine decodes a chunk in
 blocks of ``montecarlo.DECODE_TRIALS`` (2048) trials to keep temporaries
 small; each decision depends only on its own trial, so the block size
-never changes a result.  ``ResidualEnergies`` holds ``sq`` for a block and
-forms its per-column sums (over receive antennas) and per-codeword totals
-once, on first use, so the whole roster builds each only once.
+never changes a result.  ``ResidualEnergies`` holds ``sq`` for a block
+with the noise model, and forms its per-group energies and per-codeword
+totals once, on first use, so the whole roster builds each only once.  A
+group is the entries that share a subordinator: a column (summed over
+receive antennas) under model I, a single entry under model II.
 ``METRICS`` maps each receiver name to its cost over those energies; the
 decision is the codeword of least cost:
 
-* GAR  - genie-aided: whitens the noise with the (normally unknown)
-  subordinator values, then minimizes Euclidean distance.  The genie
-  record's shape selects the dependence structure: per-column values
-  whiten column-wise, per-entry values whiten entry-wise (Hadamard).
+* GAR  - genie-aided: whitens each group's energy with its (normally
+  unknown) subordinator value, then minimizes Euclidean distance.  The
+  genie record has the group's shape.
 * MDR  - plain minimum Euclidean distance, optimal only for Gaussian noise.
-* ML   - minimizes the negated sum of log amplitude densities of residual
-  norms, evaluated from a cached density table (per column for the shared
-  model, per entry for the i.i.d. model).
-* AOR  - minimizes summed log residual norms; needs no noise parameters.
+* ML   - minimizes the negated sum of log amplitude densities of the
+  groups' residual norms, evaluated from a cached density table.
+* AOR  - minimizes the summed log residual norms of the groups; needs no
+  noise parameters.
 
 Sums add one term at a time: column sums over receive antennas in order,
 sums over the (n_r, t_s) entries in row-major order, ((s00 + s01) + s10)
@@ -68,18 +69,21 @@ def check_ml_table(table: AmplitudePdfTable, model: NoiseModel, n_r: int):
 
 class ResidualEnergies:
     """Squared residual magnitudes of a block of trials against every
-    codeword, trial axis last: r and sq are (K, n_r, t_s, B)."""
+    codeword, trial axis last: r and sq are (K, n_r, t_s, B).  The noise
+    model sets which entries share a subordinator."""
 
-    def __init__(self, r):
+    def __init__(self, r, model: NoiseModel):
         self.sq = np.abs(r) ** 2  # hypot, then square; re**2 + im**2 rounds differently
+        self.model = model
 
     @cached_property
-    def column(self):
-        """Per-column energies, summed over receive antennas in order: (K, t_s, B)."""
-        col = self.sq[:, 0].copy()
-        for i in range(1, self.sq.shape[1]):
-            col += self.sq[:, i]
-        return col
+    def group(self):
+        """Energy per subordinator group: (K, t_s, B) column sums over
+        receive antennas, in order, under model I; sq under model II."""
+        if self.model is NoiseModel.IID:
+            return self.sq
+        k, n_r, t_s, b = self.sq.shape
+        return entry_sum(self.sq.reshape(k, n_r, t_s * b)).reshape(k, t_s, b)
 
     @cached_property
     def total(self):
@@ -97,25 +101,24 @@ def entry_sum(a):
     return out
 
 
-def gar_metric(e: ResidualEnergies, genie, model, table):
-    if np.ndim(genie) == 2:  # (t_s, B): shared subordinator per column
-        return entry_sum(e.column / genie)
-    if np.ndim(genie) == 3:  # (n_r, t_s, B): per-entry
-        return entry_sum(e.sq / genie)
-    raise ValueError("genie record must be per-column or per-entry")
+def gar_metric(e: ResidualEnergies, genie, table):
+    if np.shape(genie) != e.group.shape[1:]:
+        raise ValueError(f"genie record of shape {np.shape(genie)} does not "
+                         f"match the noise groups {e.group.shape[1:]}")
+    return entry_sum(e.group / genie)
 
 
-def mdr_metric(e: ResidualEnergies, genie, model, table):
+def mdr_metric(e: ResidualEnergies, genie, table):
     return e.total
 
 
-def aor_metric(e: ResidualEnergies, genie, model, table):
+def aor_metric(e: ResidualEnergies, genie, table):
     with np.errstate(divide="ignore"):
-        return entry_sum(np.log(e.column if model is NoiseModel.SHARED else e.sq))
+        return entry_sum(np.log(e.group))
 
 
-def ml_metric(e: ResidualEnergies, genie, model, table):
-    radii = np.sqrt(e.column if model is NoiseModel.SHARED else e.sq)
+def ml_metric(e: ResidualEnergies, genie, table):
+    radii = np.sqrt(e.group)
     # a codeword at a time: cache-sized temporaries
     cost = -entry_sum(np.stack([table.log_pdf(r) for r in radii]))
     # a codeword that fits the block exactly wins outright; the relative
@@ -130,11 +133,10 @@ RECEIVER_KINDS = tuple(METRICS)
 
 
 def decide(name: str, energies: ResidualEnergies, genie=None,
-           model: NoiseModel = NoiseModel.SHARED,
            table: AmplitudePdfTable | None = None):
     """Codeword index per trial chosen by receiver ``name``: (B,).  The genie
     record has the trial axis last."""
-    return METRICS[name](energies, genie, model, table).argmin(axis=0)
+    return METRICS[name](energies, genie, table).argmin(axis=0)
 
 
 def _trial_last(a):
@@ -154,22 +156,28 @@ def batch_residuals(y, h, rho, codebook: Codebook):
     return np.moveaxis(_residuals(y, h, rho, codebook), -1, 0)
 
 
-def _energies(y, h, rho, codebook: Codebook) -> ResidualEnergies:
-    return ResidualEnergies(_residuals(y, h, rho, codebook))
+def _energies(y, h, rho, codebook: Codebook, model: NoiseModel) -> ResidualEnergies:
+    return ResidualEnergies(_residuals(y, h, rho, codebook), model)
 
 
 def batch_mdr(y, h, rho, codebook: Codebook):
-    return decide("mdr", _energies(y, h, rho, codebook))
+    # the block total does not depend on the grouping
+    return decide("mdr", _energies(y, h, rho, codebook, NoiseModel.SHARED))
 
 
 def batch_gar(y, h, genie, rho, codebook: Codebook):
-    return decide("gar", _energies(y, h, rho, codebook), _trial_last(genie))
+    """The genie record's rank names the model: (B, t_s) per column under
+    model I, (B, n_r, t_s) per entry under model II."""
+    model = {2: NoiseModel.SHARED, 3: NoiseModel.IID}.get(np.ndim(genie))
+    if model is None:
+        raise ValueError("genie record must be per-column or per-entry")
+    return decide("gar", _energies(y, h, rho, codebook, model), _trial_last(genie))
 
 
 def batch_aor(y, h, rho, codebook: Codebook, model: NoiseModel):
-    return decide("aor", _energies(y, h, rho, codebook), model=model)
+    return decide("aor", _energies(y, h, rho, codebook, model))
 
 
 def batch_ml(y, h, rho, codebook: Codebook, model: NoiseModel, table: AmplitudePdfTable):
     check_ml_table(table, model, y.shape[1])
-    return decide("ml", _energies(y, h, rho, codebook), model=model, table=table)
+    return decide("ml", _energies(y, h, rho, codebook, model), table=table)

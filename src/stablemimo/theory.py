@@ -255,23 +255,6 @@ def conditional_pep_mdr_bound(h, genie, rho, s, s_prime) -> float:
     return float(q_function(math.sqrt(rho * norm_sq / (2.0 * a_max))))
 
 
-def difference_scale(codebook: Codebook) -> np.ndarray:
-    """Per-pair scale c with (S-S')(S-S')^H = c*I (nan for non-unitary pairs)."""
-    k = len(codebook)
-    out = np.full((k, k), np.nan)
-    eye = np.eye(codebook.n_t)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            d = codebook.codewords[i] - codebook.codewords[j]
-            g = d @ d.conj().T
-            c = g[0, 0].real
-            if np.allclose(g, c * eye, atol=1e-12):
-                out[i, j] = c
-    return out
-
-
 def union_bound_ber(codebook: Codebook, asymptote: PepAsymptote, rho) -> np.ndarray:
     """Union-bound BER from the pairwise asymptote.
 
@@ -281,17 +264,18 @@ def union_bound_ber(codebook: Codebook, asymptote: PepAsymptote, rho) -> np.ndar
     a unit-scale unitary difference, so c enters as an SNR offset).
     """
     rho = np.asarray(rho, dtype=float)
-    scale = difference_scale(codebook)
-    if np.isnan(scale[~np.eye(len(codebook), dtype=bool)]).any():
-        raise ValueError("codebook has non-unitary codeword differences")
     k = len(codebook)
+    eye = np.eye(codebook.n_t)
     total = np.zeros_like(rho)
     for i in range(k):
         for j in range(k):
             if i == j:
                 continue
-            pep = (asymptote.coding_gain * scale[i, j] * rho) ** (
-                -asymptote.diversity_order
-            )
+            d = codebook.codewords[i] - codebook.codewords[j]
+            g = d @ d.conj().T
+            scale = g[0, 0].real  # (S-S')(S-S')^H = scale * I
+            if not np.allclose(g, scale * eye, atol=1e-12):
+                raise ValueError("codebook has non-unitary codeword differences")
+            pep = (asymptote.coding_gain * scale * rho) ** (-asymptote.diversity_order)
             total += pep * codebook.bit_distance[i, j]
     return total / (k * codebook.bits_per_codeword)

@@ -194,8 +194,8 @@ def test_criterion_6_model_comparison(curve_2x2_alpha05_shared, curve_2x2_alpha0
     mdr_equal = abs(mdr_iid - mdr_shared) <= 0.05
     common = [
         i
-        for i, s in enumerate(curve_2x2_alpha05_shared.snr_db("mdr"))
-        if s in set(curve_2x2_alpha05_iid.snr_db("mdr"))
+        for i, s in enumerate(curve_2x2_alpha05_shared.config.snr_grid_db)
+        if s in set(curve_2x2_alpha05_iid.config.snr_grid_db)
     ]
     mdr_penalty = np.all(
         curve_2x2_alpha05_iid.ber("mdr")

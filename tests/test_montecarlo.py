@@ -503,17 +503,18 @@ class TestRunSweep:
             max_trials=2 * CHUNK_TRIALS + 1000,
         )
         c1 = run_sweep(cfg)
-        stops = [(p.trials, p.stopped_on) for p in c1.points["gar"]]
-        assert stops[1:] == [(5 * CHUNK_TRIALS, "errors"), (cfg.max_trials, "trials")]
+        assert c1.trials[1:] == (5 * CHUNK_TRIALS, cfg.max_trials)
+        assert c1.stopped_on[1:] == ("errors", "trials")
         s1 = run_sweep(short)
-        stops = [(p.trials // CHUNK_TRIALS, p.stopped_on) for p in s1.points["gar"]]
-        assert stops == [(1, "errors")] * 5 + [(2, "errors"), (2, "trials")]
-        assert s1.points["gar"][-1].trials == short.max_trials
+        assert [n // CHUNK_TRIALS for n in s1.trials] == [1] * 5 + [2, 2]
+        assert s1.stopped_on == ("errors",) * 6 + ("trials",)
+        assert s1.trials[-1] == short.max_trials
         for c, base in ((cfg, c1), (short, s1)):
             emit_csv(base, tmp_path / "w1.csv")
             for workers in (2, 3):
                 curve = run_sweep(replace(c, workers=workers))
                 assert curve.points == base.points
+                assert (curve.trials, curve.stopped_on) == (base.trials, base.stopped_on)
                 emit_csv(curve, tmp_path / f"w{workers}.csv")
                 assert (tmp_path / f"w{workers}.csv").read_bytes() == (
                     tmp_path / "w1.csv"
@@ -558,23 +559,26 @@ class TestRunSweep:
     def test_stopping_rule_recorded(self):
         cfg = tiny_config(max_trials=8192)
         curve = run_sweep(cfg)
+        assert len(curve.stopped_on) == len(cfg.snr_grid_db)
+        assert all(stop in ("errors", "trials") for stop in curve.stopped_on)
         for pts in curve.points.values():
             for p in pts:
-                assert p.stopped_on in ("errors", "trials")
                 assert 0.0 <= p.ber <= 1.0
                 assert p.ci_lo <= p.ber <= p.ci_hi
         # at the cap, trials never exceed max_trials
-        assert all(
-            p.trials <= 8192 for pts in curve.points.values() for p in pts
-        )
+        assert all(n <= 8192 for n in curve.trials)
 
     def test_paired_receivers_share_trials(self):
-        curve = run_sweep(tiny_config())
-        trials = {
-            rx: [p.trials for p in pts] for rx, pts in curve.points.items()
-        }
-        first = next(iter(trials.values()))
-        assert all(t == first for t in trials.values())
+        # one trial count per point, and every receiver's BER divides by it
+        cfg = tiny_config()
+        curve = run_sweep(cfg)
+        assert len(curve.trials) == len(cfg.snr_grid_db)
+        bits = enumerate_codebook(cfg.code, cfg.constellation).bits_per_codeword
+        for pts in curve.points.values():
+            assert len(pts) == len(curve.trials)
+            for n, p in zip(curve.trials, pts):
+                assert p.ber == p.bit_errors / (n * bits)
+                assert (p.ci_lo, p.ci_hi) == wilson_interval(p.bit_errors, n * bits)
 
     def test_ordering_gar_best(self):
         # optimality: the genie-aided receiver makes no more errors than
@@ -667,24 +671,10 @@ def synthetic_curve(fn, receivers=("gar",), snr_grid=(10.0, 20.0, 30.0, 40.0)):
         receivers=receivers,
         master_seed=0,
     )
-    points = {}
-    for rx in receivers:
-        pts = []
-        for snr in snr_grid:
-            ber = fn(10.0 ** (snr / 10.0))
-            pts.append(
-                BerPoint(
-                    snr_db=snr,
-                    trials=10**9,
-                    bit_errors=int(ber * 2 * 10**9),
-                    ber=ber,
-                    ci_lo=ber,
-                    ci_hi=ber,
-                    stopped_on="errors",
-                )
-            )
-        points[rx] = tuple(pts)
-    return BerCurve(config=cfg, points=points)
+    bers = [fn(10.0 ** (snr / 10.0)) for snr in snr_grid]
+    pts = tuple(BerPoint(int(ber * 2 * 10**9), ber, ber, ber) for ber in bers)
+    n = len(snr_grid)
+    return BerCurve(cfg, {rx: pts for rx in receivers}, (10**9,) * n, ("errors",) * n)
 
 
 class TestFitSlope:
@@ -704,25 +694,11 @@ class TestFitSlope:
         curve = synthetic_curve(lambda rho: rho**-0.5)
         starved = {
             "gar": tuple(
-                replace_point(p, bit_errors=10) for p in curve.points["gar"]
+                replace(p, bit_errors=10) for p in curve.points["gar"]
             )
         }
         with pytest.raises(SlopeFitError):
-            fit_slope(BerCurve(config=curve.config, points=starved), "gar")
-
-
-def replace_point(p, **kw):
-    d = dict(
-        snr_db=p.snr_db,
-        trials=p.trials,
-        bit_errors=p.bit_errors,
-        ber=p.ber,
-        ci_lo=p.ci_lo,
-        ci_hi=p.ci_hi,
-        stopped_on=p.stopped_on,
-    )
-    d.update(kw)
-    return BerPoint(**d)
+            fit_slope(replace(curve, points=starved), "gar")
 
 
 class TestCrossings:
@@ -742,7 +718,8 @@ class TestCrossings:
     def test_known_gap(self):
         curve = synthetic_curve(lambda rho: rho**-0.5, receivers=("gar",))
         shifted = synthetic_curve(lambda rho: (rho / 10.0) ** -0.5, receivers=("mdr",))
-        merged = BerCurve(
+        merged = replace(
+            curve,
             config=replace(curve.config, receivers=("gar", "mdr")),
             points={**curve.points, **shifted.points},
         )

@@ -270,12 +270,29 @@ class TestValidation:
     def test_receiver_kind_validation(self, codebook, table_a143_d2):
         y = np.zeros((1, 1, 2), dtype=complex)
         h = np.ones((1, 1, 2), dtype=complex)
-        energies = ResidualEnergies(trial_last(batch_residuals(y, h, 1.0, codebook)))
+        r = trial_last(batch_residuals(y, h, 1.0, codebook))
+        energies = ResidualEnergies(r, NoiseModel.IID)
         with pytest.raises(KeyError):
             decide("zf", energies)
         for rx in RECEIVER_KINDS:
-            assert decide(rx, energies, np.ones((2, 1)), NoiseModel.IID,
-                          table_a143_d2).shape == (1,)
+            assert decide(rx, energies, np.ones((1, 2, 1)), table_a143_d2).shape == (1,)
+
+    def test_gar_rejects_genie_of_other_grouping(self):
+        # uncoded BPSK, n_r = 2: a model II genie (n_r, t_s, B) = (2, 1, B)
+        # would broadcast against model I energies (K, t_s, B) = (2, 1, B)
+        cb = enumerate_codebook("uncoded", "bpsk")
+        rng = np.random.default_rng(55)
+        h = sample_channel(2, cb.n_t, rng, size=5)
+        w, genie = sample_noise_block(NoiseModel.IID, 1.43, 2, cb.t_s, rng, size=5)
+        r = trial_last(batch_residuals(w, h, 1.0, cb))
+        shared = ResidualEnergies(r, NoiseModel.SHARED)
+        assert shared.group.shape == trial_last(genie).shape == (2, 1, 5)
+        with pytest.raises(ValueError, match="genie"):
+            decide("gar", shared, trial_last(genie))
+        iid = ResidualEnergies(r, NoiseModel.IID)
+        assert decide("gar", iid, trial_last(genie)).shape == (5,)
+        with pytest.raises(ValueError, match="genie"):
+            decide("gar", iid, None)
 
 
 class TestBatchScalarAgreement:
@@ -346,10 +363,12 @@ class TestSharedEnergies:
         rng = np.random.default_rng(53)
         for n_r in (1, 2, 3, 5):
             r = rng.standard_cauchy((200, 4, n_r, 2)) + 1j * rng.normal(size=(200, 4, n_r, 2))
-            e = ResidualEnergies(trial_last(r))
+            e = ResidualEnergies(trial_last(r), NoiseModel.SHARED)
             sq = np.abs(r) ** 2
             assert np.array_equal(e.sq, trial_last(sq))
-            assert np.array_equal(e.column, trial_last(sq.sum(axis=2)))
+            assert np.array_equal(e.group, trial_last(sq.sum(axis=2)))
+            iid = ResidualEnergies(trial_last(r), NoiseModel.IID)
+            assert np.array_equal(iid.group, e.sq)
             # entries one at a time in row-major order; a trial-first numpy
             # sum adds the same way below 8 terms and pairwise from 8 on
             rowmajor = sq[:, :, 0, 0].copy()
@@ -371,7 +390,7 @@ class TestSharedEnergies:
         tx = rng.integers(0, 4, size=n)
         w, genie = sample_noise_block(model, 1.43, 1, 2, rng, size=n)
         y = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, codebook.codewords[tx]) + w
-        energies = ResidualEnergies(trial_last(batch_residuals(y, h, rho, codebook)))
+        energies = ResidualEnergies(trial_last(batch_residuals(y, h, rho, codebook)), model)
         wrappers = {
             "gar": batch_gar(y, h, genie, rho, codebook),
             "mdr": batch_mdr(y, h, rho, codebook),
@@ -379,7 +398,7 @@ class TestSharedEnergies:
             "aor": batch_aor(y, h, rho, codebook, model),
         }
         for rx, want in wrappers.items():
-            got = decide(rx, energies, trial_last(genie), model, table_a143_d2)
+            got = decide(rx, energies, trial_last(genie), table_a143_d2)
             assert np.array_equal(got, want), rx
 
 
@@ -442,8 +461,8 @@ def frozen_metrics(y, h, genie, rho, cb, model, table):
 def kernel_metrics(y, h, genie, rho, cb, model, table):
     """(K, B) cost of every receiver, through the trial-axis-last kernel."""
     s = np.sqrt(rho) * block_products(trial_last(h), cb)
-    e = ResidualEnergies(trial_last(y) - s)
-    return {rx: cost(e, trial_last(genie), model, table)
+    e = ResidualEnergies(trial_last(y) - s, model)
+    return {rx: cost(e, trial_last(genie), table)
             for rx, cost in METRICS.items()}
 
 
