@@ -168,7 +168,7 @@ def _hankel_rule(d: int):
 
 def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
     """f(r) for every r in (0, inf): the substituted integral (module
-    docstring) by two rule orders, checked against (_ATOL, _RTOL)."""
+    docstring) by two rule orders, checked against _ATOL / _scale(spec) + _RTOL * f."""
     a, d = spec.alpha, spec.d
     n_head, rules = _hankel_rule(d)
     decay = (spec.sigma / r) ** a
@@ -191,7 +191,7 @@ def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
     # rule-order difference plus the last Euler stage's spread (higher order)
     spread = 0.5 * np.abs(s[:, 0] - s[:, -1])
     est_err = prefactor * (np.abs(totals[-1] - totals[0]) + spread)
-    miss = np.flatnonzero(est_err > _ATOL + _RTOL * np.abs(total))
+    miss = np.flatnonzero(est_err > _ATOL / _scale(spec) + _RTOL * np.abs(total))
     if miss.size:
         i = miss[0]
         raise QuadratureError(
@@ -205,9 +205,10 @@ def amplitude_pdf(r, spec: IsotropicAmplitudeSpec):
     """Numeric amplitude density f(r) for r >= 0, elementwise.
 
     Raises QuadratureError when the internal error estimate misses the
-    (_ATOL, _RTOL) target.  That target is absolute wherever f < ~1e-4, so far
-    in the tail use amplitude_tail_pdf (alpha 1.43, d 4, sigma 1: f(1e6) is
-    off by -3e-4 relative).
+    target _ATOL / _scale(spec) + _RTOL * f.  Its absolute part scales with
+    the density's 1/sigma, and it dominates wherever f < ~1e-4 / _scale(spec),
+    so far in the tail use amplitude_tail_pdf (alpha 1.43, d 4, sigma 1:
+    f(1e6) is off by -3e-4 relative).
     """
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr >= 0.0):

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .montecarlo import BerCurve, SimConfig, run_sweep, snr_grid
 from .stable import NoiseModel
-from .theory import pep_asymptote
+from .theory import has_asymptote, pep_asymptote
 
 CSV_HEADER = "kind,receiver,model,alpha,nt,nr,snr_db,ber,ci_lo,ci_hi,trials,bit_errors"
 
@@ -266,15 +266,13 @@ def resolve_preset(name: str) -> ExperimentPreset:
 
 
 def theory_overlays(configs, receivers) -> list[TheoryCurve]:
-    """Closed-form curves of the requested gar/mdr receivers for each config.
-
-    Other receivers have no asymptote, and gar has none under model II.
-    """
+    """Closed-form curves of the requested receivers that have an asymptote
+    (theory.has_asymptote) for each config."""
     return [
         theory_curve(rx, cfg.model, cfg.n_t, cfg.n_r, cfg.alpha, cfg.snr_grid_db)
         for cfg in configs
         for rx in receivers
-        if rx == "mdr" or (rx == "gar" and cfg.model is NoiseModel.SHARED)
+        if has_asymptote(rx, cfg.model, cfg.alpha)
     ]
 
 

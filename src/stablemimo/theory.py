@@ -4,9 +4,11 @@ High-SNR pairwise error probabilities take the form (G_c * rho)^(-G_d).
 For the genie-aided receiver the diversity order is alpha*N_t/2; the
 minimum-distance receiver is stuck at alpha/2 regardless of antenna
 counts, with a coding gain penalized by N_r^(-2/alpha) when the noise is
-i.i.d. across antennas.  Coding gains are evaluated in log-gamma
-arithmetic (math.lgamma; digamma by its asymptotic series; Q by math.erfc);
-digamma derivatives and alpha thresholds track the MDR gain in antenna counts.
+i.i.d. across antennas.  has_asymptote states which pairs have these
+closed forms (GAR under model I, MDR under either model, alpha < 2), and
+log_coding_gain is the one evaluation of log G_c, in log-gamma arithmetic
+(math.lgamma; digamma by its asymptotic series; Q by math.erfc); digamma
+derivatives and alpha thresholds track the MDR gain in antenna counts.
 Result objects hold only what was computed (PepAsymptote: gain and order;
 AlphaThresholds: the two exponents), not the arguments that produced it.
 """
@@ -47,35 +49,39 @@ def _check_antennas(n_t: int, n_r: int, alpha: float):
         raise ValueError("n_r - alpha/2 must be positive")
 
 
-def log_coding_gain_gar(n_t: float, n_r: float, alpha: float) -> float:
-    """log G for the genie-aided receiver; antenna counts may be real."""
-    a = alpha
-    log_b1 = (
-        -0.5 * math.log(4.0 * math.pi)
-        + math.lgamma((a * n_t + 1.0) / 2.0)
-        - math.lgamma(a * n_t / 2.0 + 1.0)
+def has_asymptote(receiver: str, model: NoiseModel, alpha: float) -> bool:
+    """Whether the paper gives the pair a closed-form PEP asymptote: GAR
+    under model I, MDR under either model, and only for alpha in (0, 2)."""
+    return 0.0 < alpha < 2.0 and (
+        receiver == "mdr" or (receiver == "gar" and model is NoiseModel.SHARED)
     )
-    log_b2 = (
-        math.lgamma(1.0 + a / 2.0)
-        + math.lgamma(n_r - a / 2.0)
-        - math.lgamma(1.0 - a / 2.0)
-        - math.lgamma(n_r)
-        + (a / 2.0) * math.log(4.0)
-    )
-    return -2.0 / (a * n_t) * log_b1 - 2.0 / a * log_b2
 
 
-def coding_gain_gar(n_t: int, n_r: int, alpha: float) -> float:
-    """Coding gain of the genie-aided receiver (linear scale)."""
-    _check_antennas(n_t, n_r, alpha)
-    return math.exp(log_coding_gain_gar(n_t, n_r, alpha))
-
-
-def log_coding_gain_mdr(
-    n_t: float, n_r: float, alpha: float, model: NoiseModel = NoiseModel.SHARED
+def log_coding_gain(
+    receiver: str, model: NoiseModel, n_t: float, n_r: float, alpha: float
 ) -> float:
-    """log G for the minimum-distance receiver; antenna counts may be real."""
+    """log G_c of a receiver/model pair with an asymptote; antenna counts
+    may be real."""
+    if not has_asymptote(receiver, model, alpha):
+        raise ValueError(
+            f"no closed-form asymptote for {receiver!r} under model "
+            f"{model.value} at alpha {alpha}"
+        )
     a = alpha
+    if receiver == "gar":
+        log_b1 = (
+            -0.5 * math.log(4.0 * math.pi)
+            + math.lgamma((a * n_t + 1.0) / 2.0)
+            - math.lgamma(a * n_t / 2.0 + 1.0)
+        )
+        log_b2 = (
+            math.lgamma(1.0 + a / 2.0)
+            + math.lgamma(n_r - a / 2.0)
+            - math.lgamma(1.0 - a / 2.0)
+            - math.lgamma(n_r)
+            + (a / 2.0) * math.log(4.0)
+        )
+        return -2.0 / (a * n_t) * log_b1 - 2.0 / a * log_b2
     log_b = (
         math.log(n_t)
         - 0.5 * math.log(4.0 * math.pi)
@@ -89,14 +95,6 @@ def log_coding_gain_mdr(
     if model is NoiseModel.IID:
         out -= (2.0 / a) * math.log(n_r)
     return out
-
-
-def coding_gain_mdr(
-    n_t: int, n_r: int, alpha: float, model: NoiseModel = NoiseModel.SHARED
-) -> float:
-    """Coding gain of the minimum-distance receiver (linear scale)."""
-    _check_antennas(n_t, n_r, alpha)
-    return math.exp(log_coding_gain_mdr(n_t, n_r, alpha, model))
 
 
 @dataclass(frozen=True)
@@ -120,16 +118,9 @@ def pep_asymptote(
     receiver: str, model: NoiseModel, n_t: int, n_r: int, alpha: float
 ) -> PepAsymptote:
     """Bundle coding gain and diversity order for a receiver/model pair."""
-    if receiver == "gar":
-        if model is not NoiseModel.SHARED:
-            raise ValueError(
-                "no closed-form asymptote for the genie-aided receiver with "
-                "i.i.d. noise"
-            )
-        return PepAsymptote(coding_gain_gar(n_t, n_r, alpha), alpha * n_t / 2.0)
-    if receiver == "mdr":
-        return PepAsymptote(coding_gain_mdr(n_t, n_r, alpha, model), alpha / 2.0)
-    raise ValueError(f"no asymptote for receiver {receiver!r}")
+    _check_antennas(n_t, n_r, alpha)
+    order = alpha * n_t / 2.0 if receiver == "gar" else alpha / 2.0
+    return PepAsymptote(math.exp(log_coding_gain(receiver, model, n_t, n_r, alpha)), order)
 
 
 def dlog_gain(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> float:
@@ -158,12 +149,7 @@ def dlog_gain_numeric(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float)
     antenna count."""
     _check_antennas(n_t, n_r, alpha)
     step = 1e-4
-    if receiver == "gar":
-        fn = lambda nt, nr: log_coding_gain_gar(nt, nr, alpha)
-    elif receiver == "mdr":
-        fn = lambda nt, nr: log_coding_gain_mdr(nt, nr, alpha)
-    else:
-        raise ValueError(f"unknown receiver {receiver!r}")
+    fn = lambda nt, nr: log_coding_gain(receiver, NoiseModel.SHARED, nt, nr, alpha)
     if wrt == "n_t":
         return (fn(n_t + step, n_r) - fn(n_t - step, n_r)) / (2.0 * step)
     if wrt == "n_r":
@@ -194,14 +180,10 @@ def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    pairs = [(nt, nt + 1) for nt in range(2, 10)]
 
     def diffs(alpha):
-        return np.array(
-            [
-                log_coding_gain_mdr(b, n_r, alpha) - log_coding_gain_mdr(a, n_r, alpha)
-                for a, b in pairs
-            ]
+        return np.diff(
+            [log_coding_gain("mdr", NoiseModel.SHARED, nt, n_r, alpha) for nt in range(2, 11)]
         )
 
     def bisect(fn, lo, hi):

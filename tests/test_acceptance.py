@@ -18,14 +18,15 @@ from stablemimo import (
     amplitude_pdf,
     amplitude_tail_pdf,
     build_amplitude_table,
-    coding_gain_gar,
     compare_receivers_at_ber,
     dlog_gain,
     dlog_gain_numeric,
     enumerate_codebook,
     find_alpha_thresholds,
     fit_slope,
+    pep_asymptote,
     run_preset,
+    run_sweep,
     sample_channel,
     sample_noise_block,
     sample_stable,
@@ -33,6 +34,8 @@ from stablemimo import (
 )
 from stablemimo.amplitude import IsotropicAmplitudeSpec, noise_amplitude_spec
 from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
+
+from helpers import gain
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -243,7 +246,7 @@ def test_criterion_8_derivative_identities():
     shape_ok = True
     for alpha in (0.5, 1.0, 1.43, 1.9):
         for nr in (1, 2, 4):
-            g = np.array([coding_gain_gar(nt, nr, alpha) for nt in range(1, 9)])
+            g = np.array([gain("gar", nt, nr, alpha) for nt in range(1, 9)])
             shape_ok &= bool(np.all(np.diff(g) < 0) and np.all(np.diff(g, 2) > 0))
     report(
         8,
@@ -321,4 +324,40 @@ def test_criterion_10_determinism(tmp_path):
         sim_equal and theory_equal,
         f"fig1 preset CSVs byte-identical across 1 vs 4 workers: sim={sim_equal}, "
         f"theory={theory_equal} ({time.time() - t0:.0f}s)",
+    )
+
+
+def test_criterion_11_diversity_slopes_alpha143():
+    t0 = time.time()
+    cfg = SimConfig(
+        model=NoiseModel.SHARED,
+        alpha=1.43,
+        n_r=1,
+        snr_grid_db=(10.0, 15.0, 20.0, 25.0),
+        receivers=("gar", "mdr"),
+        master_seed=2024_05_04,
+        min_errors=200,
+        max_trials=2_000_000,
+        workers=2,
+    )
+    curve = run_sweep(cfg)
+    want = {
+        "gar": 1.43 * cfg.n_t / 2.0,
+        "mdr": 1.43 / 2.0,
+    }
+    orders_ok = all(
+        pep_asymptote(rx, cfg.model, cfg.n_t, cfg.n_r, cfg.alpha).diversity_order
+        == pytest.approx(order, rel=1e-12)
+        for rx, order in want.items()
+    )
+    slopes = {rx: fit_slope(curve, rx, window=4).slope for rx in want}
+    # 20% of the order, the relative tolerance of criterion 3
+    slopes_ok = all(abs(slopes[rx] + order) <= 0.2 * order for rx, order in want.items())
+    enough = all(p.bit_errors >= 200 for pts in curve.points.values() for p in pts)
+    report(
+        11,
+        orders_ok and slopes_ok and enough,
+        f"2x1 alpha=1.43 slopes: GAR {slopes['gar']:.3f} (want -1.430+/-0.286), "
+        f"MDR {slopes['mdr']:.3f} (want -0.715+/-0.143), asymptote orders match: "
+        f"{orders_ok}, >=200 errors/point: {enough} ({time.time() - t0:.2f}s)",
     )

@@ -207,17 +207,22 @@ class TestTable:
         ratio = math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_n, tab.spec)
         assert abs(ratio - 1.0) < 0.01
 
-    def test_grid_scales_with_sigma(self):
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-12])
+    def test_grid_scales_with_sigma(self, sigma):
         # a grid fixed at r = 1e-3 would leave the whole bulk of a sigma =
-        # 1e-6 law to the below-grid law, off by 23 in log f at r = 1e-6
-        spec = IsotropicAmplitudeSpec(1.43, 1e-6, 2)
+        # 1e-6 law to the below-grid law, off by 23 in log f at r = 1e-6;
+        # at sigma = 1e-12 an error target that did not scale as f's 1/sigma
+        # failed the build
+        spec = IsotropicAmplitudeSpec(1.43, sigma, 2)
         tab = build_amplitude_table(spec)
-        assert tab.grid[0] == pytest.approx(1e-3 * 1e-6 * 2**0.5, rel=1e-12)
-        assert tab.grid[0] < 1e-6 < tab.grid[-1]
+        assert tab.grid[0] == pytest.approx(1e-3 * sigma * 2**0.5, rel=1e-12)
+        assert tab.grid[0] < sigma < tab.grid[-1]
         r = np.geomspace(tab.grid[0], tab.grid[-1], 37)[1:-1]
         direct = np.log(amplitude_pdf(r, spec))
         assert np.max(np.abs(tab.log_pdf(r) - direct)) < 1e-3
-        assert tab.log_pdf(1e-6) == pytest.approx(12.8912, abs=1e-4)
+        # f_sigma(sigma) = f_1e-6(1e-6) * 1e-6 / sigma
+        want = 12.8912 + math.log(1e-6 / sigma)
+        assert tab.log_pdf(sigma) == pytest.approx(want, abs=1e-4)
 
     def test_gaussian_d4_table_matches_closed_form(self):
         spec = IsotropicAmplitudeSpec(2.0, 1.0, 4)

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import stablemimo
 
-# the per-trial decode and synthesis API, replaced by the batched functions
+# the per-trial decode and synthesis API, replaced by the batched functions,
+# and the per-receiver gains, replaced by log_coding_gain
 REMOVED = ("TrialContext", "sample_trial", "synthesize_rx", "ReceiverKind",
-           "gar_decode", "mdr_decode", "ml_decode", "aor_decode")
+           "gar_decode", "mdr_decode", "ml_decode", "aor_decode",
+           "coding_gain_gar", "coding_gain_mdr", "log_coding_gain_gar",
+           "log_coding_gain_mdr")
 
 
 def test_every_exported_name_resolves():

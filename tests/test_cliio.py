@@ -368,19 +368,38 @@ class TestCli:
 
 class TestRunArtifacts:
     def test_failing_overlay_leaves_no_artifact(self, tmp_path, monkeypatch):
-        # alpha = 2 is a valid sweep, but the MDR asymptote needs alpha < 2
         def must_not_sample(*args, **kwargs):
             raise AssertionError("sampling started before overlays were built")
 
+        def failing_overlay(*args, **kwargs):
+            raise ValueError("no asymptote")
+
         monkeypatch.setattr(cliio, "run_sweep", must_not_sample)
-        cfg_path = tmp_path / "gauss.cfg"
+        monkeypatch.setattr(cliio, "theory_curve", failing_overlay)
+        cfg_path = tmp_path / "mini.cfg"
         cfg_path.write_text(
-            "alpha = 2\nnr = 1\nsnr_db = 0, 10\nreceivers = mdr\n"
+            "alpha = 1.43\nnr = 1\nsnr_db = 0, 10\nreceivers = mdr\n"
             "min_errors = 5\nmax_trials = 4096\n"
         )
         out_dir = tmp_path / "out"
         assert main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()
+
+    def test_gaussian_config_runs_without_overlay(self, tmp_path):
+        # alpha = 2 is a valid sweep; no receiver has a closed form there
+        cfg_path = tmp_path / "gauss.cfg"
+        cfg_path.write_text(
+            "alpha = 2\nnr = 1\nsnr_db = 0, 10\nreceivers = gar, mdr, ml, aor\n"
+            "min_errors = 5\nmax_trials = 4096\nworkers = 1\n"
+        )
+        assert main(["run", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        sim = (tmp_path / "gauss_sim.csv").read_text().splitlines()
+        assert sim[0] == CSV_HEADER
+        rows = {(line.split(",")[1], float(line.split(",")[6])) for line in sim[1:]}
+        assert len(sim) == 9
+        assert rows == {(rx, snr) for rx in ("aor", "gar", "mdr", "ml")
+                        for snr in (0.0, 10.0)}
+        assert (tmp_path / "gauss_theory.csv").read_text() == CSV_HEADER + "\n"
 
     def test_preset_failing_overlay_leaves_no_artifact(self, tmp_path, monkeypatch):
         def must_not_sample(*args, **kwargs):

@@ -8,25 +8,21 @@ import pytest
 from stablemimo import (
     AlphaThresholds,
     NoiseModel,
-    coding_gain_gar,
-    coding_gain_mdr,
     conditional_pep_gar,
     conditional_pep_mdr_bound,
     dlog_gain,
     dlog_gain_numeric,
     enumerate_codebook,
     find_alpha_thresholds,
+    log_coding_gain,
     pep_asymptote,
     sample_channel,
     sample_subordinator,
     union_bound_ber,
 )
-from stablemimo.theory import (
-    digamma,
-    log_coding_gain_gar,
-    log_coding_gain_mdr,
-    q_function,
-)
+from stablemimo.theory import digamma, has_asymptote, q_function
+
+from helpers import gain
 
 # Frozen arbitrary-precision regression constants (30+ significant digits
 # at computation time).
@@ -99,46 +95,80 @@ class TestSpecialFunctions:
 
 class TestCodingGains:
     def test_frozen_values(self):
-        assert coding_gain_gar(2, 1, 0.5) == pytest.approx(G_GAR_2_1_05, rel=1e-12)
-        assert coding_gain_mdr(2, 1, 0.5) == pytest.approx(G_MDR_2_1_05, rel=1e-12)
-        assert coding_gain_gar(2, 2, 1.43) == pytest.approx(G_GAR_2_2_143, rel=1e-12)
-        assert coding_gain_mdr(2, 2, 1.43) == pytest.approx(G_MDR_2_2_143, rel=1e-12)
+        assert gain("gar", 2, 1, 0.5) == pytest.approx(G_GAR_2_1_05, rel=1e-12)
+        assert gain("mdr", 2, 1, 0.5) == pytest.approx(G_MDR_2_1_05, rel=1e-12)
+        assert gain("gar", 2, 2, 1.43) == pytest.approx(G_GAR_2_2_143, rel=1e-12)
+        assert gain("mdr", 2, 2, 1.43) == pytest.approx(G_MDR_2_2_143, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.43])
     def test_gar_increasing_in_nr(self, alpha):
-        assert coding_gain_gar(2, 2, alpha) > coding_gain_gar(2, 1, alpha)
-        gains = [coding_gain_gar(2, nr, alpha) for nr in range(1, 7)]
+        assert gain("gar", 2, 2, alpha) > gain("gar", 2, 1, alpha)
+        gains = [gain("gar", 2, nr, alpha) for nr in range(1, 7)]
         assert np.all(np.diff(gains) > 0)
 
     def test_gar_decreasing_in_nt(self):
         for alpha in (0.5, 1.0, 1.43, 1.9):
             for nr in (1, 2, 4):
-                gains = [coding_gain_gar(nt, nr, alpha) for nt in range(1, 9)]
+                gains = [gain("gar", nt, nr, alpha) for nt in range(1, 9)]
                 assert np.all(np.diff(gains) < 0), (alpha, nr)
 
     def test_gar_convex_in_nt(self):
         for alpha in (0.5, 1.0, 1.43, 1.9):
             for nr in (1, 2, 4):
-                gains = np.array([coding_gain_gar(nt, nr, alpha) for nt in range(1, 9)])
+                gains = np.array([gain("gar", nt, nr, alpha) for nt in range(1, 9)])
                 assert np.all(np.diff(gains, 2) > 0), (alpha, nr)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.43])
     def test_mdr_increasing_in_nr(self, alpha):
-        gains = [coding_gain_mdr(2, nr, alpha) for nr in range(1, 7)]
+        gains = [gain("mdr", 2, nr, alpha) for nr in range(1, 7)]
         assert np.all(np.diff(gains) > 0)
 
     def test_mdr_iid_factor(self):
         for nr in (1, 2, 3):
             for alpha in (0.5, 1.43):
-                expected = coding_gain_mdr(2, nr, alpha) * nr ** (-2.0 / alpha)
-                got = coding_gain_mdr(2, nr, alpha, NoiseModel.IID)
+                expected = gain("mdr", 2, nr, alpha) * nr ** (-2.0 / alpha)
+                got = gain("mdr", 2, nr, alpha, model=NoiseModel.IID)
                 assert got == pytest.approx(expected, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            coding_gain_gar(0, 1, 0.5)
-        with pytest.raises(ValueError):
-            coding_gain_gar(2, 1, 2.0)
+        with pytest.raises(ValueError, match="antenna counts"):
+            gain("gar", 0, 1, 0.5)
+        with pytest.raises(ValueError, match="alpha must be"):
+            gain("gar", 2, 1, 2.0)
+
+
+class TestClosedFormRule:
+    def test_has_asymptote_truth_table(self):
+        shared, iid = NoiseModel.SHARED, NoiseModel.IID
+        for alpha in (0.5, 1.43, 1.999):
+            assert has_asymptote("gar", shared, alpha)
+            assert not has_asymptote("gar", iid, alpha)
+            assert has_asymptote("mdr", shared, alpha)
+            assert has_asymptote("mdr", iid, alpha)
+            for rx in ("ml", "aor"):
+                for model in (shared, iid):
+                    assert not has_asymptote(rx, model, alpha)
+        for rx in ("gar", "mdr", "ml", "aor"):
+            for model in (shared, iid):
+                assert not has_asymptote(rx, model, 2.0)
+                assert not has_asymptote(rx, model, 0.0)
+
+    @pytest.mark.parametrize("rx,model,alpha", [
+        ("gar", NoiseModel.IID, 1.43),
+        ("aor", NoiseModel.SHARED, 1.43),
+        ("gar", NoiseModel.SHARED, 2.0),
+        ("mdr", NoiseModel.SHARED, 2.0),
+    ])
+    def test_log_coding_gain_rejects_pairs_without_asymptote(self, rx, model, alpha):
+        with pytest.raises(ValueError, match="no closed-form asymptote"):
+            log_coding_gain(rx, model, 2, 2, alpha)
+
+    def test_pep_asymptote_gain_is_exp_of_log_gain(self):
+        for rx, model in (("gar", NoiseModel.SHARED), ("mdr", NoiseModel.SHARED),
+                          ("mdr", NoiseModel.IID)):
+            for nt, nr, alpha in ((2, 1, 0.5), (2, 2, 1.43), (4, 3, 1.9)):
+                assert gain(rx, nt, nr, alpha, model) == math.exp(
+                    log_coding_gain(rx, model, nt, nr, alpha))
 
 
 class TestPepAsymptote:
@@ -216,14 +246,14 @@ class TestThresholds:
         assert th.alpha1 == pytest.approx(1.799, abs=0.01)
 
     def test_regimes_nr1(self):
-        gains_low = [coding_gain_mdr(nt, 1, 0.5) for nt in range(1, 9)]
+        gains_low = [gain("mdr", nt, 1, 0.5) for nt in range(1, 9)]
         assert np.all(np.diff(gains_low) < 0)
-        gains_high = [coding_gain_mdr(nt, 1, 1.9) for nt in range(1, 9)]
+        gains_high = [gain("mdr", nt, 1, 1.9) for nt in range(1, 9)]
         assert np.all(np.diff(gains_high) > 0)
 
     def test_concave_regime_between(self):
         # inside (alpha0, alpha1) the gain rises then falls over the window
-        diffs = np.diff([log_coding_gain_mdr(nt, 1, 1.6) for nt in range(2, 11)])
+        diffs = np.diff([gain("mdr", nt, 1, 1.6) for nt in range(2, 11)])
         assert diffs[0] > 0 and diffs[-1] < 0
 
     def test_derivative_sign_pattern_matches_regimes(self):
@@ -233,7 +263,7 @@ class TestThresholds:
             dlog_gain("mdr", "n_t", nt, 1, above) > 0 for nt in range(2, 10)
         )
         diffs_below = np.diff(
-            [log_coding_gain_mdr(nt, 1, below) for nt in range(2, 11)]
+            [gain("mdr", nt, 1, below) for nt in range(2, 11)]
         )
         assert np.all(diffs_below < 0)
 
