@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, montecarlo
 from .montecarlo import BerCurve, SimConfig, run_sweep, snr_grid
 from .stable import NoiseModel
 from .theory import has_asymptote, pep_asymptote
@@ -304,16 +304,18 @@ def run_experiment(name: str, configs, theory_receivers, overrides=None,
     <name>_manifest.json into out_dir.
 
     overrides (keys in OVERRIDE_KEYS) apply to every config, and
-    provenance entries head the manifest.  Overrides and theory overlays
-    are checked before any sampling, and the manifest is written last.
+    provenance entries head the manifest.  Overrides, theory overlays and
+    ML tables are made before any sampling, and the manifest is written last.
     Returns the mapping of artifact names to paths.
     """
     overrides = dict(overrides or {})
     configs = [apply_overrides(cfg, overrides) for cfg in configs]
     overlays = theory_overlays(configs, theory_receivers)
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    curves = [run_sweep(cfg) for cfg in configs]
+    tables = [montecarlo.build_ml_table(cfg) if "ml" in cfg.receivers else None
+              for cfg in configs]
+    os.makedirs(out_dir, exist_ok=True)
+    curves = [run_sweep(cfg, table) for cfg, table in zip(configs, tables)]
     wall = time.perf_counter() - t0
 
     paths = {
@@ -325,6 +327,7 @@ def run_experiment(name: str, configs, theory_receivers, overrides=None,
         "overrides": {k: overrides[k] for k in sorted(overrides)},
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"],
         "wall_time_s": wall,
         "runs": [
             {

@@ -31,7 +31,6 @@ from .codes import Codebook, block_products, enumerate_codebook, sample_channel
 from .receivers import (
     RECEIVER_KINDS,
     ResidualEnergies,
-    check_ml_table,
     decide,
     ml_table_dimension,
 )
@@ -209,8 +208,8 @@ def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int
     ..., until stop(errors) holds or the n_chunks are spent; returns one
     (trials, errors, stopped_on) per point.  A pool keeps `window` chunks in
     flight, needed ones first (see the module docstring); a stopped point's
-    chunks keep their place until skipped, cancelled if not yet started.
-    Without a pool each chunk runs as it is picked, point after point."""
+    chunks keep their place and are skipped when they come up.  Without a
+    pool each chunk runs as it is picked, point after point."""
     if pool is None:
         window = 1
     trials, errors, stopped_on = [0] * n_points, [0] * n_points, [None] * n_points
@@ -243,9 +242,6 @@ def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int
             folded[j] += 1
             if stop(errors[j]):
                 stopped_on[j] = "errors"
-                for k, f in flight:
-                    if k == j:
-                        f.cancel()
             elif folded[j] == n_chunks:
                 stopped_on[j] = "trials"
             while lo < n_points and stopped_on[lo] is not None:
@@ -281,7 +277,6 @@ def run_sweep(
     else:
         if ml_table is None:
             ml_table = build_ml_table(config)
-        check_ml_table(ml_table, config.model, config.n_r)
         want = _ml_spec(config)
         if ml_table.spec != want:
             raise ValueError(f"table spec {ml_table.spec} does not match the sweep (want {want})")

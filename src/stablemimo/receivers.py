@@ -9,11 +9,11 @@ elementwise step runs one long inner loop per (k, i, t) rather than a
 two-element loop per trial.  The Monte Carlo engine decodes a chunk in
 blocks of ``montecarlo.DECODE_TRIALS`` (2048) trials to keep temporaries
 small; each decision depends only on its own trial, so the block size
-never changes a result.  ``ResidualEnergies`` holds ``sq`` for a block
-with the noise model, and forms its per-group energies and per-codeword
-totals once, on first use, so the whole roster builds each only once.  A
-group is the entries that share a subordinator: a column (summed over
-receive antennas) under model I, a single entry under model II.
+never changes a result.  ``ResidualEnergies`` forms a block's per-group
+energies and per-codeword totals once, when built, and the whole roster
+decodes from them.  A group is the entries that share a subordinator: a
+column (summed over receive antennas) under model I, a single entry
+under model II.
 ``METRICS`` maps each receiver name to its cost over those energies; the
 decision is the codeword of least cost:
 
@@ -43,8 +43,6 @@ arrays: they move the trial axis last and apply the same costs.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .amplitude import AmplitudePdfTable
@@ -68,27 +66,20 @@ def check_ml_table(table: AmplitudePdfTable, model: NoiseModel, n_r: int):
 
 
 class ResidualEnergies:
-    """Squared residual magnitudes of a block of trials against every
-    codeword, trial axis last: r and sq are (K, n_r, t_s, B).  The noise
-    model sets which entries share a subordinator."""
+    """Energies of a block of trials' residuals r (K, n_r, t_s, B) against
+    every codeword, trial axis last.  group is the energy per subordinator
+    group: (K, t_s, B) column sums over receive antennas, in order, under
+    model I; the squared residuals (K, n_r, t_s, B) under model II.  total
+    is the whole-block energy: (K, B)."""
 
     def __init__(self, r, model: NoiseModel):
-        self.sq = np.abs(r) ** 2  # hypot, then square; re**2 + im**2 rounds differently
-        self.model = model
-
-    @cached_property
-    def group(self):
-        """Energy per subordinator group: (K, t_s, B) column sums over
-        receive antennas, in order, under model I; sq under model II."""
-        if self.model is NoiseModel.IID:
-            return self.sq
-        k, n_r, t_s, b = self.sq.shape
-        return entry_sum(self.sq.reshape(k, n_r, t_s * b)).reshape(k, t_s, b)
-
-    @cached_property
-    def total(self):
-        """Whole-block energies: (K, B)."""
-        return entry_sum(self.sq)
+        sq = np.abs(r) ** 2  # hypot, then square; re**2 + im**2 rounds differently
+        if model is NoiseModel.IID:
+            self.group = sq
+        else:
+            k, n_r, t_s, b = sq.shape
+            self.group = entry_sum(sq.reshape(k, n_r, t_s * b)).reshape(k, t_s, b)
+        self.total = entry_sum(sq)
 
 
 def entry_sum(a):

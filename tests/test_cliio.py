@@ -198,7 +198,8 @@ class TestRunPreset:
         manifest = json.load(open(paths["manifest"]))
         assert manifest["preset"] == "fig1_alamouti_2x1_alpha05"
         assert set(manifest) == {"preset", "overrides", "package_version", "numpy_version",
-                                 "wall_time_s", "runs", "artifacts"}
+                                 "numpy_simd", "wall_time_s", "runs", "artifacts"}
+        assert all(isinstance(manifest["numpy_simd"][k], list) for k in ("baseline", "found"))
         assert manifest["overrides"] == {
             k: overrides[k] for k in sorted(overrides)
         }
@@ -413,6 +414,22 @@ class TestRunArtifacts:
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match="asymptote"):
             run_preset("fig1", {"max_trials": 4096}, out_dir=str(out_dir))
+        assert not out_dir.exists()
+
+    def test_failing_table_stops_before_first_sweep(self, tmp_path, monkeypatch, capsys):
+        # the second config's table (model I, n_r = 7: d = 14) fails its
+        # quadrature; the first config must not be swept before that
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("sampling started before every table was built")
+
+        monkeypatch.setattr(cliio, "run_sweep", must_not_sample)
+        configs = tuple(SimConfig(alpha=1.43, n_r=n_r, snr_grid_db=(10.0,),
+                                  min_errors=5, max_trials=4096) for n_r in (1, 7))
+        monkeypatch.setitem(cliio.PRESETS, "two_tables",
+                            cliio.ExperimentPreset("two_tables", configs, ("mdr",)))
+        out_dir = tmp_path / "out"
+        assert main(["preset", "two_tables", "--out-dir", str(out_dir)]) == 2
+        assert "d=14" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("failing", ["theory", "manifest"])
