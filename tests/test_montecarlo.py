@@ -623,12 +623,16 @@ class TestRunSweep:
         # at the top of the sweep the two rules agree on >= 99% of trials
         assert fracs[-1] <= 0.01
 
+    def test_ml_table_mismatch_rejected(self, table_a05_d2):
+        # wrong dimension: model I with n_r = 2 needs d = 4; the spec check
+        # covers it and names both dimensions
+        cfg = tiny_config(receivers=("ml",), n_r=2)
+        with pytest.raises(ValueError, match=r"spec .*d=2.*want .*d=4"):
+            run_sweep(cfg, ml_table=table_a05_d2)
+
     def test_ml_table_spec_mismatch_rejected(self, table_a05_d2):
         from stablemimo import IsotropicAmplitudeSpec, build_amplitude_table
 
-        # wrong dimension: model I with n_r = 2 needs d = 4
-        with pytest.raises(ValueError, match="spec"):
-            run_sweep(tiny_config(receivers=("ml",), n_r=2), ml_table=table_a05_d2)
         # right dimension, wrong exponent: alpha = 1.43, n_r = 1 needs (1.43, d = 2)
         cfg = tiny_config(receivers=("ml",), alpha=1.43)
         with pytest.raises(ValueError, match="spec"):
