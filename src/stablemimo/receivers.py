@@ -32,10 +32,13 @@ sums over the (n_r, t_s) entries in row-major order, ((s00 + s01) + s10)
 below 8 terms but pairwise from 8 on, so where n_r * t_s >= 8 (no preset)
 a metric may differ from it in the last place.
 
-All rules are deterministic; exact cost ties resolve to the lowest
-codeword index.  A codeword whose residual vanishes identically wins
-immediately with cost -inf (for ML this replaces the ill-defined log of a
-zero-radius amplitude density; for AOR it is the natural log of zero).
+All rules are deterministic.  ``decide`` selects with ``first_minimum``,
+which returns what ``argmin`` over codewords returns: exact cost ties
+resolve to the lowest codeword index, and a trial with a NaN cost takes
+its first NaN codeword.  A codeword whose residual vanishes identically
+wins immediately with cost -inf (for ML this replaces the ill-defined log
+of a zero-radius amplitude density; for AOR it is the natural log of
+zero).
 
 The ``batch_*`` functions decode stacked trials from trial-first (y, h)
 arrays: they move the trial axis last and apply the same costs.
@@ -70,10 +73,13 @@ class ResidualEnergies:
     every codeword, trial axis last.  group is the energy per subordinator
     group: (K, t_s, B) column sums over receive antennas, in order, under
     model I; the squared residuals (K, n_r, t_s, B) under model II.  total
-    is the whole-block energy: (K, B)."""
+    is the whole-block energy: (K, B).  The squared residuals are written
+    into ``out`` when given, so under model II group is ``out``."""
 
-    def __init__(self, r, model: NoiseModel):
-        sq = np.abs(r) ** 2  # hypot, then square; re**2 + im**2 rounds differently
+    def __init__(self, r, model: NoiseModel, out=None):
+        # hypot, then square (the ops of abs(r) ** 2); re**2 + im**2 rounds differently
+        sq = np.abs(r, out=out)
+        np.square(sq, out=sq)
         if model is NoiseModel.IID:
             self.group = sq
         else:
@@ -109,9 +115,7 @@ def aor_metric(e: ResidualEnergies, genie, table):
 
 
 def ml_metric(e: ResidualEnergies, genie, table):
-    radii = np.sqrt(e.group)
-    # a codeword at a time: cache-sized temporaries
-    cost = -entry_sum(np.stack([table.log_pdf(r) for r in radii]))
+    cost = -entry_sum(table.log_pdf(np.sqrt(e.group)))
     # a codeword that fits the block exactly wins outright; the relative
     # threshold absorbs float cancellation noise in the residual
     cost[e.total <= 1e-20 * e.total.max(axis=0)] = -np.inf
@@ -127,7 +131,22 @@ def decide(name: str, energies: ResidualEnergies, genie=None,
            table: AmplitudePdfTable | None = None):
     """Codeword index per trial chosen by receiver ``name``: (B,).  The genie
     record has the trial axis last."""
-    return METRICS[name](energies, genie, table).argmin(axis=0)
+    return first_minimum(METRICS[name](energies, genie, table))
+
+
+def first_minimum(cost):
+    """cost.argmin(axis=0) of a (K, B) cost: the least cost's index, the
+    lowest on ties, and the first NaN's where a trial has one.  A reduction
+    and K masked writes run long loops over trials where argmin runs one
+    K-element loop per trial."""
+    best = cost.min(axis=0)  # NaN where a trial has one
+    choice = np.empty(best.shape, dtype=np.intp)
+    for k in range(len(cost) - 1, -1, -1):  # the lowest tied index is written last
+        np.putmask(choice, cost[k] == best, k)
+    nan = np.isnan(best)
+    if nan.any():
+        choice[nan] = np.isnan(cost[:, nan]).argmax(axis=0)
+    return choice
 
 
 def _trial_last(a):

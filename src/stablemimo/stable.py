@@ -89,11 +89,12 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None):
         tb = beta * math.tan(math.pi * alpha / 2.0)
         b0 = math.atan(tb) / alpha
         s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
+        au = alpha * (u + b0)
         x = (
             s0
-            * np.sin(alpha * (u + b0))
+            * np.sin(au)
             / np.cos(u) ** (1.0 / alpha)
-            * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
+            * (np.cos(u - au) / w) ** ((1.0 - alpha) / alpha)
         )
         out = sigma * x + mu
 

@@ -1,9 +1,11 @@
 """Sweep engine: determinism, stopping, slope fitting, crossing interpolation."""
 
 import math
+import multiprocessing
+import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +269,59 @@ class TestDecodeBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
+
+
+class TestDecodeWorkspace:
+    """Each thread decodes into arrays it keeps across chunks."""
+
+    def test_threads_match_serial(self, table_a143_d2):
+        fig4 = resolve_preset("fig4").configs[0]  # model I
+        fig6_iid = resolve_preset("fig6").configs[1]  # model II
+        runs = [(fig4, enumerate_codebook(fig4.code, fig4.constellation),
+                 montecarlo.build_ml_table(fig4)),
+                (fig6_iid, enumerate_codebook(fig6_iid.code, fig6_iid.constellation),
+                 table_a143_d2)]
+        # configs alternate, so the two threads decode different shapes at once
+        jobs = [(*run, j, c) for j in range(1, 5) for c in range(4) for run in runs]
+        serial = [_run_chunk(*job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(_run_chunk, *job) for job in jobs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (n, want), (m, got), job in zip(serial, threaded, jobs):
+            assert m == n
+            assert np.array_equal(got, want), job[3:]
+        assert sum(e.sum() for _, e in serial) > 0
+
+    def test_alternating_shapes_match_fresh_processes(self, table_a05_d2, table_a143_d2):
+        fig1 = resolve_preset("fig1").configs[0]  # n_r = 1
+        fig4 = resolve_preset("fig4").configs[0]  # n_r = 2, model I
+        fig6_iid = resolve_preset("fig6").configs[1]  # n_r = 2, model II
+        table_d4 = montecarlo.build_ml_table(fig4)
+        cases = [
+            (fig4, table_d4, 2, 0),
+            (replace(fig6_iid, max_trials=2 * CHUNK_TRIALS + 1000), table_a143_d2, 2, 2),
+            (fig1, table_a05_d2, 2, 0),
+            (replace(fig4, constellation="qpsk"), table_d4, 2, 0),  # K = 16
+            (fig6_iid, table_a143_d2, 2, 0),
+        ]
+        jobs = [(cfg, enumerate_codebook(cfg.code, cfg.constellation), table, j, c)
+                for cfg, table, j, c in cases]
+        # a spawned process per job starts with no workspace
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(2, mp_context=ctx, max_tasks_per_child=1) as pool:
+            futures = [pool.submit(_run_chunk, *job) for job in jobs]
+            fresh = [f.result(timeout=120) for f in futures]
+        assert fresh[1][0] == 1000  # the partial chunk is one partial block
+        assert all(e.sum() > 0 for _, e in fresh)
+        for i in [0, 1, 2, 3, 4, 3, 2, 1, 0, 4]:
+            n, errors = _run_chunk(*jobs[i])
+            assert n == fresh[i][0]
+            assert np.array_equal(errors, fresh[i][1]), i
 
 
 def _chunk_failing_at_3(config, codebook, ml_table, snr_index, chunk_index):

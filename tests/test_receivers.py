@@ -22,6 +22,7 @@ from stablemimo.receivers import (
     batch_residuals,
     check_ml_table,
     decide,
+    first_minimum,
     ml_table_dimension,
 )
 
@@ -327,6 +328,9 @@ class TestSharedEnergies:
             h = sample_channel(n_r, cb.n_t, rng, size=500)
             hc = codeword_products(h, cb)
             assert np.array_equal(hc, np.einsum("brn,knt->bkrt", h, cb.codewords))
+            out = np.full((len(cb), n_r, cb.t_s, 500), np.nan, dtype=complex)
+            assert block_products(trial_last(h), cb, out=out) is out
+            assert np.array_equal(out, trial_last(hc))
 
     @pytest.mark.parametrize("code", ["alamouti", "uncoded"])
     def test_gathered_synthesis_matches_einsum_bitwise(self, code):
@@ -368,6 +372,13 @@ class TestSharedEnergies:
             assert np.array_equal(e.group, trial_last(sq.sum(axis=2)))
             iid = ResidualEnergies(trial_last(r), NoiseModel.IID)
             assert np.array_equal(iid.group, trial_last(sq))
+            for model, want in ((NoiseModel.SHARED, e), (NoiseModel.IID, iid)):
+                out = np.full(trial_last(r).shape, np.nan)
+                e_out = ResidualEnergies(trial_last(r), model, out=out)
+                assert np.array_equal(out, trial_last(sq))
+                assert np.array_equal(e_out.group, want.group)
+                assert np.array_equal(e_out.total, want.total)
+            assert e_out.group is out  # model II keeps the squares as its groups
             # entries one at a time in row-major order; a trial-first numpy
             # sum adds the same way below 8 terms and pairwise from 8 on
             rowmajor = sq[:, :, 0, 0].copy()
@@ -399,6 +410,25 @@ class TestSharedEnergies:
         for rx, want in wrappers.items():
             got = decide(rx, energies, trial_last(genie), table_a143_d2)
             assert np.array_equal(got, want), rx
+
+
+class TestFirstMinimum:
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    def test_matches_argmin(self, k):
+        rng = np.random.default_rng(60 + k)
+        cost = rng.integers(-2, 3, size=(k, 4096)).astype(float)  # exact ties throughout
+        hit = rng.random(cost.shape) < 0.1
+        cost[hit] = rng.choice([np.inf, -np.inf, 0.0, -0.0, np.nan], size=hit.sum())
+        cost[:, 0] = np.nan
+        cost[:, 1] = np.inf
+        cost[:, 2] = -np.inf
+        cost[:, 3] = -0.0
+        cost[:2, 4:6] = [[-0.0, 0.0], [0.0, -0.0]]
+        cost[-1, 6] = np.nan  # a NaN after the least value still wins
+        assert 0.01 < np.isnan(cost).any(axis=0).mean() < 0.9
+        got = first_minimum(cost)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, cost.argmin(axis=0))
 
 
 class TestMlTableDimension:
