@@ -136,13 +136,16 @@ def decide(name: str, energies: ResidualEnergies, genie=None,
 
 def first_minimum(cost):
     """cost.argmin(axis=0) of a (K, B) cost: the least cost's index, the
-    lowest on ties, and the first NaN's where a trial has one.  A reduction
-    and K masked writes run long loops over trials where argmin runs one
-    K-element loop per trial."""
+    lowest on ties, and the first NaN's where a trial has one.  The index
+    is the count of leading codewords that miss the minimum, formed with
+    branch-free passes over the trial axis; argmin runs one K-element loop
+    per trial, and masked writes stall on data-dependent branches."""
     best = cost.min(axis=0)  # NaN where a trial has one
-    choice = np.empty(best.shape, dtype=np.intp)
-    for k in range(len(cost) - 1, -1, -1):  # the lowest tied index is written last
-        np.putmask(choice, cost[k] == best, k)
+    missed = cost[0] != best
+    choice = missed.astype(np.intp)
+    for k in range(1, len(cost) - 1):  # the last codeword is the only one left
+        missed &= cost[k] != best
+        choice += missed
     nan = np.isnan(best)
     if nan.any():
         choice[nan] = np.isnan(cost[:, nan]).argmax(axis=0)
