@@ -46,6 +46,11 @@ _ATOL = 1e-10
 _RTOL = 1e-6
 _R_MIN = 1e-3
 
+# Isotropic scale of the simulator's unit noise entries sqrt(A) * (G_re +
+# j*G_im), unit-variance Gaussian parts, in the characteristic-function
+# convention of the density formula, for any number of real dimensions d.
+NOISE_SIGMA = 2.0**-0.5
+
 
 class QuadratureError(RuntimeError):
     """The oscillatory quadrature failed its internal error target."""
@@ -360,8 +365,8 @@ class AmplitudePdfTable:
 
 
 def _scale(spec: IsotropicAmplitudeSpec) -> float:
-    """sigma relative to the simulator's 2^(-1/2): exactly 1.0 there."""
-    return spec.sigma / 2**-0.5
+    """sigma relative to NOISE_SIGMA: exactly 1.0 at the simulator's scale."""
+    return spec.sigma / NOISE_SIGMA
 
 
 def _find_r_max(spec: IsotropicAmplitudeSpec) -> float:
@@ -405,11 +410,6 @@ def build_amplitude_table(
 
 
 def noise_amplitude_spec(alpha: float, d: int) -> IsotropicAmplitudeSpec:
-    """Amplitude spec matching the simulator's unit noise blocks.
-
-    Noise entries sqrt(A) * (G_re + j*G_im) with unit-variance Gaussian
-    components have isotropic scale 2^(-1/2) in the characteristic-function
-    convention used by the density formula, for any number of stacked
-    real dimensions d.
-    """
-    return IsotropicAmplitudeSpec(alpha=alpha, sigma=2.0**-0.5, d=d)
+    """Amplitude spec of d stacked real dimensions of the simulator's unit
+    noise blocks: scale NOISE_SIGMA."""
+    return IsotropicAmplitudeSpec(alpha=alpha, sigma=NOISE_SIGMA, d=d)

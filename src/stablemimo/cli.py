@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .amplitude import IsotropicAmplitudeSpec, build_amplitude_table
+from .amplitude import NOISE_SIGMA, IsotropicAmplitudeSpec, build_amplitude_table
 from .cliio import (
     OVERRIDE_KEYS,
     _publish,
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--alpha", type=float, required=True)
     p_table.add_argument("--d", type=int, required=True,
                          help="real dimension count (2 per complex entry)")
-    p_table.add_argument("--sigma", type=float, default=2.0**-0.5,
+    p_table.add_argument("--sigma", type=float, default=NOISE_SIGMA,
                          help="isotropic scale (default matches unit noise)")
     p_table.add_argument("--out", required=True, help="output .npz path")
 
@@ -122,23 +122,17 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# verb -> command; the required subparsers reject any other verb
+_COMMANDS = {"run": _cmd_run, "preset": _cmd_preset, "theory": _cmd_theory, "table": _cmd_table}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "preset":
-            return _cmd_preset(args)
-        if args.verb == "theory":
-            return _cmd_theory(args)
-        if args.verb == "table":
-            return _cmd_table(args)
-        parser.error(f"unknown verb {args.verb!r}")
+        return _COMMANDS[args.verb](args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"stablemimo: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
-    return 0
 
 
 if __name__ == "__main__":

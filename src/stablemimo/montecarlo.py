@@ -32,13 +32,14 @@ from functools import partial
 
 import numpy as np
 
-from .amplitude import AmplitudePdfTable, build_amplitude_table, noise_amplitude_spec
+from .amplitude import AmplitudePdfTable, build_amplitude_table
 from .codes import Codebook, block_products, enumerate_codebook, sample_channel
 from .receivers import (
     RECEIVER_KINDS,
     ResidualEnergies,
+    check_ml_table,
     decide,
-    ml_table_dimension,
+    ml_table_spec,
 )
 from .stable import NoiseModel, sample_noise_block
 
@@ -276,14 +277,9 @@ def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int
     return list(zip(trials, errors, stopped_on))
 
 
-def _ml_spec(config: SimConfig):
-    """Amplitude law of the configured noise model's ML density argument."""
-    return noise_amplitude_spec(config.alpha, ml_table_dimension(config.model, config.n_r))
-
-
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:
     """Amplitude table matched to the configured noise model."""
-    return build_amplitude_table(_ml_spec(config))
+    return build_amplitude_table(ml_table_spec(config.model, config.n_r, config.alpha))
 
 
 def run_sweep(
@@ -301,9 +297,7 @@ def run_sweep(
     else:
         if ml_table is None:
             ml_table = build_ml_table(config)
-        want = _ml_spec(config)
-        if ml_table.spec != want:
-            raise ValueError(f"table spec {ml_table.spec} does not match the sweep (want {want})")
+        check_ml_table(ml_table, ml_table_spec(config.model, config.n_r, config.alpha))
 
     codebook = enumerate_codebook(config.code, config.constellation)
     bits = codebook.bits_per_codeword

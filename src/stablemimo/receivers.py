@@ -22,7 +22,8 @@ decision is the codeword of least cost:
   genie record has the group's shape.
 * MDR  - plain minimum Euclidean distance, optimal only for Gaussian noise.
 * ML   - minimizes the negated sum of log amplitude densities of the
-  groups' residual norms, evaluated from a cached density table.
+  groups' residual norms, read from a density table of the law
+  ``ml_table_spec`` names.
 * AOR  - minimizes the summed log residual norms of the groups; needs no
   noise parameters.
 
@@ -48,24 +49,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .amplitude import AmplitudePdfTable
+from .amplitude import AmplitudePdfTable, IsotropicAmplitudeSpec, noise_amplitude_spec
 from .codes import Codebook, block_products
 from .stable import NoiseModel
 
 
-def ml_table_dimension(model: NoiseModel, n_r: int) -> int:
-    """Real dimensions of one ML density argument: a column of n_r complex
-    entries under the shared model, a single complex entry under i.i.d."""
-    return 2 * n_r if model is NoiseModel.SHARED else 2
+def ml_table_spec(model: NoiseModel, n_r: int, alpha: float) -> IsotropicAmplitudeSpec:
+    """Amplitude law of one ML density argument: the norm of a column of
+    n_r complex noise entries under the shared model (d = 2 n_r), of a
+    single complex entry under i.i.d. (d = 2)."""
+    return noise_amplitude_spec(alpha, 2 * n_r if model is NoiseModel.SHARED else 2)
 
 
-def check_ml_table(table: AmplitudePdfTable, model: NoiseModel, n_r: int):
-    want = ml_table_dimension(model, n_r)
-    if table.spec.d != want:
-        raise ValueError(
-            f"table dimension {table.spec.d} does not match model "
-            f"{model.value} with n_r={n_r} (want d={want})"
-        )
+def check_ml_table(table: AmplitudePdfTable, want: IsotropicAmplitudeSpec):
+    if table.spec != want:
+        raise ValueError(f"table spec {table.spec} does not match the sweep (want {want})")
 
 
 class ResidualEnergies:
@@ -192,5 +190,5 @@ def batch_aor(y, h, rho, codebook: Codebook, model: NoiseModel):
 
 
 def batch_ml(y, h, rho, codebook: Codebook, model: NoiseModel, table: AmplitudePdfTable):
-    check_ml_table(table, model, y.shape[1])
+    check_ml_table(table, ml_table_spec(model, y.shape[1], table.spec.alpha))
     return decide("ml", _energies(y, h, rho, codebook, model), table=table)

@@ -546,6 +546,19 @@ class TestBesselRule:
         u = np.geomspace(1e-12, 200.0, 2001)
         assert np.allclose(kernel(u), jv(nu, u), rtol=1e-13, atol=1e-15)
 
+    def test_half_integer_order_zeros(self):
+        # d = 5: J_{3/2}, whose zeros come from bisection around McMahon's
+        # estimates; J_{3/2}(x) = sqrt(2/(pi x)) (sin x / x - cos x)
+        _, zeros = amplitude._bessel(1.5, 50)
+        closed = np.sqrt(2.0 / (np.pi * zeros)) * (np.sin(zeros) / zeros - np.cos(zeros))
+        assert np.max(np.abs(closed)) <= 1e-14
+        assert zeros[0] == pytest.approx(4.493409457909064, rel=1e-14)
+        assert np.all(np.diff(zeros) > 3.1) and np.all(np.diff(zeros) < 3.3)
+        spec = noise_amplitude_spec(1.43, 5)
+        tab = build_amplitude_table(spec)
+        r_max = tab.grid[-1]
+        assert abs(math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_max, spec) - 1.0) < 0.01
+
     def test_rule_cached_per_dimension(self):
         spec = noise_amplitude_spec(1.43, 4)
         build_amplitude_table(spec, n_nodes=16)

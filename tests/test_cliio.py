@@ -241,9 +241,10 @@ class TestRunPreset:
 
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bogus-verb"])
-        assert exc.value.code == 1
+        for argv in (["bogus-verb"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
 
     def test_full_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

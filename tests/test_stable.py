@@ -219,3 +219,12 @@ class TestCharFn:
         for t in (0.1, 0.5, 1.0, 2.0):
             emp = np.exp(1j * t * x).mean()
             assert abs(emp - char_fn(t, params)) < 0.01
+
+    def test_empirical_cf_skewed_cauchy(self):
+        # alpha = 1, beta != 0: the sampler's (2/pi) beta sigma log(sigma)
+        # shift (1.05 here) moves the CF by 0.05-0.12 at these t
+        params = StableParams(alpha=1.0, sigma=3.0, beta=0.5)
+        x = sample_stable(params, rng_for(19), size=10**6)
+        for t in (-0.2, 0.05, 0.1, 0.2, 0.5):
+            emp = np.exp(1j * t * x).mean()
+            assert abs(emp - char_fn(t, params)) < 0.01
