@@ -45,8 +45,6 @@ def _check_antennas(n_t: int, n_r: int, alpha: float):
         raise ValueError("antenna counts must be >= 1")
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
-    if n_r - alpha / 2.0 <= 0.0:
-        raise ValueError("n_r - alpha/2 must be positive")
 
 
 def has_asymptote(receiver: str, model: NoiseModel, alpha: float) -> bool:
@@ -207,34 +205,38 @@ def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
     return AlphaThresholds(alpha0=alpha0, alpha1=alpha1)
 
 
-def conditional_pep_gar(h, genie, rho, s, s_prime) -> float:
+def _conditional_pep(h, genie, rho, s, s_prime, block_max: bool):
+    """Q(sqrt(rho * sum ||H (S - S')||^2 / scale / 2)) per leading trial
+    index of h (..., n_r, n_t) and genie ((..., t_s) per column or
+    (..., n_r, t_s) per entry); scale is genie or its block maximum."""
+    genie = np.asarray(genie, dtype=float)
+    if np.any(genie <= 0.0):
+        raise ValueError("genie record must be positive")
+    cols = np.asarray(h) @ (np.asarray(s) - np.asarray(s_prime))
+    if genie.ndim < cols.ndim:
+        genie = genie[..., None, :]
+    if block_max:
+        genie = genie.max(axis=(-2, -1), keepdims=True)
+    arg_sq = rho * np.sum(np.abs(cols) ** 2 / genie, axis=(-2, -1)) / 2.0
+    return q_function(np.sqrt(arg_sq))
+
+
+def conditional_pep_gar(h, genie, rho, s, s_prime):
     """Conditional pairwise error probability of the whitened receiver.
 
     Q of sqrt(rho * ||H (S - S') A||^2 / 2) with A = diag(1/sqrt(A_k));
-    value in [0, 1/2].
+    value in [0, 1/2], one per trial of h and genie.
     """
-    genie = np.asarray(genie, dtype=float)
-    if np.any(genie <= 0.0):
-        raise ValueError("genie record must be positive")
-    delta = np.asarray(s) - np.asarray(s_prime)
-    cols = np.asarray(h) @ delta
-    arg_sq = rho * float(np.sum(np.abs(cols) ** 2 / genie[None, :])) / 2.0
-    return float(q_function(math.sqrt(arg_sq)))
+    return _conditional_pep(h, genie, rho, s, s_prime, block_max=False)
 
 
-def conditional_pep_mdr_bound(h, genie, rho, s, s_prime) -> float:
+def conditional_pep_mdr_bound(h, genie, rho, s, s_prime):
     """Upper bound on the minimum-distance receiver's conditional PEP.
 
     Replaces every subordinator by the block maximum A_max, giving
-    Q(sqrt(rho * ||H (S - S')||^2 / (2 A_max))).
+    Q(sqrt(rho * ||H (S - S')||^2 / (2 A_max))), one per trial.
     """
-    genie = np.asarray(genie, dtype=float)
-    if np.any(genie <= 0.0):
-        raise ValueError("genie record must be positive")
-    a_max = float(np.max(genie))
-    delta = np.asarray(s) - np.asarray(s_prime)
-    norm_sq = float(np.sum(np.abs(np.asarray(h) @ delta) ** 2))
-    return float(q_function(math.sqrt(rho * norm_sq / (2.0 * a_max))))
+    return _conditional_pep(h, genie, rho, s, s_prime, block_max=True)
 
 
 def union_bound_ber(codebook: Codebook, asymptote: PepAsymptote, rho) -> np.ndarray:
@@ -245,19 +247,13 @@ def union_bound_ber(codebook: Codebook, asymptote: PepAsymptote, rho) -> np.ndar
     c_pair is each pair's difference-matrix scale (the asymptote assumes
     a unit-scale unitary difference, so c enters as an SNR offset).
     """
-    rho = np.asarray(rho, dtype=float)
     k = len(codebook)
-    eye = np.eye(codebook.n_t)
-    total = np.zeros_like(rho)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            d = codebook.codewords[i] - codebook.codewords[j]
-            g = d @ d.conj().T
-            scale = g[0, 0].real  # (S-S')(S-S')^H = scale * I
-            if not np.allclose(g, scale * eye, atol=1e-12):
-                raise ValueError("codebook has non-unitary codeword differences")
-            pep = (asymptote.coding_gain * scale * rho) ** (-asymptote.diversity_order)
-            total += pep * codebook.bit_distance[i, j]
-    return total / (k * codebook.bits_per_codeword)
+    pairs = ~np.eye(k, dtype=bool)
+    d = (codebook.codewords[:, None] - codebook.codewords[None, :])[pairs]
+    g = d @ np.swapaxes(d.conj(), 1, 2)
+    scale = g[:, 0, 0].real  # (S-S')(S-S')^H = scale * I
+    if not np.allclose(g, scale[:, None, None] * np.eye(codebook.n_t), atol=1e-12):
+        raise ValueError("codebook has non-unitary codeword differences")
+    pep = asymptote.evaluate(np.multiply.outer(scale, rho))
+    return np.tensordot(codebook.bit_distance[pairs], pep, axes=1) / (
+        k * codebook.bits_per_codeword)

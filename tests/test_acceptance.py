@@ -19,6 +19,8 @@ from stablemimo import (
     amplitude_tail_pdf,
     build_amplitude_table,
     compare_receivers_at_ber,
+    conditional_pep_gar,
+    conditional_pep_mdr_bound,
     dlog_gain,
     dlog_gain_numeric,
     enumerate_codebook,
@@ -30,6 +32,7 @@ from stablemimo import (
     sample_channel,
     sample_noise_block,
     sample_stable,
+    sample_subordinator,
     stable_tail_constant,
 )
 from stablemimo.amplitude import IsotropicAmplitudeSpec, noise_amplitude_spec
@@ -363,4 +366,48 @@ def test_criterion_11_diversity_slopes_alpha143():
         f"2x1 alpha=1.43 slopes: GAR {slopes['gar']:.3f} (want -1.430+/-0.286), "
         f"MDR {slopes['mdr']:.3f} (want -0.715+/-0.143), asymptote orders match: "
         f"{orders_ok}, >=200 errors/point: {enough} ({time.time() - t0:.2f}s)",
+    )
+
+
+def test_criterion_12_conditional_pep_ratios():
+    # conditional Monte Carlo: each conditional PEP averaged over 100k
+    # drawn (H, A), divided by its closed-form asymptote, for the Alamouti
+    # BPSK pair that differs in one symbol (c = 4), alpha 0.5.  Bands come
+    # from 60 seeds (100-159): ratios spanned 0.80-1.19 (GAR) and
+    # 0.84-1.00 (MDR bound).  The bound rows rose at every step on every
+    # seed; a GAR row's 50 dB ratio varies by 0.05-0.08 across seeds, as
+    # much as its rise, so GAR rows are held to their band alone.
+    t0 = time.time()
+    cb = enumerate_codebook("alamouti", "bpsk")
+    s, sp = cb.codewords[0], cb.codewords[1]
+    c = ((s - sp) @ (s - sp).conj().T)[0, 0].real
+    rng = np.random.default_rng(12)
+    rows = [("gar", NoiseModel.SHARED, 1), ("gar", NoiseModel.SHARED, 2),
+            ("mdr", NoiseModel.SHARED, 2), ("mdr", NoiseModel.IID, 2)]
+    pep = {"gar": conditional_pep_gar, "mdr": conditional_pep_mdr_bound}
+    band = {"gar": (0.70, 1.30), "mdr": (0.80, 1.02)}
+    ok, lines = True, []
+    for rx, model, n_r in rows:
+        h = sample_channel(n_r, 2, rng, size=100_000)
+        groups = (2,) if model is NoiseModel.SHARED else (n_r, 2)
+        genie = sample_subordinator(0.5, rng, size=(100_000, *groups))
+        asym = pep_asymptote(rx, model, 2, n_r, 0.5)
+        ratios = [
+            float(np.mean(pep[rx](h, genie, rho, s, sp)) / asym.evaluate(c * rho))
+            for rho in 10.0 ** (np.array([30.0, 40.0, 50.0]) / 10.0)
+        ]
+        lo, hi = band[rx]
+        ok &= all(lo <= r <= hi for r in ratios)
+        if rx == "mdr":
+            ok &= ratios[0] < ratios[1] < ratios[2]
+        name = "GAR" if rx == "gar" else "MDR bound"
+        lines.append(f"{name} model {model.value} n_r {n_r} "
+                     + "/".join(f"{r:.3f}" for r in ratios))
+    report(
+        12,
+        ok,
+        "conditional-MC PEP / closed form at 30/40/50 dB, alpha 0.5: "
+        + "; ".join(lines)
+        + " (GAR in [0.70, 1.30]; MDR bound in [0.80, 1.02] and rising) "
+        f"({time.time() - t0:.2f}s)",
     )

@@ -393,6 +393,13 @@ class TestDirectIndexLookup:
         with pytest.raises(ValueError, match="log-uniform"):
             AmplitudePdfTable.load(path)
 
+    def test_rejects_non_finite_log_values(self, table_a143_d2):
+        tab = table_a143_d2
+        log_values = tab.log_values.copy()
+        log_values[log_values.size // 2] = math.nan
+        with pytest.raises(ValueError, match="finite on the grid"):
+            AmplitudePdfTable(tab.spec, tab.grid, log_values)
+
     def test_rejects_fewer_than_three_nodes(self, table_a143_d2):
         spec = noise_amplitude_spec(1.43, 2)
         with pytest.raises(ValueError, match="n_nodes"):

@@ -93,6 +93,10 @@ class TestEmitCsv:
         emit_csv([], path)
         assert path.read_text() == CSV_HEADER + "\n"
 
+    def test_rejects_unknown_curve_type(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot emit object"):
+            emit_csv([object()], tmp_path / "out.csv")
+
     def test_sorted_rows(self, tmp_path):
         curve = theory_curve("mdr", NoiseModel.SHARED, 2, 1, 0.5, (30.0, 10.0, 20.0))
         curve2 = theory_curve("gar", NoiseModel.SHARED, 2, 1, 0.5, (20.0, 10.0))

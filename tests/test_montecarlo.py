@@ -132,6 +132,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(master_seed=2**64)
 
+    @pytest.mark.parametrize("field", ["n_r", "workers"])
+    def test_counts_at_least_one(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            tiny_config(**{field: 0})
+
     def test_nt_derived_from_code(self):
         assert tiny_config().n_t == 2
         assert tiny_config(code="uncoded").n_t == 1
@@ -142,6 +147,9 @@ class TestWilson:
         for errors, total in [(0, 100), (3, 100), (50, 100), (100, 100)]:
             lo, hi = wilson_interval(errors, total)
             assert 0.0 <= lo <= errors / total <= hi <= 1.0
+
+    def test_empty_sample_is_uninformative(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
 
     def test_shrinks_with_n(self):
         lo1, hi1 = wilson_interval(10, 100)

@@ -8,6 +8,7 @@ import pytest
 from stablemimo import (
     AlphaThresholds,
     NoiseModel,
+    PepAsymptote,
     conditional_pep_gar,
     conditional_pep_mdr_bound,
     dlog_gain,
@@ -17,6 +18,7 @@ from stablemimo import (
     log_coding_gain,
     pep_asymptote,
     sample_channel,
+    sample_noise_block,
     sample_subordinator,
     union_bound_ber,
 )
@@ -192,6 +194,11 @@ class TestPepAsymptote:
         with pytest.raises(ValueError):
             pep_asymptote("gar", NoiseModel.IID, 2, 2, 0.5)
 
+    @pytest.mark.parametrize("gain_, order", [(0.0, 1.0), (1.0, 0.0)])
+    def test_rejects_nonpositive_gain_or_order(self, gain_, order):
+        with pytest.raises(ValueError, match="must be positive"):
+            PepAsymptote(gain_, order)
+
 
 class TestDerivatives:
     WELL_CONDITIONED = [
@@ -233,6 +240,10 @@ class TestDerivatives:
     def test_unsupported_combination(self):
         with pytest.raises(ValueError, match="numeric"):
             dlog_gain("gar", "n_t", 2, 1, 0.5)
+
+    def test_numeric_rejects_unknown_variable(self):
+        with pytest.raises(ValueError, match="unknown variable 'alpha'"):
+            dlog_gain_numeric("gar", "alpha", 2, 1, 0.5)
 
     def test_gar_nt_numeric_negative(self):
         for alpha in (0.5, 1.43):
@@ -371,39 +382,59 @@ class TestConditionalPep:
 
     def test_genie_positivity_enforced(self):
         s, sp = self.cb.codewords[0], self.cb.codewords[1]
-        with pytest.raises(ValueError):
-            conditional_pep_gar(np.ones((1, 2)), np.array([1.0, 0.0]), 1.0, s, sp)
+        for pep in (conditional_pep_gar, conditional_pep_mdr_bound):
+            with pytest.raises(ValueError, match="genie record must be positive"):
+                pep(np.ones((1, 2)), np.array([1.0, 0.0]), 1.0, s, sp)
+
+    @pytest.mark.parametrize("pep", [conditional_pep_gar, conditional_pep_mdr_bound])
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    def test_batched_equals_per_trial(self, pep, model):
+        # genie (B, t_s) under model I and (B, n_r, t_s) under model II
+        rng = np.random.default_rng(55)
+        h = sample_channel(2, 2, rng, size=50)
+        _, genie = sample_noise_block(model, 0.8, 2, 2, rng, size=50)
+        s, sp = self.cb.codewords[0], self.cb.codewords[3]
+        got = pep(h, genie, 7.0, s, sp)
+        assert got.shape == (50,)
+        each = [pep(h[b], genie[b], 7.0, s, sp) for b in range(50)]
+        assert all(type(v) is np.float64 for v in each)
+        assert np.array_equal(got, each)
+
+    def test_mdr_bound_takes_block_maximum_over_entries(self):
+        # model II: one subordinator per entry, so A_max runs over rows too
+        rng = np.random.default_rng(56)
+        h = sample_channel(2, 2, rng, size=50)
+        _, genie = sample_noise_block(NoiseModel.IID, 0.8, 2, 2, rng, size=50)
+        s, sp = self.cb.codewords[0], self.cb.codewords[3]
+        norm_sq = np.sum(np.abs(h @ (s - sp)) ** 2, axis=(1, 2))
+        a_max = genie.reshape(50, -1).max(axis=1)
+        want = q_function(np.sqrt(7.0 * norm_sq / (2.0 * a_max)))
+        got = conditional_pep_mdr_bound(h, genie, 7.0, s, sp)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_gar_average_slope(self):
         # averaged over fading and subordinators, log-log slope ~ -alpha*Nt/2
         rng = np.random.default_rng(53)
         n = 10**5
-        s, sp = self.cb.codewords[0], self.cb.codewords[1]
-        delta = (s - sp) / 2.0  # unit-normalized difference
-        rhos = (1e4, 1e6)
+        # halved codewords: a unit-normalized difference
+        s, sp = self.cb.codewords[0] / 2.0, self.cb.codewords[1] / 2.0
         means = []
-        for rho in rhos:
+        for rho in (1e4, 1e6):
             h = sample_channel(1, 2, rng, size=n)
             a = sample_subordinator(0.5, rng, size=(n, 2))
-            cols = np.einsum("brn,nt->brt", h, delta)
-            arg_sq = rho * np.sum(np.abs(cols) ** 2 / a[:, None, :], axis=(1, 2)) / 2.0
-            means.append(np.mean(q_function(np.sqrt(arg_sq))))
+            means.append(np.mean(conditional_pep_gar(h, a, rho, s, sp)))
         slope = (math.log10(means[1]) - math.log10(means[0])) / 2.0
         assert -0.55 <= slope <= -0.45
 
     def test_mdr_bound_average_slope(self):
         rng = np.random.default_rng(54)
         n = 10**5
-        s, sp = self.cb.codewords[0], self.cb.codewords[1]
-        delta = (s - sp) / 2.0
-        rhos = (1e4, 1e6)
+        s, sp = self.cb.codewords[0] / 2.0, self.cb.codewords[1] / 2.0
         means = []
-        for rho in rhos:
+        for rho in (1e4, 1e6):
             h = sample_channel(1, 2, rng, size=n)
             a = sample_subordinator(0.5, rng, size=(n, 2))
-            norm_sq = np.sum(np.abs(np.einsum("brn,nt->brt", h, delta)) ** 2, axis=(1, 2))
-            a_max = a.max(axis=1)
-            means.append(np.mean(q_function(np.sqrt(rho * norm_sq / (2.0 * a_max)))))
+            means.append(np.mean(conditional_pep_mdr_bound(h, a, rho, s, sp)))
         slope = (math.log10(means[1]) - math.log10(means[0])) / 2.0
         assert -0.30 <= slope <= -0.20
 
@@ -440,23 +471,25 @@ class TestAsymptoteConsistency:
 
 class TestUnionBound:
     def test_matches_hand_loop(self):
-        cb = enumerate_codebook("alamouti", "bpsk")
         asym = pep_asymptote("gar", NoiseModel.SHARED, 2, 1, 0.5)
         rho = np.array([10.0, 100.0])
-        got = union_bound_ber(cb, asym, rho)
-        expected = np.zeros(2)
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    continue
-                d = cb.codewords[i] - cb.codewords[j]
-                c = (d @ d.conj().T)[0, 0].real
-                expected += (
-                    (asym.coding_gain * c * rho) ** -0.5
-                    * np.sum(cb.bit_labels[i] != cb.bit_labels[j])
-                )
-        expected /= 4 * 2
-        assert np.allclose(got, expected, rtol=1e-12)
+        for constellation, k in (("bpsk", 4), ("qpsk", 16)):
+            cb = enumerate_codebook("alamouti", constellation)
+            assert len(cb) == k
+            got = union_bound_ber(cb, asym, rho)
+            expected = np.zeros(2)
+            for i in range(k):
+                for j in range(k):
+                    if i == j:
+                        continue
+                    d = cb.codewords[i] - cb.codewords[j]
+                    c = (d @ d.conj().T)[0, 0].real
+                    expected += (
+                        (asym.coding_gain * c * rho) ** -0.5
+                        * np.sum(cb.bit_labels[i] != cb.bit_labels[j])
+                    )
+            expected /= k * cb.bits_per_codeword
+            assert np.allclose(got, expected, rtol=1e-12), constellation
 
     def test_rejects_non_unitary_differences(self):
         from stablemimo.codes import Codebook
