@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from .amplitude import NOISE_SIGMA, IsotropicAmplitudeSpec, build_amplitude_table
 from .cliio import (
+    _FIELDS,
     OVERRIDE_KEYS,
     _publish,
     emit_csv,
@@ -26,6 +27,7 @@ from .cliio import (
     run_preset,
     theory_curve,
 )
+from .montecarlo import SimConfig
 from .stable import NoiseModel
 
 USAGE_EXIT = 1
@@ -39,11 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, help="override master seed")
-    sub.add_argument("--workers", type=int, help="parallel worker count")
     sub.add_argument("--out-dir", default=".", help="output directory")
-    sub.add_argument("--min-errors", type=int, help="bit errors per point")
-    sub.add_argument("--max-trials", type=int, help="trial cap per point")
+    for key in OVERRIDE_KEYS:  # dest is the key; the value is parsed as in a config file
+        sub.add_argument("--" + key.replace("_", "-"), type=_FIELDS[key][1],
+                         help=f"override the config's {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,13 +60,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("name", help="preset name or figN alias")
     _add_common(p_preset)
 
-    p_theory = sub.add_parser("theory", help="emit bound curves only")
-    p_theory.add_argument("--receiver", choices=("gar", "mdr"), required=True)
-    p_theory.add_argument("--model", choices=("I", "II"), default="I")
+    defaults = SimConfig()
+    p_theory = sub.add_parser("theory", help="emit bound curves only",
+                              description="Options left out take SimConfig's defaults.")
+    p_theory.add_argument("--receiver", required=True, help="receiver with a closed form")
+    p_theory.add_argument("--model", type=_FIELDS["model"][1], default=defaults.model,
+                          metavar="|".join(m.value for m in NoiseModel))
     p_theory.add_argument("--alpha", type=float, required=True)
-    p_theory.add_argument("--nt", type=int, default=2)
-    p_theory.add_argument("--nr", type=int, default=1)
-    p_theory.add_argument("--snr", required=True,
+    p_theory.add_argument("--nt", type=int, default=defaults.n_t)
+    p_theory.add_argument("--nr", type=int, default=defaults.n_r)
+    p_theory.add_argument("--snr", type=_FIELDS["snr_db"][1], required=True,
                           help="comma-separated SNR grid in dB")
     p_theory.add_argument("--out-dir", default=".")
     p_theory.add_argument("--out", help="output CSV name")
@@ -103,11 +107,9 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    grid = tuple(float(v) for v in args.snr.split(","))
-    curve = theory_curve(args.receiver, NoiseModel(args.model), args.nt,
-                         args.nr, args.alpha, grid)
+    curve = theory_curve(args.receiver, args.model, args.nt, args.nr, args.alpha, args.snr)
     os.makedirs(args.out_dir, exist_ok=True)
-    name = args.out or f"theory_{args.receiver}_{args.model}.csv"
+    name = args.out or f"theory_{args.receiver}_{args.model.value}.csv"
     path = os.path.join(args.out_dir, name)
     _publish([(path, lambda tmp: emit_csv(curve, tmp))])
     print(f"wrote {path}")

@@ -34,19 +34,15 @@ class ConfigError(ValueError):
     """Malformed or invalid sweep configuration."""
 
 
-def _model(raw: str) -> NoiseModel:
-    if raw not in ("I", "II"):
-        raise ValueError("must be I or II")
-    return NoiseModel(raw)
-
-
 def _list(parse):
-    return lambda raw: tuple(parse(v.strip()) for v in raw.split(","))
+    def comma_list(raw):  # named for argparse's "invalid comma_list value" message
+        return tuple(parse(v.strip()) for v in raw.split(","))
+    return comma_list
 
 
 # config key, SimConfig attribute, parser of the value text
 _SCHEMA = (
-    ("model", "model", _model),
+    ("model", "model", NoiseModel),
     ("alpha", "alpha", float),
     ("nt", "n_t", int),  # check-only: the code fixes n_t
     ("nr", "n_r", int),

@@ -1,5 +1,6 @@
 """Config schema, CSV emission, presets, manifests, and the CLI verbs."""
 
+import dataclasses
 import json
 import math
 import os
@@ -36,6 +37,12 @@ class TestParseConfig:
         assert cfg.min_errors == 200
 
     def test_round_trip(self):
+        every_field = SimConfig(model=NoiseModel.IID, alpha=0.7, n_r=3, snr_grid_db=(0.0, 7.5),
+                                code="uncoded", constellation="qpsk", receivers=("aor", "ml"),
+                                master_seed=9, min_errors=17, max_trials=5000, workers=3)
+        assert all(getattr(every_field, f.name) != getattr(SimConfig(), f.name)
+                   for f in dataclasses.fields(SimConfig))
+        assert "nt = 1\n" in serialize_config(every_field)
         for cfg in (
             parse_config(
                 "model = II\nalpha = 1.43\nnr = 2\nsnr_db = 5, 10, 15\n"
@@ -43,6 +50,7 @@ class TestParseConfig:
             ),
             # more digits than a %g rendering keeps
             SimConfig(alpha=0.1234567, snr_grid_db=(10.123456789, 20)),
+            every_field,
         ):
             assert parse_config(serialize_config(cfg)) == cfg
 
@@ -83,8 +91,8 @@ class TestParseConfig:
             parse_config("alpha = 1.0\nnt = 4\n")
 
     def test_model_value(self):
-        with pytest.raises(ConfigError, match="model"):
-            parse_config("model = III\n")
+        with pytest.raises(ConfigError, match="line 2: bad value for model: 'III'"):
+            parse_config("alpha = 1.0\nmodel = III\n")
 
 
 class TestEmitCsv:
@@ -274,6 +282,38 @@ class TestCli:
         assert out.exists()
         assert len(out.read_text().splitlines()) == 4
 
+    def test_theory_verb_defaults_and_model(self, tmp_path):
+        # --nt left out: SimConfig's n_t (2, from its Alamouti code)
+        assert main(["theory", "--receiver", "mdr", "--model", "II", "--nr", "2",
+                     "--alpha", "0.5", "--snr", "10, 20,30", "--out-dir", str(tmp_path)]) == 0
+        assert os.listdir(tmp_path) == ["theory_mdr_II.csv"]
+        expected = tmp_path / "expected.csv"
+        emit_csv(theory_curve("mdr", NoiseModel.IID, 2, 2, 0.5, (10.0, 20.0, 30.0)), expected)
+        assert (tmp_path / "theory_mdr_II.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["theory", "--receiver", "gar", "--alpha", "0.5", "--snr", "10", "--model", "X"],
+         "--model"),
+        (["theory", "--receiver", "gar", "--alpha", "0.5", "--snr", "10,abc"], "--snr"),
+        (["preset", "fig1", "--max-trials", "abc"], "--max-trials"),
+        (["preset", "fig1", "--seed", "1.5"], "--seed"),
+    ])
+    def test_unparsable_value_is_usage_error(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("receiver, model", [("ml", "I"), ("aor", "I"), ("gar", "II")])
+    def test_theory_verb_without_asymptote_exit_2(self, tmp_path, capsys, receiver, model):
+        assert main(["theory", "--receiver", receiver, "--model", model, "--alpha", "0.5",
+                     "--snr", "10", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stablemimo: no closed-form asymptote for {receiver!r}")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("snr", ["10,nan", "30,10,10", "inf"])
     def test_theory_verb_rejects_bad_grid(self, tmp_path, capsys, snr):
         assert main(["theory", "--receiver", "gar", "--alpha", "0.5", "--snr", snr,
@@ -354,6 +394,27 @@ class TestCli:
         assert sorted(os.listdir(tmp_path)) == [
             "mini.cfg", "mini_manifest.json", "mini_sim.csv", "mini_theory.csv"
         ]
+
+    @pytest.mark.parametrize("verb", ["run", "preset"])
+    def test_override_flags_reach_manifest_and_config(self, tmp_path, verb):
+        # every value off the one the config file or preset gives
+        if verb == "run":
+            cfg_path = tmp_path / "mini.cfg"
+            cfg_path.write_text("alpha = 0.5\nsnr_db = 10\nreceivers = mdr\n"
+                                "seed = 1\nmin_errors = 3\nmax_trials = 2048\n")
+            target, stem = str(cfg_path), "mini"
+        else:
+            target, stem = "fig1", resolve_preset("fig1").name
+        assert main([verb, target, "--out-dir", str(tmp_path), "--seed", "5", "--workers", "2",
+                     "--min-errors", "6", "--max-trials", "4000"]) == 0
+        data = json.load(open(tmp_path / f"{stem}_manifest.json"))
+        expected = {"max_trials": 4000, "min_errors": 6, "seed": 5, "workers": 2}
+        assert data["overrides"] == expected
+        (run,) = data["runs"]
+        for key, value in expected.items():
+            assert f"{key} = {value}" in run["config"]
+        assert run["seed"] == 5
+        assert run["points"][0]["trials"] <= 4000
 
     def test_unreadable_config_exit_2(self, tmp_path, capsys):
         # a directory is not a config file: one message line, no traceback
