@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SimConfig()
     p_theory = sub.add_parser("theory", help="emit bound curves only",
                               description="Options left out take SimConfig's defaults.")
-    p_theory.add_argument("--receiver", required=True, help="receiver with a closed form")
+    p_theory.add_argument("--receiver", type=str.lower, required=True,  # as in a config's receivers
+                          help="receiver with a closed form")
     p_theory.add_argument("--model", type=_FIELDS["model"][1], default=defaults.model,
                           metavar="|".join(m.value for m in NoiseModel))
     p_theory.add_argument("--alpha", type=float, required=True)

@@ -13,13 +13,15 @@ never changes a result.  ``ResidualEnergies`` forms a block's per-group
 energies and per-codeword totals once, when built, and the whole roster
 decodes from them.  A group is the entries that share a subordinator: a
 column (summed over receive antennas) under model I, a single entry
-under model II.
+under model II.  Group energies and the genie record share one layout,
+(K, g, t_s, B) and (g, t_s, B): g = 1 under model I, g = n_r under
+model II.
 ``METRICS`` maps each receiver name to its cost over those energies; the
 decision is the codeword of least cost:
 
 * GAR  - genie-aided: whitens each group's energy with its (normally
   unknown) subordinator value, then minimizes Euclidean distance.  The
-  genie record has the group's shape.
+  genie record has the groups' shape.
 * MDR  - plain minimum Euclidean distance, optimal only for Gaussian noise.
 * ML   - minimizes the negated sum of log amplitude densities of the
   groups' residual norms, read from a density table of the law
@@ -69,10 +71,11 @@ def check_ml_table(table: AmplitudePdfTable, want: IsotropicAmplitudeSpec):
 class ResidualEnergies:
     """Energies of a block of trials' residuals r (K, n_r, t_s, B) against
     every codeword, trial axis last.  group is the energy per subordinator
-    group: (K, t_s, B) column sums over receive antennas, in order, under
-    model I; the squared residuals (K, n_r, t_s, B) under model II.  total
-    is the whole-block energy: (K, B).  The squared residuals are written
-    into ``out`` when given, so under model II group is ``out``."""
+    group, (K, g, t_s, B): column sums over receive antennas, in order,
+    with g = 1 under model I; the squared residuals, g = n_r, under model
+    II.  total is the whole-block energy: (K, B).  The squared residuals
+    are written into ``out`` when given, so under model II group is
+    ``out``."""
 
     def __init__(self, r, model: NoiseModel, out=None):
         # hypot, then square (the ops of abs(r) ** 2); re**2 + im**2 rounds differently
@@ -82,7 +85,7 @@ class ResidualEnergies:
             self.group = sq
         else:
             k, n_r, t_s, b = sq.shape
-            self.group = entry_sum(sq.reshape(k, n_r, t_s * b)).reshape(k, t_s, b)
+            self.group = entry_sum(sq.reshape(k, n_r, t_s * b)).reshape(k, 1, t_s, b)
         self.total = entry_sum(sq)
 
 
@@ -177,11 +180,12 @@ def batch_mdr(y, h, rho, codebook: Codebook):
 
 
 def batch_gar(y, h, genie, rho, codebook: Codebook):
-    """The genie record's rank names the model: (B, t_s) per column under
-    model I, (B, n_r, t_s) per entry under model II."""
-    model = {2: NoiseModel.SHARED, 3: NoiseModel.IID}.get(np.ndim(genie))
-    if model is None:
-        raise ValueError("genie record must be per-column or per-entry")
+    """The genie record (B, g, t_s) names the model by its group axis: g = 1
+    (one subordinator per column) is model I, g = n_r (one per entry) model
+    II.  At n_r = 1 both groupings decide alike."""
+    if np.ndim(genie) != 3:
+        raise ValueError(f"genie record must be (B, g, t_s), got shape {np.shape(genie)}")
+    model = NoiseModel.SHARED if np.shape(genie)[1] == 1 else NoiseModel.IID
     return decide("gar", _energies(y, h, rho, codebook, model), _trial_last(genie))
 
 

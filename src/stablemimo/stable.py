@@ -13,7 +13,9 @@ Complex impulsive noise is built from the compound-Gaussian decomposition
 w = sqrt(A) * G with A a positive totally-skewed stable subordinator.  Two
 dependence structures are supported for a noise block: one shared
 subordinator per time slot across receive antennas ("shared"), or i.i.d.
-subordinators per matrix entry ("iid").
+subordinators per matrix entry ("iid").  Either way the subordinators of
+a block form one record of shape (g, t_s), one per group of entries that
+share it: g = 1 (a column) under "shared", g = n_r (an entry) under "iid".
 """
 
 from __future__ import annotations
@@ -129,33 +131,21 @@ def sample_noise_block(
 
     Entries are sqrt(A) * (G_re + j*G_im) with G_re, G_im ~ N(0, 1), the
     per-entry construction of the noise models (each Gaussian component
-    has unit variance).  SHARED draws one A per column, IID one A per
-    entry; alpha = 2 degenerates to A = 1 (pure complex Gaussian).
+    has unit variance).  The genie record holds one A per group of entries
+    that share it, in the one layout (g, t_s): g = 1 under SHARED (one A
+    per column, spread over it by broadcasting), g = n_r under IID (one A
+    per entry); alpha = 2 degenerates to A = 1 (pure complex Gaussian).
 
     Returns (w, genie): with size=None, w has shape (n_r, t_s) and genie
-    shape (t_s,) for SHARED or (n_r, t_s) for IID.  An integer size
-    prepends a batch axis to both.
+    shape (g, t_s).  An integer size prepends a batch axis to both.
     """
     if n_r < 1 or t_s < 1:
         raise ValueError("n_r and t_s must be >= 1")
     batch = () if size is None else (size,)
-
-    if model is NoiseModel.SHARED:
-        a_shape = batch + (t_s,)
-    else:
-        a_shape = batch + (n_r, t_s)
-
-    if alpha == 2.0:
-        a = np.ones(a_shape)
-    else:
-        a = sample_subordinator(alpha, rng, size=a_shape)
-
+    a_shape = batch + (1 if model is NoiseModel.SHARED else n_r, t_s)
+    a = np.ones(a_shape) if alpha == 2.0 else sample_subordinator(alpha, rng, size=a_shape)
     g = rng.normal(size=batch + (n_r, t_s)) + 1j * rng.normal(size=batch + (n_r, t_s))
-    if model is NoiseModel.SHARED:
-        w = np.sqrt(a)[..., None, :] * g
-    else:
-        w = np.sqrt(a) * g
-    return w, a
+    return np.sqrt(a) * g, a
 
 
 def tail_pdf(w, params: StableParams):

@@ -7,8 +7,10 @@ counts, with a coding gain penalized by N_r^(-2/alpha) when the noise is
 i.i.d. across antennas.  has_asymptote states which pairs have these
 closed forms (GAR under model I, MDR under either model, alpha < 2), and
 log_coding_gain is the one evaluation of log G_c, in log-gamma arithmetic
-(math.lgamma; digamma by its asymptotic series; Q by math.erfc); digamma
-derivatives and alpha thresholds track the MDR gain in antenna counts.
+(math.lgamma; Q by math.erfc); digamma derivatives (scipy.special, loaded
+only by dlog_gain) and alpha thresholds track the MDR gain in antenna
+counts.  Conditional PEPs take the genie record in the one layout of
+stable.sample_noise_block, (..., g, t_s).
 Result objects hold only what was computed (PepAsymptote: gain and order;
 AlphaThresholds: the two exponents), not the arguments that produced it.
 """
@@ -28,16 +30,6 @@ def q_function(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x), elementwise."""
     erfc = np.vectorize(math.erfc, otypes=[float])
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-
-
-def digamma(x: float) -> float:
-    """psi(x), x > 0: recurrence to x >= 10, then the series through B_12."""
-    shift = 0.0
-    while x < 10.0:
-        shift, x = shift - 1.0 / x, x + 1.0
-    t = 1.0 / (x * x)
-    return shift + math.log(x) - 0.5 / x - t * (1 / 12 - t * (1 / 120 - t * (
-        1 / 252 - t * (1 / 240 - t * (1 / 132 - t * 691 / 32760)))))
 
 
 def _check_antennas(n_t: int, n_r: int, alpha: float):
@@ -127,6 +119,8 @@ def dlog_gain(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> floa
     Supported: (gar, n_r), (mdr, n_r), (mdr, n_t).  The genie-aided
     derivative in n_t has no closed form; use dlog_gain_numeric.
     """
+    from scipy.special import digamma  # off the run path: no import cost there
+
     _check_antennas(n_t, n_r, alpha)
     a = alpha
     if receiver == "gar" and wrt == "n_r":
@@ -207,14 +201,15 @@ def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
 
 def _conditional_pep(h, genie, rho, s, s_prime, block_max: bool):
     """Q(sqrt(rho * sum ||H (S - S')||^2 / scale / 2)) per leading trial
-    index of h (..., n_r, n_t) and genie ((..., t_s) per column or
-    (..., n_r, t_s) per entry); scale is genie or its block maximum."""
+    index of h (..., n_r, n_t) and genie (..., g, t_s), g = 1 per column or
+    n_r per entry; scale is genie or its block maximum."""
     genie = np.asarray(genie, dtype=float)
     if np.any(genie <= 0.0):
         raise ValueError("genie record must be positive")
     cols = np.asarray(h) @ (np.asarray(s) - np.asarray(s_prime))
-    if genie.ndim < cols.ndim:
-        genie = genie[..., None, :]
+    if genie.ndim != cols.ndim or genie.shape[-2] not in (1, cols.shape[-2]):
+        raise ValueError(f"genie record of shape {genie.shape} does not match "
+                         f"(..., g, t_s) with g 1 or n_r for H(S - S') {cols.shape}")
     if block_max:
         genie = genie.max(axis=(-2, -1), keepdims=True)
     arg_sq = rho * np.sum(np.abs(cols) ** 2 / genie, axis=(-2, -1)) / 2.0
@@ -225,7 +220,9 @@ def conditional_pep_gar(h, genie, rho, s, s_prime):
     """Conditional pairwise error probability of the whitened receiver.
 
     Q of sqrt(rho * ||H (S - S') A||^2 / 2) with A = diag(1/sqrt(A_k));
-    value in [0, 1/2], one per trial of h and genie.
+    value in [0, 1/2], one per trial of h (..., n_r, n_t) and genie
+    (..., g, t_s), g = 1 (one A per column, model I) or n_r (one per entry,
+    model II).
     """
     return _conditional_pep(h, genie, rho, s, s_prime, block_max=False)
 
@@ -234,7 +231,8 @@ def conditional_pep_mdr_bound(h, genie, rho, s, s_prime):
     """Upper bound on the minimum-distance receiver's conditional PEP.
 
     Replaces every subordinator by the block maximum A_max, giving
-    Q(sqrt(rho * ||H (S - S')||^2 / (2 A_max))), one per trial.
+    Q(sqrt(rho * ||H (S - S')||^2 / (2 A_max))), one per trial; h and
+    genie are laid out as for conditional_pep_gar.
     """
     return _conditional_pep(h, genie, rho, s, s_prime, block_max=True)
 

@@ -16,7 +16,6 @@ from stablemimo import (
     SimConfig,
     StableParams,
     amplitude_pdf,
-    amplitude_tail_pdf,
     build_amplitude_table,
     compare_receivers_at_ber,
     conditional_pep_gar,
@@ -38,7 +37,7 @@ from stablemimo import (
 from stablemimo.amplitude import IsotropicAmplitudeSpec, noise_amplitude_spec
 from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
 
-from helpers import gain
+from helpers import gain, integrate_amplitude
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -64,19 +63,6 @@ def test_criterion_1_sampler_tail_law():
         f"empirical CCDF vs C_a*lam^-a within {worst:.1%} over lam in [20, 200] "
         f"({time.time() - t0:.0f}s)",
     )
-
-
-def _integrate_amplitude(spec, r_split=1e4):
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    top = 12.0 * spec.sigma if spec.alpha == 2.0 else r_split
-    edges = np.concatenate([[0.0], np.geomspace(1e-3, top, 25)])
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        r = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-        total += 0.5 * (b - a) * np.sum(weights * amplitude_pdf(r, spec))
-    if spec.alpha < 2.0:
-        total += amplitude_tail_pdf(top, spec) * top / spec.alpha
-    return total
 
 
 def _large_r_series(r, alpha, d, sigma, terms):
@@ -131,7 +117,7 @@ def test_criterion_2_amplitude_pdf_oracles():
             worst_series = max(worst_series, err)
     worst_norm = 0.0
     for alpha, d in [(2.0, 2), (2.0, 4), (1.0, 2), (1.43, 2), (0.5, 4)]:
-        total = _integrate_amplitude(IsotropicAmplitudeSpec(alpha, 1.0, d))
+        total = integrate_amplitude(IsotropicAmplitudeSpec(alpha, 1.0, d))
         worst_norm = max(worst_norm, abs(total - 1.0))
     report(
         2,
@@ -274,7 +260,7 @@ def test_criterion_9_equivalence_suite(table_a05_d2):
     w, _ = sample_noise_block(NoiseModel.SHARED, 0.5, 2, 2, rng, size=n)
     rho = 10.0
     y = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, cb.codewords[tx]) + w
-    genie = np.repeat(rng.uniform(0.25, 4.0, size=(n, 1)), 2, axis=1)
+    genie = np.repeat(rng.uniform(0.25, 4.0, size=(n, 1, 1)), 2, axis=2)
     gar_mdr = np.mean(
         batch_gar(y, h, genie, rho, cb) == batch_mdr(y, h, rho, cb)
     )
@@ -389,7 +375,7 @@ def test_criterion_12_conditional_pep_ratios():
     ok, lines = True, []
     for rx, model, n_r in rows:
         h = sample_channel(n_r, 2, rng, size=100_000)
-        groups = (2,) if model is NoiseModel.SHARED else (n_r, 2)
+        groups = (1 if model is NoiseModel.SHARED else n_r, 2)
         genie = sample_subordinator(0.5, rng, size=(100_000, *groups))
         asym = pep_asymptote(rx, model, 2, n_r, 0.5)
         ratios = [

@@ -23,6 +23,8 @@ from stablemimo.amplitude import (
     amplitude_tail_constant,
 )
 
+from helpers import integrate_amplitude
+
 
 def rayleigh_type(r, sigma=1.0):
     # alpha=2, d=2: complex Gaussian with per-component variance 2*sigma^2
@@ -168,21 +170,6 @@ class TestNormalization:
         spec = IsotropicAmplitudeSpec(alpha, 1.0, d)
         total = integrate_amplitude(spec)
         assert abs(total - 1.0) < 1e-4
-
-
-def integrate_amplitude(spec, r_split=1e4):
-    """Composite Gauss-Legendre over log-spaced panels plus the analytic tail."""
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    edges = np.concatenate([[0.0], np.geomspace(1e-3, r_split, 25)])
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        r = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-        total += 0.5 * (b - a) * np.sum(weights * amplitude_pdf(r, spec))
-    if spec.alpha < 2.0:
-        total += (
-            amplitude_tail_pdf(r_split, spec) * r_split / spec.alpha
-        )  # integral of K r^(-a-1)
-    return total
 
 
 class TestTable:

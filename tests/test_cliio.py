@@ -282,6 +282,16 @@ class TestCli:
         assert out.exists()
         assert len(out.read_text().splitlines()) == 4
 
+    def test_theory_verb_receiver_case_insensitive(self, tmp_path):
+        # the config file's receivers key lower-cases its names; so does --receiver
+        for receiver in ("GAR", "gar"):
+            out_dir = tmp_path / receiver
+            assert main(["theory", "--receiver", receiver, "--alpha", "0.5",
+                         "--snr", "10,20", "--out-dir", str(out_dir)]) == 0
+            assert os.listdir(out_dir) == ["theory_gar_I.csv"]
+        csvs = [(tmp_path / rx / "theory_gar_I.csv").read_bytes() for rx in ("GAR", "gar")]
+        assert csvs[0] == csvs[1]
+
     def test_theory_verb_defaults_and_model(self, tmp_path):
         # --nt left out: SimConfig's n_t (2, from its Alamouti code)
         assert main(["theory", "--receiver", "mdr", "--model", "II", "--nr", "2",

@@ -141,7 +141,7 @@ class TestChannel:
         cb = enumerate_codebook("alamouti", "bpsk")
         rng = np.random.default_rng(4)
         # one trial (B=1) drawn in the engine's order: H, tx, W
-        for model, genie_shape in ((NoiseModel.SHARED, (1, 2)), (NoiseModel.IID, (1, 3, 2))):
+        for model, genie_shape in ((NoiseModel.SHARED, (1, 1, 2)), (NoiseModel.IID, (1, 3, 2))):
             h = sample_channel(3, cb.n_t, rng, size=1)
             tx = rng.integers(0, len(cb), size=1)
             w, genie = sample_noise_block(model, 0.9, 3, cb.t_s, rng, size=1)

@@ -76,16 +76,8 @@ def oracle_mdr(y, h, rho, cb):
 
 
 def oracle_gar(y, h, genie, rho, cb):
-    metrics = []
-    for s in cb.codewords:
-        r = y - np.sqrt(rho) * h @ s
-        if genie.ndim == 1:
-            m = sum(
-                np.sum(np.abs(r[:, k]) ** 2) / genie[k] for k in range(r.shape[1])
-            )
-        else:
-            m = np.sum(np.abs(r) ** 2 / genie)
-        metrics.append(m)
+    # genie (g, t_s): a model I row (g = 1) broadcasts over its column
+    metrics = [np.sum(np.abs(y - np.sqrt(rho) * h @ s) ** 2 / genie) for s in cb.codewords]
     return int(np.argmin(metrics))
 
 
@@ -127,7 +119,7 @@ class TestNoiselessDecoding:
             h = sample_channel(1, 2, rng)
             tx = int(rng.integers(4))
             y = np.sqrt(rho) * h @ codebook.codewords[tx]
-            genie = np.abs(rng.normal(size=2)) + 0.1
+            genie = np.abs(rng.normal(size=(1, 2))) + 0.1
             assert mdr_decode(y, h, rho, codebook) == tx
             assert gar_decode(y, h, genie, rho, codebook) == tx
             assert aor_decode(y, h, rho, codebook, NoiseModel.SHARED) == tx
@@ -184,7 +176,7 @@ class TestDegenerateIdentities:
         rng = np.random.default_rng(37)
         for _ in range(200):
             y, h, _, _ = random_instance(codebook, NoiseModel.SHARED, 0.7, 2, 2.0, rng)
-            genie = np.full(2, float(rng.uniform(0.2, 5.0)))
+            genie = np.full((1, 2), float(rng.uniform(0.2, 5.0)))
             assert gar_decode(y, h, genie, 2.0, codebook) == mdr_decode(
                 y, h, 2.0, codebook
             )
@@ -243,9 +235,9 @@ class TestAdversarialImpulse:
         for _ in range(500):
             h = sample_channel(2, 2, rng)
             tx = int(rng.integers(4))
-            genie = np.array([1.0, 1e6])
+            genie = np.array([[1.0, 1e6]])
             g = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            w = np.sqrt(genie)[None, :] * g
+            w = np.sqrt(genie) * g
             y = np.sqrt(4.0) * h @ codebook.codewords[tx] + w
             mdr = mdr_decode(y, h, 4.0, codebook)
             gar = gar_decode(y, h, genie, 4.0, codebook)
@@ -291,21 +283,57 @@ class TestValidation:
             assert decide(rx, energies, np.ones((1, 2, 1)), table_a143_d2).shape == (1,)
 
     def test_gar_rejects_genie_of_other_grouping(self):
-        # uncoded BPSK, n_r = 2: a model II genie (n_r, t_s, B) = (2, 1, B)
-        # would broadcast against model I energies (K, t_s, B) = (2, 1, B)
+        # uncoded BPSK, n_r = 2: groups and genie are (g, t_s, B), g = 1
+        # under model I and 2 under model II; a record of the other
+        # grouping would broadcast, so the metric refuses it
         cb = enumerate_codebook("uncoded", "bpsk")
         rng = np.random.default_rng(55)
         h = sample_channel(2, cb.n_t, rng, size=5)
-        w, genie = sample_noise_block(NoiseModel.IID, 1.43, 2, cb.t_s, rng, size=5)
+        w, iid_genie = sample_noise_block(NoiseModel.IID, 1.43, 2, cb.t_s, rng, size=5)
+        _, shared_genie = sample_noise_block(NoiseModel.SHARED, 1.43, 2, cb.t_s, rng, size=5)
         r = trial_last(batch_residuals(w, h, 1.0, cb))
-        shared = ResidualEnergies(r, NoiseModel.SHARED)
-        assert shared.group.shape == trial_last(genie).shape == (2, 1, 5)
+        grouped = {NoiseModel.SHARED: shared_genie, NoiseModel.IID: iid_genie}
+        for model, other in ((NoiseModel.SHARED, NoiseModel.IID),
+                             (NoiseModel.IID, NoiseModel.SHARED)):
+            e = ResidualEnergies(r, model)
+            assert e.group.shape[1:] == trial_last(grouped[model]).shape
+            assert decide("gar", e, trial_last(grouped[model])).shape == (5,)
+            with pytest.raises(ValueError, match="genie"):
+                decide("gar", e, trial_last(grouped[other]))
+            with pytest.raises(ValueError, match="genie"):
+                decide("gar", e, None)
+
+    def test_batch_gar_rejects_per_column_record(self, codebook):
+        # a model I record without its group axis, (B, t_s) with B == n_r,
+        # has the shape of one trial's (g, t_s) record; its rank gives it away
+        rng = np.random.default_rng(57)
+        h = sample_channel(2, 2, rng, size=2)
+        w, genie = sample_noise_block(NoiseModel.SHARED, 1.43, 2, 2, rng, size=2)
+        y = h @ codebook.codewords[0] + w
+        assert batch_gar(y, h, genie, 1.0, codebook).shape == (2,)
         with pytest.raises(ValueError, match="genie"):
-            decide("gar", shared, trial_last(genie))
-        iid = ResidualEnergies(r, NoiseModel.IID)
-        assert decide("gar", iid, trial_last(genie)).shape == (5,)
-        with pytest.raises(ValueError, match="genie"):
-            decide("gar", iid, None)
+            batch_gar(y, h, genie[:, 0], 1.0, codebook)
+
+    def test_batch_gar_single_antenna_models_agree(self, codebook):
+        # at n_r = 1 a column is an entry: both models draw the same
+        # (B, 1, t_s) record, and both groupings decide alike
+        n, rho = 2000, 4.0
+        blocks = {}
+        for model in (NoiseModel.SHARED, NoiseModel.IID):
+            rng = np.random.default_rng(58)
+            h = sample_channel(1, 2, rng, size=n)
+            tx = rng.integers(0, 4, size=n)
+            w, genie = sample_noise_block(model, 1.43, 1, 2, rng, size=n)
+            y = np.sqrt(rho) * np.einsum("brn,bnt->brt", h, codebook.codewords[tx]) + w
+            blocks[model] = y, h, genie
+        (y, h, genie), other = blocks.values()
+        assert genie.shape == (n, 1, 2)
+        assert all(np.array_equal(a, b) for a, b in zip((y, h, genie), other))
+        r = trial_last(batch_residuals(y, h, rho, codebook))
+        got = batch_gar(y, h, genie, rho, codebook)
+        for model in (NoiseModel.SHARED, NoiseModel.IID):
+            e = ResidualEnergies(r, model)
+            assert np.array_equal(decide("gar", e, trial_last(genie)), got)
 
 
 class TestBatchScalarAgreement:
@@ -381,7 +409,7 @@ class TestSharedEnergies:
             r = rng.standard_cauchy((200, 4, n_r, 2)) + 1j * rng.normal(size=(200, 4, n_r, 2))
             e = ResidualEnergies(trial_last(r), NoiseModel.SHARED)
             sq = np.abs(r) ** 2
-            assert np.array_equal(e.group, trial_last(sq.sum(axis=2)))
+            assert np.array_equal(e.group, trial_last(sq.sum(axis=2, keepdims=True)))
             iid = ResidualEnergies(trial_last(r), NoiseModel.IID)
             assert np.array_equal(iid.group, trial_last(sq))
             for model, want in ((NoiseModel.SHARED, e), (NoiseModel.IID, iid)):
@@ -479,21 +507,17 @@ def frozen_products(h, cb):
 def frozen_metrics(y, h, genie, rho, cb, model, table):
     """(B, K) metric of every receiver."""
     sq = np.abs(y[:, None, :, :] - np.sqrt(rho) * frozen_products(h, cb)) ** 2
-    col = sq[:, :, 0, :].copy()
+    col = sq[:, :, :1].copy()  # (B, K, 1, t_s): the genie's group axis
     for i in range(1, sq.shape[2]):
-        col += sq[:, :, i, :]
+        col += sq[:, :, i:i + 1]
     total = sq.sum(axis=(2, 3))
-    shared = model is NoiseModel.SHARED
+    group = col if model is NoiseModel.SHARED else sq
     with np.errstate(divide="ignore"):
-        if shared:
-            gar = (col / genie[:, None, :]).sum(axis=2)
-            aor = np.log(col).sum(axis=2)
-        else:
-            gar = (sq / genie[:, None, :, :]).sum(axis=(2, 3))
-            aor = np.log(sq).sum(axis=(2, 3))
-        radii = np.sqrt(col if shared else sq)
+        gar = (group / genie[:, None]).sum(axis=(2, 3))
+        aor = np.log(group).sum(axis=(2, 3))
+        radii = np.sqrt(group)
         log_f = table.log_pdf(radii.ravel()).reshape(radii.shape)
-    ml = log_f.sum(axis=tuple(range(2, log_f.ndim)))
+    ml = log_f.sum(axis=(2, 3))
     exact = total <= 1e-20 * total.max(axis=1, keepdims=True)
     if np.any(exact):
         ml = np.where(exact, np.inf, ml)

@@ -123,7 +123,7 @@ class TestNoiseBlock:
         w, genie = sample_noise_block(
             NoiseModel.SHARED, 1.5, 2, 2, rng_for(13), size=10**5
         )
-        assert genie.shape == (10**5, 2)
+        assert genie.shape == (10**5, 1, 2)
         tau = kendalltau(np.abs(w[:, 0, 0]), np.abs(w[:, 1, 0])).statistic
         assert tau > 0.1
 
@@ -141,6 +141,22 @@ class TestNoiseBlock:
         assert np.all(genie == 1.0)
         var = np.mean(np.abs(w) ** 2)
         assert abs(var - 2.0) < 0.05
+
+    @pytest.mark.parametrize("size", [None, 7])
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    def test_one_record_layout(self, model, size):
+        # genie (..., g, t_s), g = 1 per column or n_r per entry, and
+        # w = sqrt(genie) * G by broadcasting, replayed draw for draw
+        n_r, t_s = 3, 2
+        w, genie = sample_noise_block(model, 1.2, n_r, t_s, rng_for(16), size=size)
+        batch = () if size is None else (size,)
+        g = 1 if model is NoiseModel.SHARED else n_r
+        assert genie.shape == batch + (g, t_s)
+        assert w.shape == batch + (n_r, t_s)
+        rng = rng_for(16)
+        assert np.array_equal(sample_subordinator(1.2, rng, size=genie.shape), genie)
+        gauss = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
+        assert np.array_equal(w, np.sqrt(genie) * gauss)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from stablemimo import (
     sample_subordinator,
     union_bound_ber,
 )
-from stablemimo.theory import digamma, has_asymptote, q_function
+from stablemimo.theory import has_asymptote, q_function
 
 from helpers import gain
 
@@ -73,13 +73,19 @@ class TestSpecialFunctions:
         for x, ref in DIGAMMA_REFS:
             assert abs(digamma(x) / ref - 1.0) < 1e-12, x
 
-    def test_package_digamma_against_frozen_refs_and_scipy(self):
-        from scipy import special
-
+    def test_dlog_gain_digamma_against_frozen_refs(self):
+        # the GAR n_r derivative is -(2/a) (psi(n_r - a/2) - psi(n_r)): pick a
+        # so that n_r - a/2 is a reference point below n_r = 1 or 2
+        refs = dict(DIGAMMA_REFS)
+        checked = 0
         for x, ref in DIGAMMA_REFS:
-            assert abs(digamma(x) / ref - 1.0) < 1e-12, x
-        x = np.linspace(0.05, 30.0, 3001)
-        assert max(abs(digamma(v) - special.digamma(v)) for v in x) <= 1e-13
+            n_r = math.ceil(x)
+            if n_r in (1, 2) and x < n_r:
+                a = 2.0 * (n_r - x)
+                want = -(2.0 / a) * (ref - refs[n_r])
+                assert dlog_gain("gar", "n_r", 2, n_r, a) == pytest.approx(want, rel=1e-12), x
+                checked += 1
+        assert checked == 6
 
     def test_math_lgamma_and_erfc_match_scipy(self):
         from scipy import special
@@ -321,13 +327,13 @@ class TestConditionalPep:
     def test_equal_codewords_give_half(self):
         s = self.cb.codewords[0]
         h = np.ones((1, 2))
-        assert conditional_pep_gar(h, np.ones(2), 10.0, s, s) == 0.5
+        assert conditional_pep_gar(h, np.ones((1, 2)), 10.0, s, s) == 0.5
 
     def test_value_range_and_bound(self):
         rng = np.random.default_rng(50)
         for _ in range(100):
             h = sample_channel(2, 2, rng)
-            genie = sample_subordinator(0.8, rng, size=2)
+            genie = sample_subordinator(0.8, rng, size=(1, 2))
             s, sp = self.cb.codewords[0], self.cb.codewords[1]
             exact_pep = conditional_pep_gar(h, genie, 5.0, s, sp)
             bound = conditional_pep_mdr_bound(h, genie, 5.0, s, sp)
@@ -336,7 +342,7 @@ class TestConditionalPep:
                 q_function(
                     math.sqrt(
                         5.0 * np.sum(np.abs(h @ (s - sp)) ** 2)
-                        / (2.0 * max(genie))
+                        / (2.0 * genie.max())
                     )
                 )
             )
@@ -346,7 +352,7 @@ class TestConditionalPep:
     def test_bound_exact_when_genie_constant(self):
         rng = np.random.default_rng(51)
         h = sample_channel(2, 2, rng)
-        genie = np.full(2, 1.7)
+        genie = np.full((1, 2), 1.7)
         s, sp = self.cb.codewords[0], self.cb.codewords[2]
         # with equal subordinators, whitening is a common scale: the MDR
         # bound coincides with the exact whitened PEP
@@ -359,12 +365,10 @@ class TestConditionalPep:
         s, sp = self.cb.codewords[0], self.cb.codewords[1]
         for _ in range(50):
             h = sample_channel(2, 2, rng)
-            genie = sample_subordinator(0.9, rng, size=2)
+            genie = sample_subordinator(0.9, rng, size=(1, 2))
             delta = h @ (s - sp)
             e = delta / np.linalg.norm(delta)
-            denom = 2.0 * sum(
-                genie[k] * np.sum(np.abs(e[:, k]) ** 2) for k in range(2)
-            )
+            denom = 2.0 * np.sum(genie * np.abs(e) ** 2)
             exact = float(
                 q_function(math.sqrt(4.0 * np.linalg.norm(delta) ** 2 / denom))
             )
@@ -375,12 +379,24 @@ class TestConditionalPep:
         s, sp = self.cb.codewords[0], self.cb.codewords[1]
         for pep in (conditional_pep_gar, conditional_pep_mdr_bound):
             with pytest.raises(ValueError, match="genie record must be positive"):
-                pep(np.ones((1, 2)), np.array([1.0, 0.0]), 1.0, s, sp)
+                pep(np.ones((1, 2)), np.array([[1.0, 0.0]]), 1.0, s, sp)
+
+    @pytest.mark.parametrize("pep", [conditional_pep_gar, conditional_pep_mdr_bound])
+    def test_rejects_per_column_record(self, pep):
+        # a model I record without its group axis, (B, t_s) with B == n_r,
+        # would broadcast as one trial's per-entry record; it is refused
+        rng = np.random.default_rng(57)
+        h = sample_channel(2, 2, rng, size=2)
+        _, genie = sample_noise_block(NoiseModel.SHARED, 0.8, 2, 2, rng, size=2)
+        s, sp = self.cb.codewords[0], self.cb.codewords[1]
+        assert pep(h, genie, 7.0, s, sp).shape == (2,)
+        with pytest.raises(ValueError, match="genie record of shape \\(2, 2\\)"):
+            pep(h, genie[:, 0], 7.0, s, sp)
 
     @pytest.mark.parametrize("pep", [conditional_pep_gar, conditional_pep_mdr_bound])
     @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
     def test_batched_equals_per_trial(self, pep, model):
-        # genie (B, t_s) under model I and (B, n_r, t_s) under model II
+        # genie (B, g, t_s): g = 1 under model I, g = n_r under model II
         rng = np.random.default_rng(55)
         h = sample_channel(2, 2, rng, size=50)
         _, genie = sample_noise_block(model, 0.8, 2, 2, rng, size=50)
@@ -412,7 +428,7 @@ class TestConditionalPep:
         means = []
         for rho in (1e4, 1e6):
             h = sample_channel(1, 2, rng, size=n)
-            a = sample_subordinator(0.5, rng, size=(n, 2))
+            a = sample_subordinator(0.5, rng, size=(n, 1, 2))
             means.append(np.mean(conditional_pep_gar(h, a, rho, s, sp)))
         slope = (math.log10(means[1]) - math.log10(means[0])) / 2.0
         assert -0.55 <= slope <= -0.45
@@ -424,7 +440,7 @@ class TestConditionalPep:
         means = []
         for rho in (1e4, 1e6):
             h = sample_channel(1, 2, rng, size=n)
-            a = sample_subordinator(0.5, rng, size=(n, 2))
+            a = sample_subordinator(0.5, rng, size=(n, 1, 2))
             means.append(np.mean(conditional_pep_mdr_bound(h, a, rho, s, sp)))
         slope = (math.log10(means[1]) - math.log10(means[0])) / 2.0
         assert -0.30 <= slope <= -0.20
