@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stable import complex_normal
+
 _SQRT2 = np.sqrt(2.0)
 
 # Gray-labelled unit-energy constellations: (symbols, bit labels), row i
@@ -105,7 +107,7 @@ def enumerate_codebook(kind: str, constellation: str = "bpsk") -> Codebook:
 def sample_channel(n_r: int, n_t: int, rng: np.random.Generator, size=None):
     """I.i.d. CN(0, 1) channel entries (variance 1/2 per real part)."""
     shape = (n_r, n_t) if size is None else (size, n_r, n_t)
-    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / _SQRT2
+    return complex_normal(rng, shape, 1.0 / _SQRT2)  # as (normal + 1j*normal) / sqrt(2)
 
 
 def block_products(h, codebook: Codebook, out=None) -> np.ndarray:

@@ -14,10 +14,11 @@ Only when none is left does it speculate on the lowest unfinished point.
 So the pool does not drain between points, and at most `workers` chunks
 computed past a stop are discarded.
 
-A chunk decodes in blocks of DECODE_TRIALS trials into product, residual
-and squared-residual arrays that each thread keeps for the life of the
-process: fresh ones let the allocator return the heap top to the kernel
-after each block and fault it back in on the next (~800 faults a chunk).
+A chunk decodes in blocks of DECODE_TRIALS trials into product (then
+residual) and squared-residual arrays that each thread keeps for the life
+of the process: fresh ones let the allocator return the heap top to the
+kernel after each block and fault it back in on the next (~800 faults a
+chunk).
 """
 
 from __future__ import annotations
@@ -219,13 +220,14 @@ def _run_chunk(
         s = block_products(h[..., block], codebook,
                            out=_workspace_view("products", shape, complex))
         np.multiply(sqrt_rho, s, out=s)
-        y = np.take_along_axis(s, sent[None, None, None], axis=0)[0] + w[..., block]
-        r = np.subtract(y, s, out=_workspace_view("residuals", shape, complex))
+        m = s[0].size  # s[k, i, t, b] is s.flat[k * m + (i * t_s + t) * B + b]
+        y = np.take(s, sent * m + np.arange(m).reshape(shape[1:])) + w[..., block]
+        r = np.subtract(y, s, out=s)  # the residuals overwrite the products
         energies = ResidualEnergies(r, config.model,
                                     out=_workspace_view("squares", shape, float))
         for i, rx in enumerate(config.receivers):
             decisions[i, block] = decide(rx, energies, genie[..., block], ml_table)
-    return n, codebook.bit_distance[tx, decisions].sum(axis=1)
+    return n, np.take(codebook.bit_distance, tx * len(codebook) + decisions).sum(axis=1)
 
 
 def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int = 1):

@@ -119,6 +119,16 @@ def sample_subordinator(alpha: float, rng: np.random.Generator, size=None):
     return sample_stable(params, rng, size=size)
 
 
+def complex_normal(rng: np.random.Generator, shape, scale) -> np.ndarray:
+    """scale * (G_re + j*G_im), G_re then G_im drawn by rng.normal, each part
+    written in place: the bits of real x complex scaling (and of complex
+    division by d for scale = 1.0 / d), with no complex temporary."""
+    z = np.empty(shape, complex)
+    np.multiply(scale, rng.normal(size=shape), out=z.real)
+    np.multiply(scale, rng.normal(size=shape), out=z.imag)
+    return z
+
+
 def sample_noise_block(
     model: NoiseModel,
     alpha: float,
@@ -144,8 +154,7 @@ def sample_noise_block(
     batch = () if size is None else (size,)
     a_shape = batch + (1 if model is NoiseModel.SHARED else n_r, t_s)
     a = np.ones(a_shape) if alpha == 2.0 else sample_subordinator(alpha, rng, size=a_shape)
-    g = rng.normal(size=batch + (n_r, t_s)) + 1j * rng.normal(size=batch + (n_r, t_s))
-    return np.sqrt(a) * g, a
+    return complex_normal(rng, batch + (n_r, t_s), np.sqrt(a)), a
 
 
 def tail_pdf(w, params: StableParams):

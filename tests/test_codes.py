@@ -12,6 +12,8 @@ from stablemimo import (
     sample_noise_block,
 )
 from stablemimo.codes import CONSTELLATIONS
+from stablemimo.montecarlo import _chunk_rng
+from stablemimo.stable import sample_subordinator
 
 from helpers import codeword_products
 
@@ -149,3 +151,41 @@ class TestChannel:
             assert w.shape == (1, 3, 2)
             assert genie.shape == genie_shape
             assert synthesize(h, tx, w, 10.0, cb).shape == (1, 3, 2)
+
+
+def frozen_channel(n_r, n_t, rng, size):
+    """The reference construction of H: a complex sum, then a division."""
+    shape = (size, n_r, n_t)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+
+
+def frozen_noise_block(model, alpha, n_r, t_s, rng, size):
+    """The reference construction of W: sqrt(A) times a complex Gaussian."""
+    a_shape = (size, 1 if model is NoiseModel.SHARED else n_r, t_s)
+    a = np.ones(a_shape) if alpha == 2.0 else sample_subordinator(alpha, rng, size=a_shape)
+    shape = (size, n_r, t_s)
+    return np.sqrt(a) * (rng.normal(size=shape) + 1j * rng.normal(size=shape)), a
+
+
+class TestDrawConstruction:
+    """The samplers write each part of their complex draws in place; every
+    bit and the draws they consume match the complex arithmetic."""
+
+    @pytest.mark.parametrize("n_r", [1, 2])
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    @pytest.mark.parametrize("alpha", [0.5, 1.43, 2.0])
+    def test_bit_identical_to_complex_arithmetic(self, alpha, model, n_r):
+        cb = enumerate_codebook("alamouti", "bpsk")
+        for key in range(20):
+            new, old = _chunk_rng(7, key, 3 * key), _chunk_rng(7, key, 3 * key)
+            # the engine's order: H, tx, W; 1000 trials end off a vector width
+            got = (sample_channel(n_r, cb.n_t, new, size=1000),
+                   new.integers(0, len(cb), size=1000),
+                   *sample_noise_block(model, alpha, n_r, cb.t_s, new, size=1000))
+            want = (frozen_channel(n_r, cb.n_t, old, 1000),
+                    old.integers(0, len(cb), size=1000),
+                    *frozen_noise_block(model, alpha, n_r, cb.t_s, old, 1000))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), key
+            assert repr(new.bit_generator.state) == repr(old.bit_generator.state)

@@ -227,26 +227,30 @@ class TestFusedChunk:
 class TestDecodeBlocks:
     @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
     def test_block_size_does_not_change_errors(self, monkeypatch, model):
-        # at 195 dB the exact-fit rule fires in some trials of a block only
-        cfg = SimConfig(model=model, alpha=1.43, n_r=2, snr_grid_db=(0.0, 195.0),
-                        master_seed=5, max_trials=1200)
-        cb = enumerate_codebook(cfg.code, cfg.constellation)
-        table = montecarlo.build_ml_table(cfg)
-        rng = _chunk_rng(cfg.master_seed, 1, 0)
-        h = sample_channel(cfg.n_r, cb.n_t, rng, size=1200)
-        tx = rng.integers(0, len(cb), size=1200)
-        w, _ = sample_noise_block(model, cfg.alpha, cfg.n_r, cb.t_s, rng, size=1200)
-        rho = 10.0 ** 19.5
-        y = np.sqrt(rho) * codeword_products(h, cb)[np.arange(1200), tx] + w
-        total = (np.abs(batch_residuals(y, h, rho, cb)) ** 2).sum(axis=(2, 3))
-        exact = (total <= 1e-20 * total.max(axis=1, keepdims=True)).any(axis=1)
-        assert 0.05 < exact[:777].mean() < 0.95
-        runs = {}
-        for size in (1, 777, 2048, 8192):
-            monkeypatch.setattr(montecarlo, "DECODE_TRIALS", size)
-            runs[size] = [_run_chunk(cfg, cb, table, j, 0)[1] for j in range(2)]
-        assert all(np.array_equal(r, runs[2048]) for r in runs.values())
-        assert runs[2048][0].min() > 0
+        # every split but 8192 ends on a partial block: 423 trials after 777,
+        # 904 after 2 x 2048 and after 4096, one trial after 4999; size 1
+        # decodes each trial on its own
+        for n, sizes in ((1200, (1, 777, 2048)), (5000, (2048, 4096, 4999, 8192))):
+            # at 195 dB the exact-fit rule fires in some trials of a block only
+            cfg = SimConfig(model=model, alpha=1.43, n_r=2, snr_grid_db=(0.0, 195.0),
+                            master_seed=5, max_trials=n)
+            cb = enumerate_codebook(cfg.code, cfg.constellation)
+            table = montecarlo.build_ml_table(cfg)
+            rng = _chunk_rng(cfg.master_seed, 1, 0)
+            h = sample_channel(cfg.n_r, cb.n_t, rng, size=n)
+            tx = rng.integers(0, len(cb), size=n)
+            w, _ = sample_noise_block(model, cfg.alpha, cfg.n_r, cb.t_s, rng, size=n)
+            rho = 10.0 ** 19.5
+            y = np.sqrt(rho) * codeword_products(h, cb)[np.arange(n), tx] + w
+            total = (np.abs(batch_residuals(y, h, rho, cb)) ** 2).sum(axis=(2, 3))
+            exact = (total <= 1e-20 * total.max(axis=1, keepdims=True)).any(axis=1)
+            assert 0.05 < exact[:777].mean() < 0.95
+            runs = {}
+            for size in sizes:
+                monkeypatch.setattr(montecarlo, "DECODE_TRIALS", size)
+                runs[size] = [_run_chunk(cfg, cb, table, j, 0)[1] for j in range(2)]
+            assert all(np.array_equal(r, runs[2048]) for r in runs.values()), n
+            assert runs[2048][0].min() > 0
 
     @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
     def test_four_receive_antennas_pinned(self, model):
