@@ -147,7 +147,7 @@ def _bessel(nu: float, n: int):
     if float(nu).is_integer():
         return functools.partial(jv, nu), jn_zeros(int(nu), n)
     from scipy.optimize import brentq
-    for i, x0 in enumerate(zeros):  # bisection around the McMahon estimates
+    for i, x0 in enumerate(zeros):  # brentq roots around the McMahon estimates
         lo, hi = max(x0 - 0.6 * np.pi, 1e-6), x0 + 0.6 * np.pi
         zeros[i] = brentq(lambda x: jv(nu, x), lo, hi, xtol=1e-13)
     return functools.partial(jv, nu), zeros
@@ -310,19 +310,18 @@ class AmplitudePdfTable:
         i += lx >= upper.take(i)
         np.putmask(i, r < self.grid[0], upper.size)
         np.putmask(i, r > self.grid[-1], upper.size + 1)
-        s = lx - anchor.take(i)
+        inf = np.isinf(lx)
+        s = np.subtract(lx, anchor.take(i), out=lx)
         out = coef[0].take(i)
-        power = s.copy()
         with np.errstate(invalid="ignore"):  # 0 * inf in an off-grid row, at r = 0 or inf
-            for c in coef[1:]:  # ((c0 + c1 s) + c2 s^2) + c3 s^3, in place
-                term = c.take(i)
-                term *= power
-                out += term
-                power *= s
+            out += coef[1].take(i) * s  # ((c0 + c1 s) + c2 s^2) + c3 s^3
+            s2 = s * s
+            out += coef[2].take(i) * s2
+            out += coef[3].take(i) * np.multiply(s2, s, out=s2)
             if self.spec.alpha == 2.0:
                 above = r > self.grid[-1]
                 out[above] = _gaussian_log_amplitude_pdf(r[above], self.spec.sigma, self.spec.d)
-        np.putmask(out, np.isinf(lx), -np.inf)
+        np.putmask(out, inf, -np.inf)
         if self.spec.d == 1:  # f(0) is finite
             np.putmask(out, r == 0.0, self.log_values[0])
         return float(out[0]) if scalar else out

@@ -153,13 +153,9 @@ def first_minimum(cost):
     return choice
 
 
-def _trial_last(a):
-    return None if a is None else np.moveaxis(a, 0, -1)
-
-
 def _residuals(y, h, rho, codebook: Codebook):
     """Y - sqrt(rho) H S of trial-first y and h, trial axis last: (K, n_r, t_s, B)."""
-    return _trial_last(y) - np.sqrt(rho) * block_products(_trial_last(h), codebook)
+    return np.moveaxis(y, 0, -1) - np.sqrt(rho) * block_products(np.moveaxis(h, 0, -1), codebook)
 
 
 def batch_residuals(y, h, rho, codebook: Codebook):
@@ -170,13 +166,13 @@ def batch_residuals(y, h, rho, codebook: Codebook):
     return np.moveaxis(_residuals(y, h, rho, codebook), -1, 0)
 
 
-def _energies(y, h, rho, codebook: Codebook, model: NoiseModel) -> ResidualEnergies:
-    return ResidualEnergies(_residuals(y, h, rho, codebook), model)
+def _batch(name, y, h, rho, codebook: Codebook, model: NoiseModel, genie=None, table=None):
+    return decide(name, ResidualEnergies(_residuals(y, h, rho, codebook), model), genie, table)
 
 
 def batch_mdr(y, h, rho, codebook: Codebook):
     # the block total does not depend on the grouping
-    return decide("mdr", _energies(y, h, rho, codebook, NoiseModel.SHARED))
+    return _batch("mdr", y, h, rho, codebook, NoiseModel.SHARED)
 
 
 def batch_gar(y, h, genie, rho, codebook: Codebook):
@@ -186,13 +182,13 @@ def batch_gar(y, h, genie, rho, codebook: Codebook):
     if np.ndim(genie) != 3:
         raise ValueError(f"genie record must be (B, g, t_s), got shape {np.shape(genie)}")
     model = NoiseModel.SHARED if np.shape(genie)[1] == 1 else NoiseModel.IID
-    return decide("gar", _energies(y, h, rho, codebook, model), _trial_last(genie))
+    return _batch("gar", y, h, rho, codebook, model, genie=np.moveaxis(genie, 0, -1))
 
 
 def batch_aor(y, h, rho, codebook: Codebook, model: NoiseModel):
-    return decide("aor", _energies(y, h, rho, codebook, model))
+    return _batch("aor", y, h, rho, codebook, model)
 
 
 def batch_ml(y, h, rho, codebook: Codebook, model: NoiseModel, table: AmplitudePdfTable):
     check_ml_table(table, ml_table_spec(model, y.shape[1], table.spec.alpha))
-    return decide("ml", _energies(y, h, rho, codebook, model), table=table)
+    return _batch("ml", y, h, rho, codebook, model, table=table)

@@ -8,8 +8,9 @@ i.i.d. across antennas.  has_asymptote states which pairs have these
 closed forms (GAR under model I, MDR under either model, alpha < 2), and
 log_coding_gain is the one evaluation of log G_c, in log-gamma arithmetic
 (math.lgamma; Q by math.erfc); digamma derivatives (scipy.special, loaded
-only by dlog_gain) and alpha thresholds track the MDR gain in antenna
-counts.  Conditional PEPs take the genie record in the one layout of
+only by dlog_gain) and alpha thresholds (scipy.optimize.brentq, loaded
+only by find_alpha_thresholds) track the MDR gain in antenna counts.
+Conditional PEPs take the genie record in the one layout of
 stable.sample_noise_block, (..., g, t_s).
 Result objects hold only what was computed (PepAsymptote: gain and order;
 AlphaThresholds: the two exponents), not the arguments that produced it.
@@ -168,8 +169,11 @@ def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
     Below alpha0 the gain decreases across every adjacent transmit-antenna
     pair in [2, 10]; above alpha1 it increases across every pair;
     in between it is concave (rises then falls).  Each boundary is the
-    bisection root, to 1e-6, of the worst adjacent log-gain difference.
+    brentq root, to 1e-6, of the worst adjacent log-gain difference on
+    [0.05, 1.999]; ValueError where that window does not bracket it.
     """
+    from scipy.optimize import brentq  # off the run path, as in dlog_gain
+
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
 
@@ -178,24 +182,8 @@ def find_alpha_thresholds(n_r: int) -> AlphaThresholds:
             [log_coding_gain("mdr", NoiseModel.SHARED, nt, n_r, alpha) for nt in range(2, 11)]
         )
 
-    def bisect(fn, lo, hi):
-        flo, fhi = fn(lo), fn(hi)
-        if flo >= 0.0 or fhi <= 0.0:
-            raise ValueError(
-                f"threshold not bracketed on ({lo}, {hi}): f(lo)={flo:.3g}, "
-                f"f(hi)={fhi:.3g}"
-            )
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if fn(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    lo, hi = 0.05, 1.999
-    alpha0 = bisect(lambda a: float(np.max(diffs(a))), lo, hi)
-    alpha1 = bisect(lambda a: float(np.min(diffs(a))), lo, hi)
+    alpha0 = brentq(lambda a: np.max(diffs(a)), 0.05, 1.999, xtol=1e-6)
+    alpha1 = brentq(lambda a: np.min(diffs(a)), 0.05, 1.999, xtol=1e-6)
     return AlphaThresholds(alpha0=alpha0, alpha1=alpha1)
 
 

@@ -258,9 +258,18 @@ class TestDerivatives:
 
 class TestThresholds:
     def test_quoted_values_nr1(self):
+        # For n_r = 1 the MDR log-gain step from N to N + 1 transmit antennas
+        # is -(2/alpha) log((N + 1)(N - alpha/2) / N^2), which changes sign
+        # at alpha = 2N / (N + 1).  The window's first pair (N = 2) and last
+        # pair (N = 9) give alpha0 = 4/3 and alpha1 = 9/5 exactly.
+        for a in (0.5, 4.0 / 3.0, 1.9):
+            for n in range(2, 10):
+                step = math.log(gain("mdr", n + 1, 1, a) / gain("mdr", n, 1, a))
+                want = -(2.0 / a) * math.log((n + 1) * (n - a / 2.0) / n**2)
+                assert step == pytest.approx(want, abs=1e-12)
         th = find_alpha_thresholds(1)
-        assert th.alpha0 == pytest.approx(1.333, abs=0.01)
-        assert th.alpha1 == pytest.approx(1.799, abs=0.01)
+        assert th.alpha0 == pytest.approx(4.0 / 3.0, abs=1e-6)
+        assert th.alpha1 == pytest.approx(9.0 / 5.0, abs=1e-6)
 
     def test_regimes_nr1(self):
         gains_low = [gain("mdr", nt, 1, 0.5) for nt in range(1, 9)]
@@ -291,6 +300,12 @@ class TestThresholds:
     def test_rejects_bad_nr(self):
         with pytest.raises(ValueError):
             find_alpha_thresholds(0)
+
+    def test_unbracketed_window_raises(self):
+        # at n_r = 300 the gain still falls across some pair at alpha =
+        # 1.999, so [0.05, 1.999] brackets alpha0 but not alpha1
+        with pytest.raises(ValueError):
+            find_alpha_thresholds(300)
 
     def test_alpha_thresholds_type_validation(self):
         with pytest.raises(ValueError):
