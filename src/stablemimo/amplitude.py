@@ -12,15 +12,15 @@ u^(d/2) * J_{d/2-1}(u) * exp(-(sigma/r)^alpha * u^alpha) / r: a fixed
 Gauss-Legendre rule on the segments between Bessel-function zeros (and on
 geometric sub-segments of [0, z_1]) depends only on d and is cached; Euler
 averaging sums the alternating segment contributions for every radius at
-once.  J_n (d = 2, 4, 6, 8) is the midpoint rule on Bessel's integral
-(Trefethen & Weideman 2014) with Newton-refined McMahon zeros; d = 1, 3 use
-closed forms, other d scipy.  Large radii use the tail term K * r^(-alpha-1),
-K a function of the spec alone.  Tables hold the log-density on a
-log-uniform grid from r = 1e-3 * sigma / 2^(-1/2) (1e-3 at the simulator's
-noise scale), read by a direct-index PCHIP lookup
-(monotone cubic, Fritsch & Carlson 1980) that equals scipy's
-PchipInterpolator bit for bit, with the below-grid and tail laws as two
-more rows of its interval table, and save/load as versioned .npz archives.
+once.  J_n is the midpoint rule on Bessel's integral (Trefethen & Weideman
+2014) for d = 2, 4, 6, 8, closed forms for d = 1, 3 and scipy's jv for other
+d; Newton's method on it refines McMahon's estimates of the zeros.  Large
+radii use the tail term K * r^(-alpha-1), K a function of the spec alone.
+Tables hold the log-density on a log-uniform grid from r = 1e-3 * sigma /
+2^(-1/2) (1e-3 at the simulator's noise scale), read by a direct-index PCHIP
+lookup (monotone cubic, Fritsch & Carlson 1980) that equals scipy's
+PchipInterpolator bit for bit, with the below-grid and tail laws as two more
+rows of its interval table, and save/load as versioned .npz archives.
 """
 
 from __future__ import annotations
@@ -132,24 +132,20 @@ def _jn(n: float, x):
 
 
 def _bessel(nu: float, n: int):
-    """J_nu as an array function, and its first n positive zeros (refined McMahon)."""
+    """J_nu as an array function, and its first n positive zeros: McMahon's
+    estimates (DLMF 10.21(vi)), refined by Newton's method unless nu = +-1/2."""
     beta = (np.arange(1, n + 1) + nu / 2.0 - 0.25) * np.pi
     zeros = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
     if abs(nu) == 0.5:  # J_{-1/2}, J_{1/2} = sqrt(2/(pi x)) * (cos x, sin x)
         trig = np.sin if nu > 0 else np.cos
         return (lambda x: np.sqrt(2.0 / (np.pi * x)) * trig(x)), zeros
     if nu in (0, 1, 2, 3):  # d <= 8; _jn loses relative accuracy at u ~ 1e-3 past J_3
-        for _ in range(8):  # J_nu' = J_{nu-1} - (nu/x) J_nu, with J_{-1} = -J_1
-            j = _jn(nu, zeros)
-            zeros = zeros - j / (_jn(nu - 1, zeros) - nu / zeros * j)
-        return functools.partial(_jn, nu), zeros
-    from scipy.special import jn_zeros, jv  # d = 5, 7 or d >= 9: off the import path
-    if float(nu).is_integer():
-        return functools.partial(jv, nu), jn_zeros(int(nu), n)
-    from scipy.optimize import brentq
-    for i, x0 in enumerate(zeros):  # brentq roots around the McMahon estimates
-        lo, hi = max(x0 - 0.6 * np.pi, 1e-6), x0 + 0.6 * np.pi
-        zeros[i] = brentq(lambda x: jv(nu, x), lo, hi, xtol=1e-13)
+        jv = _jn
+    else:  # d = 5, 7 or d >= 9: off the import path
+        from scipy.special import jv
+    for _ in range(8):  # J_nu' = J_{nu-1} - (nu/x) J_nu, with J_{-1} = -J_1
+        j = jv(nu, zeros)
+        zeros = zeros - j / (jv(nu - 1, zeros) - nu / zeros * j)
     return functools.partial(jv, nu), zeros
 
 

@@ -8,11 +8,11 @@ any worker count.  All requested receivers decode the same realizations
 has collected the target number of bit errors or the trial cap is hit.
 Each point folds its chunk results in chunk order, so the stopping
 decision is independent of worker scheduling.  A pool keeps `workers` + 1
-chunks in flight across the whole SNR grid, needed chunks first: chunk 0
-of a point, or the next chunk of a point whose chunks are all folded.
-Only when none is left does it speculate on the lowest unfinished point.
-So the pool does not drain between points, and at most `workers` chunks
-computed past a stop are discarded.
+chunks in flight across the whole SNR grid.  Each submission goes to the
+lowest unstopped point with no chunk in flight (a needed chunk), and only
+when there is none to the lowest unstopped point with chunks left (a
+speculative chunk).  So the pool does not drain between points, and at
+most `workers` chunks computed past a stop are discarded.
 
 A chunk decodes in blocks of DECODE_TRIALS trials into product (then
 residual) and squared-residual arrays that each thread keeps for the life
@@ -234,30 +234,24 @@ def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int
     """Fold (trials, errors) = run(j, c) per point j, in chunk order c = 0, 1,
     ..., until stop(errors) holds or the n_chunks are spent; returns one
     (trials, errors, stopped_on) per point.  A pool keeps `window` chunks in
-    flight, needed ones first (see the module docstring); a stopped point's
-    chunks keep their place and are skipped when they come up.  Without a
-    pool each chunk runs as it is picked, point after point."""
+    flight, each the next chunk of pick()'s point: the lowest unstopped point
+    with none in flight (needed), else the lowest with chunks left
+    (speculative).  A stopped point's chunks keep their place and are skipped
+    when they come up.  Without a pool each chunk runs as it is picked."""
     if pool is None:
         window = 1
     trials, errors, stopped_on = [0] * n_points, [0] * n_points, [None] * n_points
     sent, folded = [0] * n_points, [0] * n_points
     flight = deque()  # (point, future, or result without a pool), oldest first
-    lo = 0  # lowest unfinished point
+
+    def pick():
+        live = [j for j in range(n_points) if stopped_on[j] is None]
+        needed = [j for j in live if sent[j] == folded[j]]
+        return (needed or [j for j in live if sent[j] < n_chunks] or [None])[0]
+
     try:
-        while lo < n_points:
-            while len(flight) < window:
-                spec = None
-                for j in range(lo, n_points):  # ends at the first unstarted point
-                    if stopped_on[j] is not None:
-                        continue
-                    if sent[j] == folded[j]:  # needed
-                        break
-                    if spec is None and sent[j] < n_chunks:
-                        spec = j
-                else:  # nothing needed: speculate, or fold first
-                    if spec is None:
-                        break
-                    j = spec
+        while None in stopped_on:
+            while len(flight) < window and (j := pick()) is not None:
                 c, sent[j] = sent[j], sent[j] + 1
                 flight.append((j, run(j, c) if pool is None else pool.submit(run, j, c)))
             j, chunk = flight.popleft()
@@ -271,8 +265,6 @@ def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int
                 stopped_on[j] = "errors"
             elif folded[j] == n_chunks:
                 stopped_on[j] = "trials"
-            while lo < n_points and stopped_on[lo] is not None:
-                lo += 1
     finally:
         for _, f in flight:
             f.cancel()
@@ -353,13 +345,8 @@ def fit_slope(curve: BerCurve, receiver: str, window: int = 4) -> SlopeFit:
         )
     x = np.array([snr / 10.0 for snr, _ in pts])  # log10 rho
     y = np.log10([p.ber for _, p in pts])
-    n = len(pts)
-    coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
-    slope = float(coeffs[0])
-    s_sq = float(residuals[0]) / (n - 2) if residuals.size else 0.0
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(s_sq / sxx) if sxx > 0 else math.inf
-    return SlopeFit(slope=slope, stderr=stderr, n_points=n)
+    coeffs, cov = np.polyfit(x, y, 1, cov=True)  # cov scaled by SSR / (n - 2)
+    return SlopeFit(float(coeffs[0]), math.sqrt(cov[0, 0]), len(pts))
 
 
 def snr_at_ber(curve: BerCurve, receiver: str, ber_target: float) -> float:

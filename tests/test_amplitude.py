@@ -1,9 +1,13 @@
 """Amplitude density quadrature and lookup tables against closed-form oracles."""
 
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,7 +528,7 @@ class TestBesselRule:
     def test_zeros_match_scipy(self):
         from scipy.special import jn_zeros
 
-        for n in range(4):
+        for n in range(7):  # _jn's Newton steps through order 3, scipy's jv past it
             _, zeros = amplitude._bessel(float(n), 50)
             ref = jn_zeros(n, 50)
             assert np.all(np.abs(zeros - ref) <= 2 * np.spacing(ref)), n
@@ -541,8 +545,18 @@ class TestBesselRule:
         assert np.allclose(kernel(u), jv(nu, u), rtol=1e-13, atol=1e-15)
 
     def test_half_integer_order_zeros(self):
-        # d = 5: J_{3/2}, whose zeros come from bisection around McMahon's
-        # estimates; J_{3/2}(x) = sqrt(2/(pi x)) (sin x / x - cos x)
+        # d = 5, 7, 9, 11: Newton's method on scipy's jv from McMahon's
+        # estimates, against brentq on jv in a bracket around each estimate
+        from scipy.optimize import brentq
+        from scipy.special import jv
+
+        for nu in (1.5, 2.5, 3.5, 4.5):
+            _, zeros = amplitude._bessel(nu, 50)
+            beta = (np.arange(1, 51) + nu / 2.0 - 0.25) * np.pi
+            ref = np.array([brentq(lambda x: jv(nu, x), x0 - 0.6 * np.pi, x0 + 0.6 * np.pi,
+                                   xtol=1e-15) for x0 in beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)])
+            assert np.all(np.abs(zeros - ref) <= 32 * np.spacing(ref)), nu
+        # J_{3/2}(x) = sqrt(2/(pi x)) (sin x / x - cos x)
         _, zeros = amplitude._bessel(1.5, 50)
         closed = np.sqrt(2.0 / (np.pi * zeros)) * (np.sin(zeros) / zeros - np.cos(zeros))
         assert np.max(np.abs(closed)) <= 1e-14
@@ -552,6 +566,21 @@ class TestBesselRule:
         tab = build_amplitude_table(spec)
         r_max = tab.grid[-1]
         assert abs(math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_max, spec) - 1.0) < 0.01
+
+    def test_odd_dimension_table_loads_no_optimizer(self):
+        # the d = 5 rule takes scipy's jv, and its zeros come without scipy.optimize
+        code = (
+            "import sys\n"
+            "from stablemimo.amplitude import build_amplitude_table, noise_amplitude_spec\n"
+            "build_amplitude_table(noise_amplitude_spec(1.2, 5))\n"
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])\n"
+        )
+        src = str(Path(amplitude.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[False, True]"
 
     def test_rule_cached_per_dimension(self):
         spec = noise_amplitude_spec(1.43, 4)

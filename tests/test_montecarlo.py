@@ -1,11 +1,12 @@
 """Sweep engine: determinism, stopping, slope fitting, crossing interpolation."""
 
+import hashlib
 import math
 import multiprocessing
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,16 @@ class _RecordingPool(ThreadPoolExecutor):
         return self.futures[-1]
 
 
+class _SyncPool:
+    """Pool that runs each chunk as it is submitted, so the fold sees a
+    completed future and the order is free of thread timing."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def _joined(fn, timeout=60):
     """fn() on a daemon thread, joined under a timeout; returns its result
     or raises its exception."""
@@ -539,6 +550,32 @@ class TestChunkOrder:
             for (gt, ge, gs), (wt, we, ws) in zip(got, want):
                 assert (gt, gs) == (wt, ws)
                 assert np.array_equal(ge, we)
+
+    def test_schedule_pinned_on_random_stop_tables(self):
+        # the (point, chunk) submission sequence and the totals of 2,000
+        # seeded stop tables, without a pool and with a synchronous one,
+        # hashed; the digest was recorded from a for/else scan of the points
+        # before the pick rule replaced it
+        rng = np.random.default_rng(20261020)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            n_points = int(rng.integers(1, 10))
+            n_chunks = int(rng.integers(1, 13))
+            window = int(rng.integers(1, 7))
+            stop_at = rng.integers(1, n_chunks + 3, size=n_points)  # past the end: capped
+            base_run, stop = _stop_after(stop_at.tolist())
+            for pool in (None, _SyncPool()):
+                sent = []
+
+                def run(j, c):
+                    sent.append((j, c))
+                    return base_run(j, c)
+
+                totals = _fold_chunks(run, n_points, n_chunks, stop, pool, window)
+                digest.update(repr((sent, [(n, e.tolist(), s) for n, e, s in totals])).encode())
+        assert digest.hexdigest() == (
+            "fbf1bf180046eb03ef75915f29f42e60f52f723910d41ba6ee46ff61c1f8240f"
+        )
 
     def test_sweep_queues_one_chunk_past_the_workers(self, monkeypatch):
         windows = []
@@ -757,6 +794,26 @@ class TestFitSlope:
         curve = synthetic_curve(lambda rho: (3.7 * rho) ** -0.715)
         fit = fit_slope(curve, "gar", window=4)
         assert fit.slope == pytest.approx(-0.715, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stderr_and_point_count(self, n):
+        # a wavy curve on n + 2 points; the window is the top n + 1, and its
+        # first point is dropped for having fewer than 100 errors
+        grid = tuple(10.0 + 5.0 * k for k in range(n + 2))
+        curve = synthetic_curve(lambda rho: rho**-0.7 * (1.0 + 0.3 * math.sin(math.log(rho))),
+                                snr_grid=grid)
+        pts = list(curve.points["gar"])
+        pts[1] = replace(pts[1], bit_errors=99)
+        fit = fit_slope(replace(curve, points={"gar": tuple(pts)}), "gar", window=n + 1)
+        x = np.array(grid[2:]) / 10.0
+        y = np.log10([p.ber for p in pts[2:]])
+        sxx = np.sum((x - x.mean()) ** 2)
+        slope = np.sum((x - x.mean()) * (y - y.mean())) / sxx
+        ssr = np.sum((y - y.mean() - slope * (x - x.mean())) ** 2)
+        assert fit.n_points == n
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.stderr > 0.01
+        assert fit.stderr == pytest.approx(math.sqrt(ssr / (n - 2) / sxx), rel=1e-12)
 
     def test_insufficient_errors(self):
         curve = synthetic_curve(lambda rho: rho**-0.5)
