@@ -290,8 +290,10 @@ class AmplitudePdfTable:
     def _guess(self, lx):
         """floor((lx - x_0) / h) clipped to [0, n-2]; NaN maps to 0."""
         inv_step, upper, anchor = self._lookup[:3]
-        t = np.fmax((lx - anchor[0]) * inv_step, 0.0)
-        return np.fmin(t, upper.size - 1).astype(np.intp)
+        t = np.subtract(lx, anchor[0])
+        t *= inv_step
+        np.fmax(t, 0.0, out=t)
+        return np.fmin(t, upper.size - 1, out=t).astype(np.intp)
 
     def log_pdf(self, r):
         """Vectorized log f(r); -inf at r = inf and at r = 0 for d >= 2, NaN at NaN."""
@@ -301,19 +303,23 @@ class AmplitudePdfTable:
         _, upper, anchor, coef = self._lookup
         with np.errstate(divide="ignore"):
             lx = np.log(r)
+        # every step writes into arrays held here; all indices are in range
+        # (-1 below the grid is reset next), so "wrap" takes skip the checks
         i = self._guess(lx)
-        i -= lx < anchor.take(i)  # below the grid this gives -1, reset next
-        i += lx >= upper.take(i)
-        np.putmask(i, r < self.grid[0], upper.size)
-        np.putmask(i, r > self.grid[-1], upper.size + 1)
-        inf = np.isinf(lx)
-        s = np.subtract(lx, anchor.take(i), out=lx)
-        out = coef[0].take(i)
+        term, mask, inf = np.empty_like(lx), np.empty(lx.shape, bool), np.isinf(lx)
+        i -= np.less(lx, anchor.take(i, out=term, mode="wrap"), out=mask)
+        i += np.greater_equal(lx, upper.take(i, out=term, mode="wrap"), out=mask)
+        np.putmask(i, np.less(r, self.grid[0], out=mask), upper.size)
+        np.putmask(i, np.greater(r, self.grid[-1], out=mask), upper.size + 1)
+        s = np.subtract(lx, anchor.take(i, out=term, mode="wrap"), out=lx)
+        out = coef[0].take(i, out=np.empty_like(s), mode="wrap")
         with np.errstate(invalid="ignore"):  # 0 * inf in an off-grid row, at r = 0 or inf
-            out += coef[1].take(i) * s  # ((c0 + c1 s) + c2 s^2) + c3 s^3
+            # ((c0 + c1 s) + c2 s^2) + c3 s^3
+            out += np.multiply(coef[1].take(i, out=term, mode="wrap"), s, out=term)
             s2 = s * s
-            out += coef[2].take(i) * s2
-            out += coef[3].take(i) * np.multiply(s2, s, out=s2)
+            out += np.multiply(coef[2].take(i, out=term, mode="wrap"), s2, out=term)
+            s2 *= s
+            out += np.multiply(coef[3].take(i, out=term, mode="wrap"), s2, out=term)
             if self.spec.alpha == 2.0:
                 above = r > self.grid[-1]
                 out[above] = _gaussian_log_amplitude_pdf(r[above], self.spec.sigma, self.spec.d)

@@ -14,11 +14,13 @@ when there is none to the lowest unstopped point with chunks left (a
 speculative chunk).  So the pool does not drain between points, and at
 most `workers` chunks computed past a stop are discarded.
 
-A chunk decodes in blocks of DECODE_TRIALS trials into product (then
-residual) and squared-residual arrays that each thread keeps for the life
-of the process: fresh ones let the allocator return the heap top to the
-kernel after each block and fault it back in on the next (~800 faults a
-chunk).
+A chunk decodes in blocks of DECODE_ENTRIES residual entries (K * n_r *
+t_s a trial: 4096 trials at n_r = 1, 2048 at n_r = 2 for BPSK Alamouti)
+into product (then residual) and squared-residual arrays that each thread
+keeps for the life of the process: fresh ones let the allocator return
+the heap top to the kernel after each block and fault it back in on the
+next (~800 faults a chunk).  An entry budget keeps each block's other
+temporaries at sizes a pool worker reuses without faulting.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .receivers import (
 from .stable import NoiseModel, sample_noise_block
 
 CHUNK_TRIALS = 8192  # part of the determinism contract: streams are per-chunk
-DECODE_TRIALS = 2048  # a chunk decodes in blocks of this many trials
+DECODE_ENTRIES = 2**15  # residual entries per decode block, see the module docstring
 # the Philox key packs (snr_index, chunk_index) into one 64-bit word
 _KEY_FIELD_LIMIT = 2**32
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -213,15 +215,17 @@ def _run_chunk(
     )
     h, w, genie = (np.moveaxis(a, 0, -1) for a in (h, w, genie))  # trial axis last
     decisions = np.empty((len(config.receivers), n), dtype=np.intp)
-    for start in range(0, n, DECODE_TRIALS):
-        block = slice(start, start + DECODE_TRIALS)
+    step = max(1, DECODE_ENTRIES // (len(codebook) * config.n_r * codebook.t_s))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
         sent = tx[block]
         shape = (len(codebook), config.n_r, codebook.t_s, len(sent))
         s = block_products(h[..., block], codebook,
                            out=_workspace_view("products", shape, complex))
         np.multiply(sqrt_rho, s, out=s)
         m = s[0].size  # s[k, i, t, b] is s.flat[k * m + (i * t_s + t) * B + b]
-        y = np.take(s, sent * m + np.arange(m).reshape(shape[1:])) + w[..., block]
+        y = np.take(s, sent * m + np.arange(m).reshape(shape[1:]))
+        np.add(y, w[..., block], out=y)
         r = np.subtract(y, s, out=s)  # the residuals overwrite the products
         energies = ResidualEnergies(r, config.model,
                                     out=_workspace_view("squares", shape, float))

@@ -7,13 +7,13 @@ Every rule is a function of the residual energies
 of trial b against codeword k, with the trial axis last so that each
 elementwise step runs one long inner loop per (k, i, t) rather than a
 two-element loop per trial.  The Monte Carlo engine decodes a chunk in
-blocks of ``montecarlo.DECODE_TRIALS`` (2048) trials to keep temporaries
-small; each decision depends only on its own trial, so the block size
-never changes a result.  ``ResidualEnergies`` forms a block's per-group
-energies and per-codeword totals once, when built, and the whole roster
-decodes from them.  A group is the entries that share a subordinator: a
-column (summed over receive antennas) under model I, a single entry
-under model II.  Group energies and the genie record share one layout,
+blocks of ``montecarlo.DECODE_ENTRIES`` (2^15) residual entries to keep
+temporaries small; each decision depends only on its own trial, so the
+block size never changes a result.  ``ResidualEnergies`` forms a block's
+per-group energies and per-codeword totals once, when built, and the
+whole roster decodes from them.  A group is the entries that share a
+subordinator: a column (summed over receive antennas) under model I, a
+single entry under model II.  Group energies and the genie record share one layout,
 (K, g, t_s, B) and (g, t_s, B): g = 1 under model I, g = n_r under
 model II.
 ``METRICS`` maps each receiver name to its cost over those energies; the

@@ -91,14 +91,24 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None):
         tb = beta * math.tan(math.pi * alpha / 2.0)
         b0 = math.atan(tb) / alpha
         s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
-        au = alpha * (u + b0)
-        x = (
-            s0
-            * np.sin(au)
-            / np.cos(u) ** (1.0 / alpha)
-            * (np.cos(u - au) / w) ** ((1.0 - alpha) / alpha)
-        )
-        out = sigma * x + mu
+        # s0 sin(au) / cos(u)^(1/alpha) * (cos(u - au) / w)^((1-alpha)/alpha),
+        # au = alpha (u + b0), step by step in place.  With size None each
+        # power takes a scalar, as the expression did: numpy's pow on a 0-d
+        # array can round differently
+        au = np.add(u, b0)
+        au *= alpha
+        out = np.sin(au)
+        out *= s0
+        c = np.cos(u)
+        c **= 1.0 / alpha
+        out /= c
+        np.cos(np.subtract(u, au, out=u), out=u)
+        u /= w
+        c = u[()]  # u itself, or its scalar when size is None
+        c **= (1.0 - alpha) / alpha
+        out *= c
+        out *= sigma
+        out += mu
 
     if size is None:
         return float(out)

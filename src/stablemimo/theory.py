@@ -194,7 +194,13 @@ def _conditional_pep(h, genie, rho, s, s_prime, block_max: bool):
     genie = np.asarray(genie, dtype=float)
     if np.any(genie <= 0.0):
         raise ValueError("genie record must be positive")
-    cols = np.asarray(h) @ (np.asarray(s) - np.asarray(s_prime))
+    h, d = np.asarray(h), np.asarray(s) - np.asarray(s_prime)
+    if h.shape[-1] != d.shape[0]:
+        raise ValueError(f"h has {h.shape[-1]} transmit antennas, S - S' has {d.shape[0]} rows")
+    # H (S - S') summed over transmit antennas: a batched matmul is ~3x slower
+    cols = h[..., 0, None] * d[0]
+    for m in range(1, d.shape[0]):
+        cols += h[..., m, None] * d[m]
     if genie.ndim != cols.ndim or genie.shape[-2] not in (1, cols.shape[-2]):
         raise ValueError(f"genie record of shape {genie.shape} does not match "
                          f"(..., g, t_s) with g 1 or n_r for H(S - S') {cols.shape}")

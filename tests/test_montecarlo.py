@@ -3,11 +3,14 @@
 import hashlib
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from stablemimo import (
 )
 from stablemimo import montecarlo
 from stablemimo.cliio import emit_csv, resolve_preset
-from stablemimo.codes import enumerate_codebook, sample_channel
+from stablemimo.codes import block_products, enumerate_codebook, sample_channel
 from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _fold_chunks, _run_chunk
 from stablemimo.receivers import (
     batch_aor,
@@ -228,9 +231,11 @@ class TestFusedChunk:
 class TestDecodeBlocks:
     @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
     def test_block_size_does_not_change_errors(self, monkeypatch, model):
-        # every split but 8192 ends on a partial block: 423 trials after 777,
-        # 904 after 2 x 2048 and after 4096, one trial after 4999; size 1
-        # decodes each trial on its own
+        # blocks of `size` trials through the entry budget, 16 residual
+        # entries a trial (K 4, n_r 2, t_s 2); 2048 is the default.  Every
+        # split but 8192 ends on a partial block: 423 trials after 777, 904
+        # after 2 x 2048 and after 4096, one trial after 4999; size 1 decodes
+        # each trial on its own
         for n, sizes in ((1200, (1, 777, 2048)), (5000, (2048, 4096, 4999, 8192))):
             # at 195 dB the exact-fit rule fires in some trials of a block only
             cfg = SimConfig(model=model, alpha=1.43, n_r=2, snr_grid_db=(0.0, 195.0),
@@ -248,7 +253,7 @@ class TestDecodeBlocks:
             assert 0.05 < exact[:777].mean() < 0.95
             runs = {}
             for size in sizes:
-                monkeypatch.setattr(montecarlo, "DECODE_TRIALS", size)
+                monkeypatch.setattr(montecarlo, "DECODE_ENTRIES", 16 * size)
                 runs[size] = [_run_chunk(cfg, cb, table, j, 0)[1] for j in range(2)]
             assert all(np.array_equal(r, runs[2048]) for r in runs.values()), n
             assert runs[2048][0].min() > 0
@@ -269,19 +274,94 @@ class TestDecodeBlocks:
         curve = run_sweep(cfg)
         assert {rx: [p.bit_errors for p in pts] for rx, pts in curve.points.items()} == want
 
-    def test_fig4_chunk_allocation_peak(self):
-        # decoding in blocks keeps chunk-sized temporaries out of the decode
-        cfg = resolve_preset("fig4").configs[0]
+    def test_preset_blocks_within_entry_budget(self, monkeypatch):
+        # at most 2^15 residual entries (K n_r t_s a trial) per block: 4096
+        # trials where n_r = 1 (fig1, fig3), 2048 where n_r = 2
+        blocks = []
+
+        def recording(h, codebook, out):
+            blocks.append(out.shape)
+            return block_products(h, codebook, out=out)
+
+        monkeypatch.setattr(montecarlo, "block_products", recording)
+        for fig in range(1, 7):
+            for cfg in resolve_preset(f"fig{fig}").configs:
+                cfg = replace(cfg, receivers=("mdr",), max_trials=CHUNK_TRIALS)
+                blocks.clear()
+                _run_chunk(cfg, enumerate_codebook(cfg.code, cfg.constellation), None, 0, 0)
+                trials = 4096 if fig in (1, 3) else 2048
+                assert [b[-1] for b in blocks] == [trials] * (CHUNK_TRIALS // trials), fig
+                assert max(math.prod(b) for b in blocks) <= 2**15, fig
+
+    @staticmethod
+    def chunk_allocation_peak(fig):
+        cfg = resolve_preset(fig).configs[0]
         cb = enumerate_codebook(cfg.code, cfg.constellation)
         table = montecarlo.build_ml_table(cfg)
         _run_chunk(cfg, cb, table, 4, 0)
         tracemalloc.start()
         try:
             _run_chunk(cfg, cb, table, 4, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 2**20
+
+    def test_fig4_chunk_allocation_peak(self):
+        # decoding in blocks keeps chunk-sized temporaries out of the decode
+        assert self.chunk_allocation_peak("fig4") <= 6 * 2**20
+
+    def test_fig1_chunk_allocation_peak(self):
+        # 4096-trial blocks of 8 residual entries a trial: 3.0 MiB measured
+        # (2.1 MiB with 2048-trial blocks)
+        assert self.chunk_allocation_peak("fig1") <= 4 * 2**20
+
+
+_POOL_FAULTS = """
+import os, resource
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from stablemimo import montecarlo
+from stablemimo.cliio import resolve_preset
+from stablemimo.codes import enumerate_codebook
+
+def chunk_faults(cfg, codebook, table, chunk):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    montecarlo._run_chunk(cfg, codebook, table, 3, chunk)
+    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+if __name__ == "__main__":
+    for fig, i, constellation in (("fig1", 0, "bpsk"), ("fig1", 0, "qpsk"), ("fig6", 1, "bpsk")):
+        cfg = replace(resolve_preset(fig).configs[i], constellation=constellation)
+        codebook = enumerate_codebook(cfg.code, cfg.constellation)
+        table = montecarlo.build_ml_table(cfg)  # tables first, as run_experiment
+        with ProcessPoolExecutor(2) as pool:  # forked before anything decodes
+            runs = [pool.submit(chunk_faults, cfg, codebook, table, c) for c in range(16)]
+            faults = {}
+            for run in runs:
+                pid, n = run.result()
+                faults.setdefault(pid, []).append(n)
+        print(fig + constellation, *(n for counts in faults.values() for n in counts[2:]))
+"""
+
+
+def test_pool_workers_do_not_refault_the_heap(tmp_path):
+    # n_r = 1: fig1 (4096-trial blocks) and its QPSK variant (K = 16,
+    # 1024-trial blocks); and fig6 model II (2048), in a fresh interpreter's
+    # 2-worker pool.  From a worker's third chunk on, each took 0-2 minor
+    # faults a chunk.  2048-trial QPSK blocks took ~2,270, and flat
+    # 4096-trial blocks ~1,470 a fig6 model II chunk
+    script = tmp_path / "pool_faults.py"
+    script.write_text(_POOL_FAULTS)
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, str(script)], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert len(out.splitlines()) == 3
+    for line in out.splitlines():
+        _, *faults = line.split()
+        assert len(faults) >= 8, line
+        assert max(map(int, faults)) <= 250, line
 
 
 class TestDecodeWorkspace:
@@ -700,7 +780,7 @@ class TestRunSweep:
                 assert gar <= n + 2.0 * math.sqrt(n), (i, other)
 
     def test_ml_aor_disagreement_shrinks_with_snr(self):
-        from stablemimo.codes import enumerate_codebook, sample_channel
+        from stablemimo.codes import block_products, enumerate_codebook, sample_channel
         from stablemimo.montecarlo import build_ml_table
         from stablemimo.receivers import batch_aor, batch_ml
         from stablemimo.stable import sample_noise_block

@@ -66,6 +66,61 @@ class TestSampleStable:
         x = sample_stable(StableParams(alpha=1.5), rng_for(6))
         assert isinstance(x, float)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.715, 1.0, 1.43, 2.0])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_bits_equal_cms_expression(self, alpha, beta):
+        # the in-place transform against the expression it replaced: same
+        # bits (as uint64, so a sign of zero or a NaN payload counts) and
+        # the same stream position.  alpha 0.5 and 2 take numpy's special
+        # powers (square, identity, sqrt); 0.715 is fig4's subordinator
+        params = StableParams(alpha=alpha, sigma=1.3, beta=beta, mu=-0.2)
+        for size in (None, 1000, (7, 3, 2)):
+            got_rng, want_rng = (np.random.Generator(np.random.Philox(key=[9, 4]))
+                                 for _ in range(2))
+            if size is None:  # numpy scalar math, not 0-d arrays
+                got = [sample_stable(params, got_rng) for _ in range(500)]
+                want = [cms_expression(params, want_rng) for _ in range(500)]
+                assert all(type(x) is float for x in got)
+                got, want = np.array(got), np.array(want)
+            else:
+                got = sample_stable(params, got_rng, size=size)
+                want = cms_expression(params, want_rng, size=size)
+                assert got.shape == want.shape == np.empty(size).shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
+            # Philox's state holds arrays; repr compares them in full
+            assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+
+
+def cms_expression(params, rng, size=None):
+    """sample_stable as one expression per branch, before its steps were
+    written in place."""
+    alpha, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
+    shape = () if size is None else size
+    u = rng.uniform(-np.pi / 2, np.pi / 2, shape)
+    w = rng.standard_exponential(shape)
+    if alpha == 1.0:
+        half_pi = np.pi / 2
+        x = (2 / np.pi) * (
+            (half_pi + beta * u) * np.tan(u)
+            - beta * np.log((half_pi * w * np.cos(u)) / (half_pi + beta * u))
+        )
+        out = sigma * x + mu
+        if beta != 0.0:
+            out = out + (2 / np.pi) * beta * sigma * math.log(sigma)
+    else:
+        tb = beta * math.tan(math.pi * alpha / 2.0)
+        b0 = math.atan(tb) / alpha
+        s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
+        au = alpha * (u + b0)
+        x = (
+            s0
+            * np.sin(au)
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos(u - au) / w) ** ((1.0 - alpha) / alpha)
+        )
+        out = sigma * x + mu
+    return float(out) if size is None else out
+
 
 class TestSubordinator:
     @pytest.mark.parametrize("alpha", [0.0, 2.0, 2.5])

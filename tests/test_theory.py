@@ -390,6 +390,13 @@ class TestConditionalPep:
             bound = conditional_pep_mdr_bound(h, genie, 4.0, s, sp)
             assert bound >= exact - 1e-15
 
+    @pytest.mark.parametrize("n_t", [1, 3])
+    def test_rejects_transmit_antenna_mismatch(self, n_t):
+        s, sp = self.cb.codewords[0], self.cb.codewords[1]  # n_t = 2
+        for pep in (conditional_pep_gar, conditional_pep_mdr_bound):
+            with pytest.raises(ValueError, match=f"h has {n_t} transmit antennas"):
+                pep(np.ones((2, n_t)), np.ones((1, 2)), 1.0, s, sp)
+
     def test_genie_positivity_enforced(self):
         s, sp = self.cb.codewords[0], self.cb.codewords[1]
         for pep in (conditional_pep_gar, conditional_pep_mdr_bound):
