@@ -1,8 +1,8 @@
 """Amplitude density of d-dimensional isotropic stable vectors.
 
 The amplitude r = ||x|| of an isotropic stable vector with exponent alpha
-and scale sigma (characteristic function exp(-sigma^alpha * ||t||^alpha))
-has density
+at the simulator's noise scale sigma = NOISE_SIGMA (characteristic function
+exp(-sigma^alpha * ||t||^alpha)) has density
 
     f(r) = 2 / (2^(d/2) * Gamma(d/2))
            * integral_0^inf (r*t)^(d/2) * J_{d/2-1}(r*t) * exp(-sigma^alpha * t^alpha) dt
@@ -16,11 +16,11 @@ once.  J_n is the midpoint rule on Bessel's integral (Trefethen & Weideman
 2014) for d = 2, 4, 6, 8, closed forms for d = 1, 3 and scipy's jv for other
 d; Newton's method on it refines McMahon's estimates of the zeros.  Large
 radii use the tail term K * r^(-alpha-1), K a function of the spec alone.
-Tables hold the log-density on a log-uniform grid from r = 1e-3 * sigma /
-2^(-1/2) (1e-3 at the simulator's noise scale), read by a direct-index PCHIP
-lookup (monotone cubic, Fritsch & Carlson 1980) that equals scipy's
-PchipInterpolator bit for bit, with the below-grid and tail laws as two more
-rows of its interval table, and save/load as versioned .npz archives.
+Tables hold the log-density on a log-uniform grid from r = 1e-3, read by a
+direct-index PCHIP lookup (monotone cubic, Fritsch & Carlson 1980) that
+equals scipy's PchipInterpolator bit for bit, with the below-grid and tail
+laws as two more rows of its interval table, and save/load as versioned
+.npz archives.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ TABLE_FORMAT_VERSION = 1
 # Quadrature: Bessel zeros bounding the oscillatory segments; halvings of
 # [0, z_1] into head sub-segments; two Gauss-Legendre orders whose
 # difference estimates the error; radii per block, so that no (radii,
-# segments, nodes) temporary exceeds 1 MB; the error target.  Tables: the
-# first grid node at sigma = 2^(-1/2), scaled with sigma.
+# segments, nodes) temporary exceeds 1 MB; the error target; the first
+# node of a table's grid.
 _N_ZEROS = 50
 _HEAD_HALVINGS = 48
 _RULE_ORDERS = (24, 32)
@@ -58,28 +58,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IsotropicAmplitudeSpec:
-    """Exponent, scale and real dimension count of one amplitude law."""
+    """Exponent and real dimension count of one amplitude law, at the
+    noise scale NOISE_SIGMA."""
 
     alpha: float
-    sigma: float
     d: int
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.d >= 1 and float(self.d).is_integer()):
             raise ValueError(f"d must be a positive integer, got {self.d}")
-        try:  # the density's scale; 0 or overflow leaves no usable tail or quadrature
-            scale = self.sigma**self.alpha
-        except OverflowError:
-            scale = math.inf
-        if not 0.0 < scale < math.inf:
-            raise ValueError(
-                f"sigma^alpha is not a positive finite float "
-                f"(sigma={self.sigma}, alpha={self.alpha})"
-            )
 
 
 def amplitude_tail_constant(spec: IsotropicAmplitudeSpec) -> float:
@@ -99,7 +88,7 @@ def amplitude_tail_constant(spec: IsotropicAmplitudeSpec) -> float:
         * math.gamma((a + d) / 2.0)
         / math.gamma(d / 2.0)
     )
-    return k * spec.sigma**a
+    return k * NOISE_SIGMA**a
 
 
 def amplitude_tail_pdf(r, spec: IsotropicAmplitudeSpec):
@@ -109,10 +98,10 @@ def amplitude_tail_pdf(r, spec: IsotropicAmplitudeSpec):
     )
 
 
-def _gaussian_log_amplitude_pdf(r, sigma: float, d: int):
+def _gaussian_log_amplitude_pdf(r, d: int):
     """Exact log-density at alpha = 2: chi-type law with 2*sigma^2 per component."""
     r = np.asarray(r, dtype=float)
-    v = 4.0 * sigma * sigma
+    v = 4.0 * NOISE_SIGMA * NOISE_SIGMA
     with np.errstate(divide="ignore", over="ignore"):
         return (
             math.log(2.0)
@@ -169,10 +158,10 @@ def _hankel_rule(d: int):
 
 def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
     """f(r) for every r in (0, inf): the substituted integral (module
-    docstring) by two rule orders, checked against _ATOL / _scale(spec) + _RTOL * f."""
+    docstring) by two rule orders, checked against _ATOL + _RTOL * f."""
     a, d = spec.alpha, spec.d
     n_head, rules = _hankel_rule(d)
-    decay = (spec.sigma / r) ** a
+    decay = (NOISE_SIGMA / r) ** a
     totals = []
     for u, weights in rules:
         ua = u**a
@@ -192,7 +181,7 @@ def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
     # rule-order difference plus the last Euler stage's spread (higher order)
     spread = 0.5 * np.abs(s[:, 0] - s[:, -1])
     est_err = prefactor * (np.abs(totals[-1] - totals[0]) + spread)
-    miss = np.flatnonzero(est_err > _ATOL / _scale(spec) + _RTOL * np.abs(total))
+    miss = np.flatnonzero(est_err > _ATOL + _RTOL * np.abs(total))
     if miss.size:
         i = miss[0]
         raise QuadratureError(
@@ -206,10 +195,9 @@ def amplitude_pdf(r, spec: IsotropicAmplitudeSpec):
     """Numeric amplitude density f(r) for r >= 0, elementwise.
 
     Raises QuadratureError when the internal error estimate misses the
-    target _ATOL / _scale(spec) + _RTOL * f.  Its absolute part scales with
-    the density's 1/sigma, and it dominates wherever f < ~1e-4 / _scale(spec),
-    so far in the tail use amplitude_tail_pdf (alpha 1.43, d 4, sigma 1:
-    f(1e6) is off by -3e-4 relative).
+    target _ATOL + _RTOL * f.  Its absolute part dominates wherever f <
+    ~1e-4, so far in the tail use amplitude_tail_pdf (alpha 1.43, d 4:
+    f(1e6) is off by -1.3e-4 relative).
     """
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr >= 0.0):
@@ -218,7 +206,7 @@ def amplitude_pdf(r, spec: IsotropicAmplitudeSpec):
     out = np.zeros(flat.shape)  # f(+inf) = 0, and f(0) = 0 for d >= 2
     if spec.d == 1:
         out[flat == 0.0] = (
-            (2.0 / math.pi) * math.gamma(1.0 + 1.0 / spec.alpha) / spec.sigma
+            (2.0 / math.pi) * math.gamma(1.0 + 1.0 / spec.alpha) / NOISE_SIGMA
         )
     inner = (flat > 0.0) & (flat < np.inf)
     out[inner] = _hankel_pdf(flat[inner], spec)
@@ -274,7 +262,7 @@ class AmplitudePdfTable:
         if self.grid.size < 3 or np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing, with >= 3 nodes")
         x = np.log(self.grid)
-        # K > 0, also at alpha = 2 (the spec rejects a sigma^alpha of 0)
+        # K > 0, also at alpha = 2
         log_k = math.log(amplitude_tail_constant(self.spec))
         # extra rows: n - 1 below the grid, n beyond it
         off_grid = [[self.log_values[0], log_k],
@@ -322,7 +310,7 @@ class AmplitudePdfTable:
             out += np.multiply(coef[3].take(i, out=term, mode="wrap"), s2, out=term)
             if self.spec.alpha == 2.0:
                 above = r > self.grid[-1]
-                out[above] = _gaussian_log_amplitude_pdf(r[above], self.spec.sigma, self.spec.d)
+                out[above] = _gaussian_log_amplitude_pdf(r[above], self.spec.d)
         np.putmask(out, inf, -np.inf)
         if self.spec.d == 1:  # f(0) is finite
             np.putmask(out, r == 0.0, self.log_values[0])
@@ -340,7 +328,7 @@ class AmplitudePdfTable:
                 fh,
                 format_version=np.int64(TABLE_FORMAT_VERSION),
                 alpha=np.float64(self.spec.alpha),
-                sigma=np.float64(self.spec.sigma),
+                sigma=np.float64(NOISE_SIGMA),
                 d=np.int64(self.spec.d),
                 grid=self.grid,
                 log_values=self.log_values,
@@ -353,27 +341,19 @@ class AmplitudePdfTable:
             version = int(data["format_version"])
             if version != TABLE_FORMAT_VERSION:
                 raise ValueError(f"unsupported table format version {version}")
-            spec = IsotropicAmplitudeSpec(
-                alpha=float(data["alpha"]),
-                sigma=float(data["sigma"]),
-                d=int(data["d"]),
-            )
+            sigma = float(data["sigma"])
+            if sigma != NOISE_SIGMA:
+                raise ValueError(f"table sigma {sigma} is not the noise scale {NOISE_SIGMA}")
             return cls(
-                spec=spec,
+                spec=IsotropicAmplitudeSpec(alpha=float(data["alpha"]), d=int(data["d"])),
                 grid=data["grid"].copy(),
                 log_values=data["log_values"].copy(),
             )
 
 
-def _scale(spec: IsotropicAmplitudeSpec) -> float:
-    """sigma relative to NOISE_SIGMA: exactly 1.0 at the simulator's scale."""
-    return spec.sigma / NOISE_SIGMA
-
-
 def _find_r_max(spec: IsotropicAmplitudeSpec) -> float:
-    """Smallest radius (2^4 ... 2^39) * _scale(spec) where quadrature and
-    tail agree to 1%."""
-    r = 2.0 ** np.arange(4, 40) * _scale(spec)
+    """Smallest radius 2^4 ... 2^39 where quadrature and tail agree to 1%."""
+    r = 2.0 ** np.arange(4, 40)
     ratio = amplitude_pdf(r, spec) / amplitude_tail_pdf(r, spec)
     ok = np.flatnonzero(np.abs(ratio - 1.0) < 0.01)
     if ok.size:
@@ -388,8 +368,8 @@ def build_amplitude_table(
     n_nodes: int = 512,
     r_max: float | None = None,
 ) -> AmplitudePdfTable:
-    """Tabulate log f on a log-spaced grid from _R_MIN * _scale(spec) (r =
-    1e-3 at sigma = 2^(-1/2)) to r_max by direct quadrature.
+    """Tabulate log f on a log-spaced grid from _R_MIN to r_max by direct
+    quadrature.
 
     r_max defaults to the radius where the tail formula is accurate to 1%
     (alpha < 2) or a fixed multiple of the Gaussian spread (alpha = 2).
@@ -400,10 +380,10 @@ def build_amplitude_table(
         if spec.alpha == 2.0:
             # keep the quadrature above cancellation noise; the exact
             # Gaussian branch serves radii past the grid
-            r_max = 8.5 * spec.sigma
+            r_max = 8.5 * NOISE_SIGMA
         else:
             r_max = _find_r_max(spec)
-    grid = np.geomspace(_R_MIN * _scale(spec), r_max, n_nodes)
+    grid = np.geomspace(_R_MIN, r_max, n_nodes)
     values = amplitude_pdf(grid, spec)
     if np.any(values <= 0.0):
         raise QuadratureError("nonpositive density on the table grid")
@@ -412,5 +392,5 @@ def build_amplitude_table(
 
 def noise_amplitude_spec(alpha: float, d: int) -> IsotropicAmplitudeSpec:
     """Amplitude spec of d stacked real dimensions of the simulator's unit
-    noise blocks: scale NOISE_SIGMA."""
-    return IsotropicAmplitudeSpec(alpha=alpha, sigma=NOISE_SIGMA, d=d)
+    noise blocks."""
+    return IsotropicAmplitudeSpec(alpha=alpha, d=d)

@@ -4,7 +4,6 @@ Verbs:
     run PATH      run a sweep from a config file
     preset NAME   run a named experiment preset
     theory        emit closed-form bound curves only
-    table         build and save an amplitude density table
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -16,7 +15,6 @@ import os
 import sys
 
 from . import __version__
-from .amplitude import NOISE_SIGMA, IsotropicAmplitudeSpec, build_amplitude_table
 from .cliio import (
     _FIELDS,
     OVERRIDE_KEYS,
@@ -75,14 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--out-dir", default=".")
     p_theory.add_argument("--out", help="output CSV name")
 
-    p_table = sub.add_parser("table", help="build an amplitude density table")
-    p_table.add_argument("--alpha", type=float, required=True)
-    p_table.add_argument("--d", type=int, required=True,
-                         help="real dimension count (2 per complex entry)")
-    p_table.add_argument("--sigma", type=float, default=NOISE_SIGMA,
-                         help="isotropic scale (default matches unit noise)")
-    p_table.add_argument("--out", required=True, help="output .npz path")
-
     return parser
 
 
@@ -117,16 +107,8 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    spec = IsotropicAmplitudeSpec(alpha=args.alpha, sigma=args.sigma, d=args.d)
-    table = build_amplitude_table(spec)
-    _publish([(args.out, table.save)])
-    print(f"wrote {args.out} (r_max = {table.grid[-1]:g})")
-    return 0
-
-
 # verb -> command; the required subparsers reject any other verb
-_COMMANDS = {"run": _cmd_run, "preset": _cmd_preset, "theory": _cmd_theory, "table": _cmd_table}
+_COMMANDS = {"run": _cmd_run, "preset": _cmd_preset, "theory": _cmd_theory}
 
 
 def main(argv=None) -> int:

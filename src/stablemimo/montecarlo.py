@@ -337,8 +337,11 @@ def fit_slope(curve: BerCurve, receiver: str, window: int = 4) -> SlopeFit:
     """Fit the high-SNR slope over the top `window` SNR points.
 
     Requires at least 3 points in the window with _SLOPE_POINT_ERRORS bit
-    errors each; raises SlopeFitError otherwise.
+    errors each; raises SlopeFitError otherwise, and ValueError for a
+    window under 3.
     """
+    if window < 3:
+        raise ValueError(f"window must be >= 3, got {window}")
     pts = [(snr, p) for snr, p in zip(curve.config.snr_grid_db[-window:],
                                       curve.points[receiver][-window:])
            if p.bit_errors >= _SLOPE_POINT_ERRORS]

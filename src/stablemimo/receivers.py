@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .amplitude import AmplitudePdfTable, IsotropicAmplitudeSpec, noise_amplitude_spec
+from .amplitude import AmplitudePdfTable, IsotropicAmplitudeSpec
 from .codes import Codebook, block_products
 from .stable import NoiseModel
 
@@ -60,7 +60,7 @@ def ml_table_spec(model: NoiseModel, n_r: int, alpha: float) -> IsotropicAmplitu
     """Amplitude law of one ML density argument: the norm of a column of
     n_r complex noise entries under the shared model (d = 2 n_r), of a
     single complex entry under i.i.d. (d = 2)."""
-    return noise_amplitude_spec(alpha, 2 * n_r if model is NoiseModel.SHARED else 2)
+    return IsotropicAmplitudeSpec(alpha, 2 * n_r if model is NoiseModel.SHARED else 2)
 
 
 def check_ml_table(table: AmplitudePdfTable, want: IsotropicAmplitudeSpec):

@@ -115,10 +115,12 @@ def pep_asymptote(
 
 
 def dlog_gain(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> float:
-    """Closed-form digamma derivative of a log coding gain.
+    """Closed-form digamma derivative of a model I log coding gain.
 
     Supported: (gar, n_r), (mdr, n_r), (mdr, n_t).  The genie-aided
-    derivative in n_t has no closed form; use dlog_gain_numeric.
+    derivative in n_t has no closed form; use dlog_gain_numeric.  Under
+    model II the MDR gain carries -(2/alpha) log n_r more, so its n_r
+    derivative is this value minus 2/(alpha n_r).
     """
     from scipy.special import digamma  # off the run path: no import cost there
 
@@ -138,8 +140,8 @@ def dlog_gain(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> floa
 
 
 def dlog_gain_numeric(receiver: str, wrt: str, n_t: int, n_r: int, alpha: float) -> float:
-    """Central finite difference, step 1e-4, of a log coding gain in a real
-    antenna count."""
+    """Central finite difference, step 1e-4, of a model I log coding gain
+    in a real antenna count (model II: see dlog_gain)."""
     _check_antennas(n_t, n_r, alpha)
     step = 1e-4
     fn = lambda nt, nr: log_coding_gain(receiver, NoiseModel.SHARED, nt, nr, alpha)

@@ -5,6 +5,7 @@ amplitude density's total mass."""
 import numpy as np
 
 from stablemimo import NoiseModel, amplitude_pdf, amplitude_tail_pdf, pep_asymptote
+from stablemimo.amplitude import NOISE_SIGMA
 from stablemimo.codes import Codebook, block_products
 
 
@@ -23,7 +24,7 @@ def integrate_amplitude(spec, r_split=1e4) -> float:
     analytic tail integral of K r^(-alpha-1) beyond it; a Gaussian law
     (alpha = 2) has no heavy tail and stops at 12 sigma."""
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    top = 12.0 * spec.sigma if spec.alpha == 2.0 else r_split
+    top = 12.0 * NOISE_SIGMA if spec.alpha == 2.0 else r_split
     edges = np.concatenate([[0.0], np.geomspace(1e-3, top, 25)])
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

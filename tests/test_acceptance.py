@@ -34,7 +34,7 @@ from stablemimo import (
     sample_subordinator,
     stable_tail_constant,
 )
-from stablemimo.amplitude import IsotropicAmplitudeSpec, noise_amplitude_spec
+from stablemimo.amplitude import NOISE_SIGMA, IsotropicAmplitudeSpec, noise_amplitude_spec
 from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
 
 from helpers import gain, integrate_amplitude
@@ -90,15 +90,16 @@ def _small_r_series(r, alpha, d, sigma, terms):
 
 def test_criterion_2_amplitude_pdf_oracles():
     t0 = time.time()
+    # closed forms at the noise scale sigma = 2^-1/2, where 4 sigma^2 = 2
     radii = np.geomspace(0.3, 4.0, 10)
     cases = {
-        (2.0, 2): lambda r: (r / 2.0) * np.exp(-r * r / 4.0),
-        (2.0, 4): lambda r: 2.0 * r**3 / 16.0 * np.exp(-r * r / 4.0),
-        (1.0, 2): lambda r: r / (1.0 + r * r) ** 1.5,
+        (2.0, 2): lambda r: r * np.exp(-r * r / 2.0),
+        (2.0, 4): lambda r: r**3 / 2.0 * np.exp(-r * r / 2.0),
+        (1.0, 2): lambda r: NOISE_SIGMA * r / (NOISE_SIGMA**2 + r * r) ** 1.5,
     }
     worst_pdf = 0.0
     for (alpha, d), oracle in cases.items():
-        spec = IsotropicAmplitudeSpec(alpha, 1.0, d)
+        spec = IsotropicAmplitudeSpec(alpha, d)
         err = np.max(np.abs(amplitude_pdf(radii, spec) - oracle(radii)))
         worst_pdf = max(worst_pdf, err)
     # the paper's exponents at the noise scale 2^-1/2, where each series
@@ -112,12 +113,12 @@ def test_criterion_2_amplitude_pdf_oracles():
     ]:
         for d in (2, 4):
             spec = noise_amplitude_spec(alpha, d)
-            want = np.array([series(r, alpha, d, spec.sigma, terms) for r in radii])
+            want = np.array([series(r, alpha, d, NOISE_SIGMA, terms) for r in radii])
             err = np.max(np.abs(amplitude_pdf(radii, spec) / want - 1.0))
             worst_series = max(worst_series, err)
     worst_norm = 0.0
     for alpha, d in [(2.0, 2), (2.0, 4), (1.0, 2), (1.43, 2), (0.5, 4)]:
-        total = integrate_amplitude(IsotropicAmplitudeSpec(alpha, 1.0, d))
+        total = integrate_amplitude(IsotropicAmplitudeSpec(alpha, d))
         worst_norm = max(worst_norm, abs(total - 1.0))
     report(
         2,

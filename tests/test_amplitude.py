@@ -3,7 +3,6 @@
 import math
 import os
 import pickle
-import re
 import subprocess
 import sys
 import warnings
@@ -22,6 +21,7 @@ from stablemimo import (
 )
 from stablemimo import amplitude
 from stablemimo.amplitude import (
+    NOISE_SIGMA,
     QuadratureError,
     _gaussian_log_amplitude_pdf,
     amplitude_tail_constant,
@@ -30,18 +30,17 @@ from stablemimo.amplitude import (
 from helpers import integrate_amplitude
 
 
-def rayleigh_type(r, sigma=1.0):
+# closed forms at the noise scale sigma = NOISE_SIGMA, where 4 sigma^2 = 2
+def rayleigh_type(r):
     # alpha=2, d=2: complex Gaussian with per-component variance 2*sigma^2
-    v = 4.0 * sigma * sigma
-    return 2.0 * r / v * np.exp(-r * r / v)
+    return r * np.exp(-r * r / 2.0)
 
 
-def chi_type_d4(r, sigma=1.0):
-    v = 4.0 * sigma * sigma
-    return 2.0 * r**3 / (v * v) * np.exp(-r * r / v)
+def chi_type_d4(r):
+    return r**3 / 2.0 * np.exp(-r * r / 2.0)
 
 
-def isotropic_cauchy(r, sigma=1.0):
+def isotropic_cauchy(r, sigma=NOISE_SIGMA):
     # alpha=1, d=2: f(r) = sigma * r / (r^2 + sigma^2)^(3/2)
     return sigma * r / (r * r + sigma * sigma) ** 1.5
 
@@ -49,30 +48,21 @@ def isotropic_cauchy(r, sigma=1.0):
 class TestSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            IsotropicAmplitudeSpec(alpha=0.0, sigma=1.0, d=2)
+            IsotropicAmplitudeSpec(alpha=0.0, d=2)
         with pytest.raises(ValueError):
-            IsotropicAmplitudeSpec(alpha=1.0, sigma=-1.0, d=2)
-        with pytest.raises(ValueError):
-            IsotropicAmplitudeSpec(alpha=1.0, sigma=1.0, d=0)
+            IsotropicAmplitudeSpec(alpha=1.0, d=0)
         for bad in (
-            dict(alpha=math.nan, sigma=1.0, d=2),
-            dict(alpha=1.43, sigma=math.nan, d=2),
-            dict(alpha=1.43, sigma=math.inf, d=2),
-            dict(alpha=1.43, sigma=1.0, d=math.nan),
-            dict(alpha=1.43, sigma=1.0, d=math.inf),
-            dict(alpha=1.43, sigma=1.0, d=2.5),
+            dict(alpha=math.nan, d=2),
+            dict(alpha=2.5, d=2),
+            dict(alpha=1.43, d=math.nan),
+            dict(alpha=1.43, d=math.inf),
+            dict(alpha=1.43, d=2.5),
         ):
             with pytest.raises(ValueError):
                 IsotropicAmplitudeSpec(**bad)
 
-    @pytest.mark.parametrize("alpha, sigma", [(1.7, 1e-200), (1.5, 1e300), (2.0, 1e-170)])
-    def test_rejects_scale_power_out_of_range(self, alpha, sigma):
-        # sigma^alpha underflows to 0 or overflows: no tail constant, no quadrature
-        with pytest.raises(ValueError, match=re.escape(f"(sigma={sigma}, alpha={alpha})")):
-            IsotropicAmplitudeSpec(alpha=alpha, sigma=sigma, d=2)
-
     def test_rejects_negative_radius(self):
-        spec = IsotropicAmplitudeSpec(1.0, 1.0, 2)
+        spec = IsotropicAmplitudeSpec(1.0, 2)
         for bad in (-0.1, -math.inf, math.nan, [1.0, math.nan]):
             with pytest.raises(ValueError):
                 amplitude_pdf(bad, spec)
@@ -81,7 +71,7 @@ class TestSpecValidation:
 class TestArrayContract:
     @pytest.mark.parametrize("alpha,d", [(1.43, 2), (1.43, 3), (0.5, 4), (0.8, 1)])
     def test_shape_and_scalar_agreement(self, alpha, d):
-        spec = IsotropicAmplitudeSpec(alpha, 2.0, d)
+        spec = IsotropicAmplitudeSpec(alpha, d)
         # 21 entries: not a multiple of the evaluation block size
         r = np.concatenate([[0.0, np.inf], np.geomspace(1e-3, 1e3, 19)]).reshape(3, 7)
         assert r.size % amplitude._BLOCK_RADII != 0
@@ -92,7 +82,7 @@ class TestArrayContract:
             assert type(one) is float
             assert value == pytest.approx(one, rel=1e-13, abs=0.0)
         # f(0) = (2/pi) Gamma(1 + 1/alpha) / sigma for d = 1, else 0; f(inf) = 0
-        at_zero = 0.0 if d > 1 else (2.0 / math.pi) * math.gamma(1.0 + 1.0 / alpha) / 2.0
+        at_zero = 0.0 if d > 1 else (2.0 / math.pi) * math.gamma(1.0 + 1.0 / alpha) / NOISE_SIGMA
         assert got[0, :2].tolist() == [at_zero, 0.0]
 
     def test_too_few_zeros_raise(self, monkeypatch):
@@ -100,7 +90,7 @@ class TestArrayContract:
         monkeypatch.setattr(amplitude, "_N_ZEROS", 3)
         # the cached rule is keyed by d alone, so bypass the cache
         monkeypatch.setattr(amplitude, "_hankel_rule", amplitude._hankel_rule.__wrapped__)
-        spec = IsotropicAmplitudeSpec(0.5, 1.0, 2)
+        spec = IsotropicAmplitudeSpec(0.5, 2)
         with pytest.raises(QuadratureError):
             amplitude_pdf(1.0, spec)
         with pytest.raises(QuadratureError):
@@ -111,46 +101,48 @@ class TestArrayContract:
 
 class TestClosedForms:
     def test_gaussian_d2(self):
-        spec = IsotropicAmplitudeSpec(2.0, 1.0, 2)
+        spec = IsotropicAmplitudeSpec(2.0, 2)
         for r in (0.5, 1.0, 2.0):
             assert abs(amplitude_pdf(r, spec) - rayleigh_type(r)) < 1e-6
 
     def test_gaussian_d4(self):
-        spec = IsotropicAmplitudeSpec(2.0, 1.0, 4)
+        spec = IsotropicAmplitudeSpec(2.0, 4)
         for r in (0.5, 1.5, 3.0):
             assert abs(amplitude_pdf(r, spec) - chi_type_d4(r)) < 1e-6
 
     def test_cauchy_d2(self):
-        spec = IsotropicAmplitudeSpec(1.0, 1.0, 2)
+        spec = IsotropicAmplitudeSpec(1.0, 2)
         for r in (0.3, 1.0, 2.0, 10.0):
             assert abs(amplitude_pdf(r, spec) - isotropic_cauchy(r)) < 1e-5
 
     def test_cauchy_d2_nonunit_sigma(self):
-        spec = IsotropicAmplitudeSpec(1.0, 0.5, 2)
+        # the law is at the noise scale 2^-1/2, not at sigma = 1
+        spec = IsotropicAmplitudeSpec(1.0, 2)
         for r in (0.3, 1.0, 5.0):
-            assert abs(amplitude_pdf(r, spec) - isotropic_cauchy(r, 0.5)) < 1e-5
+            assert abs(amplitude_pdf(r, spec) - isotropic_cauchy(r)) < 1e-5
+            assert abs(amplitude_pdf(r, spec) - isotropic_cauchy(r, 1.0)) > 1e-3
 
     def test_univariate_d1_cauchy(self):
         # d=1 amplitude is twice the univariate symmetric density
-        spec = IsotropicAmplitudeSpec(1.0, 1.0, 1)
+        spec = IsotropicAmplitudeSpec(1.0, 1)
         for r in (0.5, 1.0, 3.0):
-            exact = 2.0 / (math.pi * (1.0 + r * r))
+            exact = 2.0 * NOISE_SIGMA / (math.pi * (NOISE_SIGMA**2 + r * r))
             assert abs(amplitude_pdf(r, spec) - exact) < 1e-8
 
     def test_zero_radius(self):
-        assert amplitude_pdf(0.0, IsotropicAmplitudeSpec(1.5, 1.0, 2)) == 0.0
-        assert amplitude_pdf(0.0, IsotropicAmplitudeSpec(1.5, 1.0, 4)) == 0.0
+        assert amplitude_pdf(0.0, IsotropicAmplitudeSpec(1.5, 2)) == 0.0
+        assert amplitude_pdf(0.0, IsotropicAmplitudeSpec(1.5, 4)) == 0.0
         # d=1: f(0) = (2/pi) Gamma(1 + 1/alpha) / sigma
-        got = amplitude_pdf(0.0, IsotropicAmplitudeSpec(0.8, 2.0, 1))
+        got = amplitude_pdf(0.0, IsotropicAmplitudeSpec(0.8, 1))
         assert got == pytest.approx(
-            (2.0 / math.pi) * math.gamma(1.0 + 1.0 / 0.8) / 2.0, rel=1e-12
+            (2.0 / math.pi) * math.gamma(1.0 + 1.0 / 0.8) / NOISE_SIGMA, rel=1e-12
         )
 
 
 class TestTailBehavior:
     @pytest.mark.parametrize("alpha,d", [(1.0, 2), (1.43, 2), (1.43, 4)])
     def test_dominant_term_at_1e3(self, alpha, d):
-        spec = IsotropicAmplitudeSpec(alpha, 1.0, d)
+        spec = IsotropicAmplitudeSpec(alpha, d)
         ratio = amplitude_pdf(1e3, spec) / amplitude_tail_pdf(1e3, spec)
         assert abs(ratio - 1.0) < 0.02
 
@@ -158,20 +150,15 @@ class TestTailBehavior:
     def test_dominant_term_heavy_alpha(self, d):
         # at alpha=0.5 the neglected term is O(r^-0.5) relative, so the 2%
         # agreement point sits at much larger radii than for alpha >= 1
-        spec = IsotropicAmplitudeSpec(0.5, 1.0, d)
+        spec = IsotropicAmplitudeSpec(0.5, d)
         ratio = amplitude_pdf(1e6, spec) / amplitude_tail_pdf(1e6, spec)
         assert abs(ratio - 1.0) < 0.02
-
-    def test_tail_constant_sigma_scaling(self):
-        base = amplitude_tail_pdf(50.0, IsotropicAmplitudeSpec(1.43, 1.0, 2))
-        scaled = amplitude_tail_pdf(50.0, IsotropicAmplitudeSpec(1.43, 2.0, 2))
-        assert scaled / base == pytest.approx(2.0**1.43, rel=1e-12)
 
 
 class TestNormalization:
     @pytest.mark.parametrize("alpha,d", [(1.43, 2), (0.5, 4)])
     def test_integrates_to_one(self, alpha, d):
-        spec = IsotropicAmplitudeSpec(alpha, 1.0, d)
+        spec = IsotropicAmplitudeSpec(alpha, d)
         total = integrate_amplitude(spec)
         assert abs(total - 1.0) < 1e-4
 
@@ -198,35 +185,18 @@ class TestTable:
         ratio = math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_n, tab.spec)
         assert abs(ratio - 1.0) < 0.01
 
-    @pytest.mark.parametrize("sigma", [1e-6, 1e-12])
-    def test_grid_scales_with_sigma(self, sigma):
-        # a grid fixed at r = 1e-3 would leave the whole bulk of a sigma =
-        # 1e-6 law to the below-grid law, off by 23 in log f at r = 1e-6;
-        # at sigma = 1e-12 an error target that did not scale as f's 1/sigma
-        # failed the build
-        spec = IsotropicAmplitudeSpec(1.43, sigma, 2)
-        tab = build_amplitude_table(spec)
-        assert tab.grid[0] == pytest.approx(1e-3 * sigma * 2**0.5, rel=1e-12)
-        assert tab.grid[0] < sigma < tab.grid[-1]
-        r = np.geomspace(tab.grid[0], tab.grid[-1], 37)[1:-1]
-        direct = np.log(amplitude_pdf(r, spec))
-        assert np.max(np.abs(tab.log_pdf(r) - direct)) < 1e-3
-        # f_sigma(sigma) = f_1e-6(1e-6) * 1e-6 / sigma
-        want = 12.8912 + math.log(1e-6 / sigma)
-        assert tab.log_pdf(sigma) == pytest.approx(want, abs=1e-4)
-
     def test_gaussian_d4_table_matches_closed_form(self):
-        spec = IsotropicAmplitudeSpec(2.0, 1.0, 4)
+        spec = IsotropicAmplitudeSpec(2.0, 4)
         tab = build_amplitude_table(spec)
         exact = np.log(chi_type_d4(tab.grid))
         assert np.max(np.abs(tab.log_values - exact)) < 1e-4
 
     def test_gaussian_table_far_tail_is_exact(self):
-        spec = IsotropicAmplitudeSpec(2.0, 1.0, 2)
+        spec = IsotropicAmplitudeSpec(2.0, 2)
         tab = build_amplitude_table(spec)
         for r in (12.0, 30.0):
             assert tab.log_pdf(r) == pytest.approx(
-                float(_gaussian_log_amplitude_pdf(r, 1.0, 2)), rel=1e-12
+                float(_gaussian_log_amplitude_pdf(r, 2)), rel=1e-12
             )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # r * r overflows to inf
@@ -285,16 +255,18 @@ class TestTable:
         path = tmp_path / "table.npz"
         table_a143_d2.save(path)
         with np.load(path) as data:
-            payload = dict(data)
-        payload["format_version"] = np.int64(99)
-        np.savez(path, **payload)
-        with pytest.raises(ValueError, match="version"):
-            AmplitudePdfTable.load(path)
+            saved = dict(data)
+        # a file's sigma must be the noise scale, the only one a spec holds
+        for key, value, match in [("format_version", np.int64(99), "version"),
+                                  ("sigma", np.float64(1.0), "sigma 1.0"),
+                                  ("sigma", np.float64(math.nan), "sigma nan")]:
+            np.savez(path, **dict(saved, **{key: value}))
+            with pytest.raises(ValueError, match=match):
+                AmplitudePdfTable.load(path)
 
     def test_noise_spec_matches_unit_noise(self):
-        spec = noise_amplitude_spec(1.43, 4)
-        assert spec.sigma == pytest.approx(2.0**-0.5)
-        assert spec.d == 4
+        assert noise_amplitude_spec(1.43, 4) == IsotropicAmplitudeSpec(alpha=1.43, d=4)
+        assert NOISE_SIGMA == 2.0**-0.5
 
 
 # (alpha, d) of the four preset tables, with the r_max their search returns
@@ -439,10 +411,10 @@ def two_path_log_pdf(tab, r):
             mid = ~(below | above)
             out = np.empty_like(lr)
             out[mid] = interpolate(lr[mid])
-            a, sigma, d = tab.spec.alpha, tab.spec.sigma, tab.spec.d
+            a, d = tab.spec.alpha, tab.spec.d
             slope = (d - 1) * (lr[below] - math.log(lo)) if d > 1 else 0.0
             out[below] = tab.log_values[0] + slope
-            out[above] = (_gaussian_log_amplitude_pdf(r[above], sigma, d) if a == 2.0
+            out[above] = (_gaussian_log_amplitude_pdf(r[above], d) if a == 2.0
                           else math.log(amplitude_tail_constant(tab.spec))
                           - (a + 1.0) * lr[above])
     return float(out[0]) if scalar else out

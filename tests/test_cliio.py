@@ -253,10 +253,12 @@ class TestRunPreset:
 
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
-        for argv in (["bogus-verb"], []):
+        # "table" is not a verb: exit 1, as for any unknown one
+        for argv in (["bogus-verb"], [], ["table", "--alpha", "1.43", "--d", "2", "--out", "t"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1
+        assert "invalid choice: 'table'" in capsys.readouterr().err
 
     def test_full_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -330,41 +332,6 @@ class TestCli:
                      "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("stablemimo: snr_grid_db") and err.count("\n") == 1
-        assert os.listdir(tmp_path) == []
-
-    def test_table_verb_writes_exact_path(self, tmp_path):
-        out = tmp_path / "amp"
-        assert main(["table", "--alpha", "1.43", "--d", "2", "--out", str(out)]) == 0
-        assert os.listdir(tmp_path) == ["amp"]
-        from stablemimo import AmplitudePdfTable
-
-        assert AmplitudePdfTable.load(str(out)).spec.d == 2
-
-    def test_table_verb(self, tmp_path):
-        out = tmp_path / "amp.npz"
-        code = main(["table", "--alpha", "1.43", "--d", "2", "--out", str(out)])
-        assert code == 0
-        from stablemimo import AmplitudePdfTable
-
-        table = AmplitudePdfTable.load(out)
-        assert table.spec.alpha == 1.43
-        assert table.spec.d == 2
-        assert table.spec.sigma == pytest.approx(2.0**-0.5)
-
-    def test_table_verb_rejects_nan_sigma(self, tmp_path, capsys):
-        out = tmp_path / "amp.npz"
-        assert main(["table", "--alpha", "1.43", "--d", "2", "--sigma", "nan",
-                     "--out", str(out)]) == 2
-        assert "sigma" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("alpha, sigma", [("1.7", "1e-200"), ("1.5", "1e300")])
-    def test_table_verb_rejects_unrepresentable_scale(self, tmp_path, capsys, alpha, sigma):
-        out = tmp_path / "amp.npz"
-        assert main(["table", "--alpha", alpha, "--d", "2", "--sigma", sigma,
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("stablemimo: sigma^alpha") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_run_verb(self, tmp_path):
@@ -528,19 +495,6 @@ class TestRunArtifacts:
         monkeypatch.setattr(cliio, "_write_json", write_json)
         with pytest.raises(OSError, match="disk full"):
             cliio.run_experiment("mini", [cfg], ("mdr",), out_dir=str(tmp_path))
-        assert os.listdir(tmp_path) == []
-
-    def test_failing_table_write_leaves_no_artifact(self, tmp_path, monkeypatch):
-        from stablemimo import AmplitudePdfTable
-
-        def partial_save(self, path):
-            with open(path, "wb") as fh:
-                fh.write(b"PK\x03\x04")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(AmplitudePdfTable, "save", partial_save)
-        out = tmp_path / "amp.npz"
-        assert main(["table", "--alpha", "1.43", "--d", "2", "--out", str(out)]) == 2
         assert os.listdir(tmp_path) == []
 
     def test_failing_theory_write_leaves_no_artifact(self, tmp_path, monkeypatch):

@@ -815,17 +815,10 @@ class TestRunSweep:
             run_sweep(cfg, ml_table=table_a05_d2)
 
     def test_ml_table_spec_mismatch_rejected(self, table_a05_d2):
-        from stablemimo import IsotropicAmplitudeSpec, build_amplitude_table
-
         # right dimension, wrong exponent: alpha = 1.43, n_r = 1 needs (1.43, d = 2)
         cfg = tiny_config(receivers=("ml",), alpha=1.43)
-        with pytest.raises(ValueError, match="spec"):
+        with pytest.raises(ValueError, match=r"alpha=0\.5,.*want .*alpha=1\.43"):
             run_sweep(cfg, ml_table=table_a05_d2)
-        # right exponent and dimension, wrong scale
-        other_sigma = build_amplitude_table(IsotropicAmplitudeSpec(0.5, 1.0, 2),
-                                            n_nodes=3, r_max=64.0)
-        with pytest.raises(ValueError, match="spec"):
-            run_sweep(tiny_config(receivers=("ml",)), ml_table=other_sigma)
 
     def test_aor_ml_gap_alpha_143(self, table_a143_d2):
         # the parameter-free rule stays within 0.3 dB of the density rule
@@ -869,6 +862,12 @@ class TestFitSlope:
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.stderr < 1e-12
         assert fit.diversity == pytest.approx(0.5, abs=1e-12)
+        # a window under 3 is refused before any fit: on 9 points, 0 would
+        # slice [-0:] (all 9) and -2 would slice the lowest 7
+        nine = synthetic_curve(lambda rho: rho**-0.5, snr_grid=tuple(5.0 * k for k in range(9)))
+        for window in (0, -2, 2):
+            with pytest.raises(ValueError, match="window"):
+                fit_slope(nine, "gar", window=window)
 
     def test_gain_shift_does_not_bias_slope(self):
         curve = synthetic_curve(lambda rho: (3.7 * rho) ** -0.715)

@@ -264,13 +264,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"spec .*d=2.*want .*d=4"):
             ml_decode(y, h, 1.0, codebook, NoiseModel.SHARED, table_a143_d2)
 
-    def test_table_scale_mismatch(self, codebook):
-        y = np.zeros((2, 2), dtype=complex)
-        h = np.ones((2, 2), dtype=complex)
-        # right exponent and dimension, but not the unit noise's scale
-        unit = build_amplitude_table(IsotropicAmplitudeSpec(1.43, 1.0, 4), n_nodes=3, r_max=64.0)
-        with pytest.raises(ValueError, match=r"sigma=1\.0,.*want .*sigma=0\.707"):
-            ml_decode(y, h, 1.0, codebook, NoiseModel.SHARED, unit)
+    def test_table_scale_mismatch(self):
+        # every table is at the noise scale, so what is left to mismatch at
+        # the right dimension is the exponent (batch_ml takes its alpha from
+        # the table, so the check is called with the sweep's spec)
+        other = build_amplitude_table(IsotropicAmplitudeSpec(1.2, 4), n_nodes=3, r_max=64.0)
+        with pytest.raises(ValueError, match=r"alpha=1\.2,.*want .*alpha=1\.43"):
+            check_ml_table(other, ml_table_spec(NoiseModel.SHARED, 2, 1.43))
 
     def test_receiver_kind_validation(self, codebook, table_a143_d2):
         y = np.zeros((1, 1, 2), dtype=complex)
@@ -476,7 +476,6 @@ class TestMlTableSpec:
         assert ml_table_spec(NoiseModel.SHARED, 1, 0.5) == noise_amplitude_spec(0.5, 2)
         assert ml_table_spec(NoiseModel.SHARED, 3, 1.43) == noise_amplitude_spec(1.43, 6)
         assert ml_table_spec(NoiseModel.IID, 3, 2.0) == noise_amplitude_spec(2.0, 2)
-        assert ml_table_spec(NoiseModel.IID, 3, 2.0).sigma == 2.0**-0.5
 
     def test_check_message(self, table_a143_d2):
         with pytest.raises(ValueError, match=r"table spec .*d=2\) does not match the "
