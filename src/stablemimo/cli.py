@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_preset)
 
     defaults = SimConfig()
-    p_theory = sub.add_parser("theory", help="emit bound curves only",
+    # flags in full only: `--out NAME` would otherwise match --out-dir
+    p_theory = sub.add_parser("theory", help="emit bound curves only", allow_abbrev=False,
                               description="Options left out take SimConfig's defaults.")
     p_theory.add_argument("--receiver", type=str.lower, required=True,  # as in a config's receivers
                           help="receiver with a closed form")
@@ -70,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--nr", type=int, default=defaults.n_r)
     p_theory.add_argument("--snr", type=_FIELDS["snr_db"][1], required=True,
                           help="comma-separated SNR grid in dB")
-    p_theory.add_argument("--out-dir", default=".")
-    p_theory.add_argument("--out", help="output CSV name")
+    p_theory.add_argument("--out-dir", default=".",
+                          help="writes theory_<receiver>_<model>.csv there")
 
     return parser
 
@@ -100,8 +101,7 @@ def _cmd_preset(args) -> int:
 def _cmd_theory(args) -> int:
     curve = theory_curve(args.receiver, args.model, args.nt, args.nr, args.alpha, args.snr)
     os.makedirs(args.out_dir, exist_ok=True)
-    name = args.out or f"theory_{args.receiver}_{args.model.value}.csv"
-    path = os.path.join(args.out_dir, name)
+    path = os.path.join(args.out_dir, f"theory_{args.receiver}_{args.model.value}.csv")
     _publish([(path, lambda tmp: emit_csv(curve, tmp))])
     print(f"wrote {path}")
     return 0

@@ -328,10 +328,6 @@ class SlopeFit:
     stderr: float
     n_points: int
 
-    @property
-    def diversity(self) -> float:
-        return -self.slope
-
 
 def fit_slope(curve: BerCurve, receiver: str, window: int = 4) -> SlopeFit:
     """Fit the high-SNR slope over the top `window` SNR points.
@@ -371,23 +367,3 @@ def snr_at_ber(curve: BerCurve, receiver: str, ber_target: float) -> float:
     raise ValueError(
         f"BER target {ber_target:g} not bracketed by the {receiver!r} curve"
     )
-
-
-def compare_receivers_at_ber(
-    curve: BerCurve, ber_target: float, receivers=None
-) -> dict[tuple[str, str], float]:
-    """Pairwise SNR gaps (dB) at a common BER target.
-
-    Entry (a, b) is the extra SNR receiver a needs relative to b.  The
-    target must be crossed by each compared receiver's curve (default:
-    all receivers in the sweep).
-    """
-    if receivers is None:
-        receivers = curve.config.receivers
-    crossings = {r: snr_at_ber(curve, r, ber_target) for r in receivers}
-    gaps = {}
-    for a in crossings:
-        for b in crossings:
-            if a != b:
-                gaps[(a, b)] = crossings[a] - crossings[b]
-    return gaps

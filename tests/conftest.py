@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from stablemimo import NoiseModel, SimConfig, build_amplitude_table, run_sweep
-from stablemimo.amplitude import noise_amplitude_spec
+from stablemimo.amplitude import IsotropicAmplitudeSpec
 
 
 @pytest.fixture(scope="session")
 def table_a05_d2():
-    return build_amplitude_table(noise_amplitude_spec(0.5, 2))
+    return build_amplitude_table(IsotropicAmplitudeSpec(0.5, 2))
 
 
 @pytest.fixture(scope="session")
 def table_a05_d4():
-    return build_amplitude_table(noise_amplitude_spec(0.5, 4))
+    return build_amplitude_table(IsotropicAmplitudeSpec(0.5, 4))
 
 
 @pytest.fixture(scope="session")
 def table_a143_d2():
-    return build_amplitude_table(noise_amplitude_spec(1.43, 2))
+    return build_amplitude_table(IsotropicAmplitudeSpec(1.43, 2))
 
 
 @pytest.fixture(scope="session")

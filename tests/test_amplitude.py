@@ -17,7 +17,6 @@ from stablemimo import (
     amplitude_pdf,
     amplitude_tail_pdf,
     build_amplitude_table,
-    noise_amplitude_spec,
 )
 from stablemimo import amplitude
 from stablemimo.amplitude import (
@@ -265,7 +264,7 @@ class TestTable:
                 AmplitudePdfTable.load(path)
 
     def test_noise_spec_matches_unit_noise(self):
-        assert noise_amplitude_spec(1.43, 4) == IsotropicAmplitudeSpec(alpha=1.43, d=4)
+        assert amplitude.noise_amplitude_spec(1.43, 4) == IsotropicAmplitudeSpec(alpha=1.43, d=4)
         assert NOISE_SIGMA == 2.0**-0.5
 
 
@@ -277,7 +276,7 @@ class TestDirectIndexLookup:
     @pytest.fixture(scope="class")
     def tables(self):
         specs = list(PRESET_R_MAX) + [(1.9, 2)]
-        return [build_amplitude_table(noise_amplitude_spec(a, d)) for a, d in specs]
+        return [build_amplitude_table(IsotropicAmplitudeSpec(a, d)) for a, d in specs]
 
     def test_bit_equal_to_scipy_pchip(self, tables):
         from scipy.interpolate import PchipInterpolator
@@ -302,7 +301,7 @@ class TestDirectIndexLookup:
 
         rng = np.random.default_rng(3)
         grid = np.geomspace(1e-3, 64.0, 40)
-        spec = noise_amplitude_spec(1.43, 2)
+        spec = IsotropicAmplitudeSpec(1.43, 2)
         for trial in range(50):
             y = np.round(rng.normal(size=grid.size), 1)
             if trial % 2:  # steep first and last steps against the next ones
@@ -364,7 +363,7 @@ class TestDirectIndexLookup:
             AmplitudePdfTable(tab.spec, tab.grid, log_values)
 
     def test_rejects_fewer_than_three_nodes(self, table_a143_d2):
-        spec = noise_amplitude_spec(1.43, 2)
+        spec = IsotropicAmplitudeSpec(1.43, 2)
         with pytest.raises(ValueError, match="n_nodes"):
             build_amplitude_table(spec, n_nodes=2, r_max=64.0)
         tab = table_a143_d2
@@ -425,7 +424,7 @@ class TestOneRouteLookup:
 
     @pytest.fixture(scope="class")
     def tables(self):
-        return [build_amplitude_table(noise_amplitude_spec(a, d), n_nodes=128)
+        return [build_amplitude_table(IsotropicAmplitudeSpec(a, d), n_nodes=128)
                 for a in (0.5, 1.43, 2.0) for d in (1, 2, 4)]
 
     @staticmethod
@@ -492,7 +491,7 @@ class TestOneRouteLookup:
 class TestRMaxSearch:
     @pytest.mark.parametrize("alpha,d", list(PRESET_R_MAX))
     def test_preset_r_max_and_table(self, alpha, d):
-        spec = noise_amplitude_spec(alpha, d)
+        spec = IsotropicAmplitudeSpec(alpha, d)
         r_max = amplitude._find_r_max(spec)
         assert r_max == PRESET_R_MAX[alpha, d]
         tab = build_amplitude_table(spec)
@@ -550,7 +549,7 @@ class TestBesselRule:
         assert np.max(np.abs(closed)) <= 1e-14
         assert zeros[0] == pytest.approx(4.493409457909064, rel=1e-14)
         assert np.all(np.diff(zeros) > 3.1) and np.all(np.diff(zeros) < 3.3)
-        spec = noise_amplitude_spec(1.43, 5)
+        spec = IsotropicAmplitudeSpec(1.43, 5)
         tab = build_amplitude_table(spec)
         r_max = tab.grid[-1]
         assert abs(math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_max, spec) - 1.0) < 0.01
@@ -559,8 +558,8 @@ class TestBesselRule:
         # the d = 5 rule takes scipy's jv, and its zeros come without scipy.optimize
         code = (
             "import sys\n"
-            "from stablemimo.amplitude import build_amplitude_table, noise_amplitude_spec\n"
-            "build_amplitude_table(noise_amplitude_spec(1.2, 5))\n"
+            "from stablemimo.amplitude import IsotropicAmplitudeSpec, build_amplitude_table\n"
+            "build_amplitude_table(IsotropicAmplitudeSpec(1.2, 5))\n"
             "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])\n"
         )
         src = str(Path(amplitude.__file__).resolve().parents[1])
@@ -571,7 +570,7 @@ class TestBesselRule:
         assert out.strip() == "[False, True]"
 
     def test_rule_cached_per_dimension(self):
-        spec = noise_amplitude_spec(1.43, 4)
+        spec = IsotropicAmplitudeSpec(1.43, 4)
         build_amplitude_table(spec, n_nodes=16)
         before = amplitude._hankel_rule.cache_info()
         build_amplitude_table(spec, n_nodes=16)
@@ -587,11 +586,11 @@ class TestBesselRule:
 
         from scipy.special import jn_zeros, jv
 
-        tables = {k: build_amplitude_table(noise_amplitude_spec(*k)) for k in PRESET_R_MAX}
+        tables = {k: build_amplitude_table(IsotropicAmplitudeSpec(*k)) for k in PRESET_R_MAX}
         monkeypatch.setattr(amplitude, "_bessel",
                             lambda nu, n: (partial(jv, nu), jn_zeros(int(nu), n)))
         monkeypatch.setattr(amplitude, "_hankel_rule", amplitude._hankel_rule.__wrapped__)
         for (alpha, d), tab in tables.items():
-            ref = build_amplitude_table(noise_amplitude_spec(alpha, d))
+            ref = build_amplitude_table(IsotropicAmplitudeSpec(alpha, d))
             assert ref.grid[-1] == tab.grid[-1] == PRESET_R_MAX[alpha, d]
             assert np.max(np.abs(np.expm1(tab.log_values - ref.log_values))) <= 1e-9

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import stablemimo
 
-# the per-trial decode and synthesis API, replaced by the batched functions,
-# and the per-receiver gains, replaced by log_coding_gain
+# the per-trial decode and synthesis API, replaced by the batched functions;
+# the per-receiver gains, replaced by log_coding_gain; the gap dict, a
+# difference of two snr_at_ber readouts; and the spec wrapper, a call of
+# IsotropicAmplitudeSpec(alpha, d)
 REMOVED = ("TrialContext", "sample_trial", "synthesize_rx", "ReceiverKind",
            "gar_decode", "mdr_decode", "ml_decode", "aor_decode",
            "coding_gain_gar", "coding_gain_mdr", "log_coding_gain_gar",
-           "log_coding_gain_mdr")
+           "log_coding_gain_mdr", "compare_receivers_at_ber", "noise_amplitude_spec")
 
 
 def test_every_exported_name_resolves():

@@ -253,8 +253,11 @@ class TestRunPreset:
 
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
-        # "table" is not a verb: exit 1, as for any unknown one
-        for argv in (["bogus-verb"], [], ["table", "--alpha", "1.43", "--d", "2", "--out", "t"]):
+        # "table" is not a verb and theory has no --out (nor does it read
+        # --out as a prefix of --out-dir): exit 1, as for any unknown input
+        for argv in (["bogus-verb"], [], ["table", "--alpha", "1.43", "--d", "2", "--out", "t"],
+                     ["theory", "--receiver", "gar", "--alpha", "0.5", "--snr", "10",
+                      "--out", "x"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1

@@ -9,11 +9,7 @@ from stablemimo import (
     sample_channel,
     sample_noise_block,
 )
-from stablemimo.amplitude import (
-    IsotropicAmplitudeSpec,
-    build_amplitude_table,
-    noise_amplitude_spec,
-)
+from stablemimo.amplitude import IsotropicAmplitudeSpec, build_amplitude_table
 from stablemimo.codes import block_products
 from stablemimo.receivers import (
     METRICS,
@@ -211,10 +207,7 @@ class TestDegenerateIdentities:
         # alpha=2, all subordinators 1: the density metric reduces to the
         # Euclidean rule up to a log-radius term that only matters at
         # near-ties, so agreement is checked where margins are healthy
-        from stablemimo import build_amplitude_table
-        from stablemimo.amplitude import noise_amplitude_spec
-
-        table = build_amplitude_table(noise_amplitude_spec(2.0, 2))
+        table = build_amplitude_table(IsotropicAmplitudeSpec(2.0, 2))
         rng = np.random.default_rng(40)
         n = 10_000
         rho = 100.0
@@ -473,9 +466,9 @@ class TestFirstMinimum:
 
 class TestMlTableSpec:
     def test_rule(self):
-        assert ml_table_spec(NoiseModel.SHARED, 1, 0.5) == noise_amplitude_spec(0.5, 2)
-        assert ml_table_spec(NoiseModel.SHARED, 3, 1.43) == noise_amplitude_spec(1.43, 6)
-        assert ml_table_spec(NoiseModel.IID, 3, 2.0) == noise_amplitude_spec(2.0, 2)
+        assert ml_table_spec(NoiseModel.SHARED, 1, 0.5) == IsotropicAmplitudeSpec(0.5, 2)
+        assert ml_table_spec(NoiseModel.SHARED, 3, 1.43) == IsotropicAmplitudeSpec(1.43, 6)
+        assert ml_table_spec(NoiseModel.IID, 3, 2.0) == IsotropicAmplitudeSpec(2.0, 2)
 
     def test_check_message(self, table_a143_d2):
         with pytest.raises(ValueError, match=r"table spec .*d=2\) does not match the "
@@ -546,7 +539,7 @@ def drawn_block(cb, model, n_r, rho, seed, n=600, noiseless=0, alpha=1.43):
 class TestKernelOracle:
     @pytest.fixture(scope="class")
     def tables(self):
-        specs = (noise_amplitude_spec(1.43, d) for d in (2, 4, 6, 8))
+        specs = (IsotropicAmplitudeSpec(1.43, d) for d in (2, 4, 6, 8))
         return {spec: build_amplitude_table(spec) for spec in specs}
 
     def cases(self, constellation, n_rs):
