@@ -190,14 +190,17 @@ class TestNoiseBlock:
         tau = kendalltau(np.abs(w[:, 0, 0]), np.abs(w[:, 1, 0])).statistic
         assert abs(tau) <= 0.01
 
-    def test_gaussian_case_entry_variance(self):
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    def test_gaussian_case_entry_variance(self, model):
         # alpha = 2 draws no subordinator, so both models give the same w;
         # only the genie record's layout tells them apart
-        w, genie = sample_noise_block(NoiseModel.SHARED, 2.0, 2, 2, rng_for(15), size=10**5)
-        w_iid, genie_iid = sample_noise_block(NoiseModel.IID, 2.0, 2, 2, rng_for(15), size=10**5)
-        assert np.array_equal(w, w_iid)
-        assert genie.shape == (10**5, 1, 2) and genie_iid.shape == (10**5, 2, 2)
-        assert np.all(genie == 1.0) and np.all(genie_iid == 1.0)
+        other = NoiseModel.IID if model is NoiseModel.SHARED else NoiseModel.SHARED
+        w, genie = sample_noise_block(model, 2.0, 2, 2, rng_for(15), size=10**5)
+        w_other, _ = sample_noise_block(other, 2.0, 2, 2, rng_for(15), size=10**5)
+        assert np.array_equal(w, w_other)
+        g = 1 if model is NoiseModel.SHARED else 2
+        assert genie.shape == (10**5, g, 2)
+        assert np.all(genie == 1.0)
         var = np.mean(np.abs(w) ** 2)
         assert abs(var - 2.0) < 0.05
 
