@@ -20,7 +20,8 @@ Tables hold the log-density on a log-uniform grid from r = 1e-3, read by a
 direct-index PCHIP lookup (monotone cubic, Fritsch & Carlson 1980) that
 equals scipy's PchipInterpolator bit for bit, with the below-grid and tail
 laws as two more rows of its interval table, and save/load as versioned
-.npz archives.
+.npz archives.  The ML receiver reads the same laws in u = log r^2 from a
+second row set: anchors 2 x_i, coefficients c_k / 2^k, off-grid rows 0, n.
 """
 
 from __future__ import annotations
@@ -265,13 +266,22 @@ class AmplitudePdfTable:
         # K > 0, also at alpha = 2
         log_k = math.log(amplitude_tail_constant(self.spec))
         # extra rows: n - 1 below the grid, n beyond it
-        off_grid = [[self.log_values[0], log_k],
-                    [self.spec.d - 1.0, -(self.spec.alpha + 1.0)], [0.0, 0.0], [0.0, 0.0]]
+        off_grid = np.array([[self.log_values[0], log_k],
+                             [self.spec.d - 1.0, -(self.spec.alpha + 1.0)], [0.0, 0.0], [0.0, 0.0]])
+        cubics = _pchip_coefficients(x, self.log_values)
         # 1/h, interval upper ends (the last is closed), per-row anchors, cubics
         lookup = ((x.size - 1) / (x[-1] - x[0]), np.append(x[1:-1], np.inf),
                   np.append(x[:-1], [math.log(self.grid[0]), 0.0]),
-                  np.hstack([_pchip_coefficients(x, self.log_values), off_grid]))
+                  np.hstack([cubics, off_grid]))
         object.__setattr__(self, "_lookup", lookup)
+        # the same laws in u = 2 log r by exact power-of-two scalings, rows
+        # 0 (below the grid), 1 ... n-1 and n; highest power first (Horner)
+        rows = np.hstack([off_grid[:, :1], cubics, off_grid[:, 1:]])
+        rows *= [[1.0], [0.5], [0.25], [0.125]]
+        step = 0.5 * lookup[0]  # 1 / h_u
+        u_rows = (2.0 * x[0] - 1.0 / step, step,
+                  2.0 * np.concatenate([x[:1], x[:-1], [0.0]]), rows[::-1].copy())
+        object.__setattr__(self, "_u_rows", u_rows)
         if not np.all(np.isin(np.arange(x.size) - self._guess(x), (0, 1))):
             raise ValueError("grid must be log-uniform (direct-index lookup)")
 
@@ -315,6 +325,31 @@ class AmplitudePdfTable:
         if self.spec.d == 1:  # f(0) is finite
             np.putmask(out, r == 0.0, self.log_values[0])
         return float(out[0]) if scalar else out
+
+    def log_pdf_of_energy(self, log_e, e):
+        """log f(sqrt(e)) from energies e = r^2 and their logs u, neither
+        written.  Row (u - (u_0 - h_u)) / h_u, clipped to [0, n] and truncated
+        once: rounding may move a value at a node to the neighboring row,
+        whose law meets it there, except at r_max.  Row 0 is y_0 + (d-1)/2
+        (u - 2 x_0), row n log K - (alpha+1)/2 u; cubics by Horner's rule."""
+        base, inv_step, anchor, coef = self._u_rows
+        t = np.subtract(log_e, base)
+        t *= inv_step
+        np.fmax(t, 0.0, out=t)  # NaN maps to row 0
+        i = np.fmin(t, anchor.size - 1, out=t).astype(np.intp)
+        s = np.subtract(log_e, anchor.take(i, out=t, mode="wrap"), out=t)
+        out, term = coef[0].take(i, mode="wrap"), np.empty_like(s)
+        with np.errstate(invalid="ignore"):  # 0 * inf in an off-grid row, at e = 0 or inf
+            for c in coef[1:]:
+                out *= s
+                out += c.take(i, out=term, mode="wrap")
+            if self.spec.alpha == 2.0:
+                above = i == anchor.size - 1
+                out[above] = _gaussian_log_amplitude_pdf(np.sqrt(e[above]), self.spec.d)
+        np.putmask(out, np.isinf(log_e), -np.inf)
+        if self.spec.d == 1:  # f(0) is finite
+            np.putmask(out, e == 0.0, self.log_values[0])
+        return out
 
     def save(self, path):
         """Dump (spec, grid, log_values) as a versioned .npz archive.

@@ -10,10 +10,10 @@ two-element loop per trial.  The Monte Carlo engine decodes a chunk in
 blocks of ``montecarlo.DECODE_ENTRIES`` (2^15) residual entries to keep
 temporaries small; each decision depends only on its own trial, so the
 block size never changes a result.  ``ResidualEnergies`` forms a block's
-per-group energies and per-codeword totals once, when built, and the
-whole roster decodes from them.  A group is the entries that share a
-subordinator: a column (summed over receive antennas) under model I, a
-single entry under model II.  Group energies and the genie record share one layout,
+per-group energies, their logs and per-codeword totals once, when built,
+and the whole roster decodes from them.  A group is the entries that
+share a subordinator: a column (summed over receive antennas) under
+model I, a single entry under model II.  Group energies and the genie record share one layout,
 (K, g, t_s, B) and (g, t_s, B): g = 1 under model I, g = n_r under
 model II.
 ``METRICS`` maps each receiver name to its cost over those energies; the
@@ -25,9 +25,9 @@ decision is the codeword of least cost:
 * MDR  - plain minimum Euclidean distance, optimal only for Gaussian noise.
 * ML   - minimizes the negated sum of log amplitude densities of the
   groups' residual norms, read from a density table of the law
-  ``ml_table_spec`` names.
-* AOR  - minimizes the summed log residual norms of the groups; needs no
-  noise parameters.
+  ``ml_table_spec`` names at the groups' log energies.
+* AOR  - minimizes the summed log energies of the groups; needs no noise
+  parameters.
 
 Sums add one term at a time: column sums over receive antennas in order,
 sums over the (n_r, t_s) entries in row-major order, ((s00 + s01) + s10)
@@ -73,9 +73,10 @@ class ResidualEnergies:
     every codeword, trial axis last.  group is the energy per subordinator
     group, (K, g, t_s, B): column sums over receive antennas, in order,
     with g = 1 under model I; the squared residuals, g = n_r, under model
-    II.  total is the whole-block energy: (K, B).  The squared residuals
-    are written into ``out`` when given, so under model II group is
-    ``out``."""
+    II.  log_group is its log, -inf where a group's residual vanishes,
+    read by the ML and AOR costs.  total is the whole-block energy:
+    (K, B).  The squared residuals are written into ``out`` when given, so
+    under model II group is ``out``."""
 
     def __init__(self, r, model: NoiseModel, out=None):
         # hypot, then square (the ops of abs(r) ** 2); re**2 + im**2 rounds differently
@@ -87,6 +88,8 @@ class ResidualEnergies:
             k, n_r, t_s, b = sq.shape
             self.group = entry_sum(sq.reshape(k, n_r, t_s * b)).reshape(k, 1, t_s, b)
         self.total = entry_sum(sq)
+        with np.errstate(divide="ignore"):  # log 0 = -inf: an exact fit
+            self.log_group = np.log(self.group)
 
 
 def entry_sum(a):
@@ -111,12 +114,11 @@ def mdr_metric(e: ResidualEnergies, genie, table):
 
 
 def aor_metric(e: ResidualEnergies, genie, table):
-    with np.errstate(divide="ignore"):
-        return entry_sum(np.log(e.group))
+    return entry_sum(e.log_group)
 
 
 def ml_metric(e: ResidualEnergies, genie, table):
-    cost = -entry_sum(table.log_pdf(np.sqrt(e.group)))
+    cost = -entry_sum(table.log_pdf_of_energy(e.log_group, e.group))
     # a codeword that fits the block exactly wins outright; the relative
     # threshold absorbs float cancellation noise in the residual
     cost[e.total <= 1e-20 * e.total.max(axis=0)] = -np.inf

@@ -487,6 +487,28 @@ class TestOneRouteLookup:
                 assert got.shape == r4.shape
                 assert self.same_bits(got.ravel(), self.expected(tab, r4.ravel())), tab.spec
 
+    def test_energy_lookup_matches_log_pdf(self, tables):
+        # log_pdf_of_energy reads log f(r) from e = r^2 and log e.  Radii
+        # within 4 ulp of r_max are left out: rounding may send them to
+        # either the last cubic or the law beyond the grid, and log f jumps
+        # between the two, by 4e-3 to 9e-3 on these tables for alpha < 2
+        for tab in tables:
+            g = tab.grid
+            r = np.concatenate([[0.0, math.inf, math.nan, g[0] / 3.0], g,
+                                np.sqrt(g[1:] * g[:-1]), g[-1] * np.array([1.5, 7.0, 1e3])])
+            r = r[~(np.abs(r - g[-1]) <= 4.0 * np.spacing(g[-1]))]
+            e = r * r
+            with np.errstate(divide="ignore"):
+                u = np.log(e)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = tab.log_pdf_of_energy(u, e)
+            want = tab.log_pdf(r)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite), tab.spec
+            assert self.same_bits(got[~finite], want[~finite]), tab.spec
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
 
 class TestRMaxSearch:
     @pytest.mark.parametrize("alpha,d", list(PRESET_R_MAX))

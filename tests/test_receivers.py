@@ -506,14 +506,17 @@ def frozen_metrics(y, h, genie, rho, cb, model, table):
     group = col if model is NoiseModel.SHARED else sq
     with np.errstate(divide="ignore"):
         gar = (group / genie[:, None]).sum(axis=(2, 3))
-        aor = np.log(group).sum(axis=(2, 3))
+        log_group = np.log(group)
+        aor = log_group.sum(axis=(2, 3))
         radii = np.sqrt(group)
-        log_f = table.log_pdf(radii.ravel()).reshape(radii.shape)
-    ml = log_f.sum(axis=(2, 3))
+        by_radius = table.log_pdf(radii.ravel()).reshape(radii.shape).sum(axis=(2, 3))
+    ml = table.log_pdf_of_energy(log_group, group).sum(axis=(2, 3))
     exact = total <= 1e-20 * total.max(axis=1, keepdims=True)
     if np.any(exact):
-        ml = np.where(exact, np.inf, ml)
-    return {"gar": gar, "mdr": total, "ml": ml, "aor": aor}
+        ml, by_radius = np.where(exact, np.inf, ml), np.where(exact, np.inf, by_radius)
+    # ml_by_radius: the same law read by radius through log_pdf, which the
+    # kernel's ML matches to a tolerance, not bit for bit
+    return {"gar": gar, "mdr": total, "ml": ml, "aor": aor, "ml_by_radius": by_radius}
 
 
 def kernel_metrics(y, h, genie, rho, cb, model, table):
@@ -560,6 +563,10 @@ class TestKernelOracle:
             for rx in METRICS:
                 assert np.array_equal(got[rx], as_cost(rx, want[rx]).T), (
                     cb.n_t, model, n_r, rho, rx)
+            # assert_allclose also requires the same inf and NaN positions
+            by_radius = want["ml_by_radius"]
+            np.testing.assert_allclose(got["ml"], -by_radius.T, rtol=1e-13)
+            assert np.array_equal(got["ml"].argmin(axis=0), by_radius.argmax(axis=1))
 
     def test_qpsk_decisions_pinned(self, tables):
         for seed, (cb, model, n_r, rho) in enumerate(self.cases("qpsk", (1, 2, 3))):
