@@ -16,12 +16,12 @@ once.  J_n is the midpoint rule on Bessel's integral (Trefethen & Weideman
 2014) for d = 2, 4, 6, 8, closed forms for d = 1, 3 and scipy's jv for other
 d; Newton's method on it refines McMahon's estimates of the zeros.  Large
 radii use the tail term K * r^(-alpha-1), K a function of the spec alone.
-Tables hold the log-density on a log-uniform grid from r = 1e-3, read by a
-direct-index PCHIP lookup (monotone cubic, Fritsch & Carlson 1980) that
-equals scipy's PchipInterpolator bit for bit, with the below-grid and tail
-laws as two more rows of its interval table, and save/load as versioned
-.npz archives.  The ML receiver reads the same laws in u = log r^2 from a
-second row set: anchors 2 x_i, coefficients c_k / 2^k, off-grid rows 0, n.
+Tables hold the log-density on a log-uniform grid from r = 1e-3 as PCHIP
+cubics (monotone, Fritsch & Carlson 1980) whose coefficients equal scipy's
+PchipInterpolator's bit for bit, and save/load as versioned .npz archives.
+One row set holds every law in u = log r^2: anchors 2 x_i, coefficients
+c_k / 2^k, the below-grid and tail laws as rows 0 and n, read by one
+clipped row index and Horner's rule from energies and from radii alike.
 """
 
 from __future__ import annotations
@@ -241,16 +241,16 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class AmplitudePdfTable:
     """Log-density tabulated on a log-uniform radius grid.
 
-    Between nodes: PCHIP in log r / log f, bit-equal to scipy's.  A radius's
-    interval is floor((log r - log r_0) / h), corrected by one comparison
-    each way; that is exact because every node must index to its own
-    interval or the one below (so the grid must be log-uniform).  Two more
-    rows of the interval table, cubics whose s^2 and s^3 coefficients are 0,
-    hold the laws off the grid, so every radius takes one route.  Below the
-    grid: the exact r^(d-1) small-radius power behavior anchored at the
-    first node.  Beyond the grid: the dominant tail term log K - (alpha+1)
-    log r (anchored at log r = 0), K = amplitude_tail_constant(spec); at
-    alpha = 2 the exact Gaussian law overwrites it.
+    Between nodes: PCHIP in log r / log f, read in u = 2 log r through
+    exact power-of-two scalings (anchors 2 x_i, coefficients c_k / 2^k).
+    A value's row is its offset from u_0 - h_u in steps h_u, clipped and
+    truncated once, so rows 1 ... n-1 hold the cubics and node i must index
+    row i or i + 1 (the grid must be log-uniform).  Rows 0 and n, cubics
+    whose s^2 and s^3 coefficients are 0, hold the laws off the grid.
+    Below the grid: the exact r^(d-1) small-radius power behavior anchored
+    at the first node.  Beyond the grid: the dominant tail term log K -
+    (alpha+1) log r, K = amplitude_tail_constant(spec); at alpha = 2 the
+    exact Gaussian law overwrites it.
     """
 
     spec: IsotropicAmplitudeSpec
@@ -265,65 +265,32 @@ class AmplitudePdfTable:
         x = np.log(self.grid)
         # K > 0, also at alpha = 2
         log_k = math.log(amplitude_tail_constant(self.spec))
-        # extra rows: n - 1 below the grid, n beyond it
-        off_grid = np.array([[self.log_values[0], log_k],
-                             [self.spec.d - 1.0, -(self.spec.alpha + 1.0)], [0.0, 0.0], [0.0, 0.0]])
-        cubics = _pchip_coefficients(x, self.log_values)
-        # 1/h, interval upper ends (the last is closed), per-row anchors, cubics
-        lookup = ((x.size - 1) / (x[-1] - x[0]), np.append(x[1:-1], np.inf),
-                  np.append(x[:-1], [math.log(self.grid[0]), 0.0]),
-                  np.hstack([cubics, off_grid]))
-        object.__setattr__(self, "_lookup", lookup)
-        # the same laws in u = 2 log r by exact power-of-two scalings, rows
-        # 0 (below the grid), 1 ... n-1 and n; highest power first (Horner)
-        rows = np.hstack([off_grid[:, :1], cubics, off_grid[:, 1:]])
+        # rows 0 (below the grid), 1 ... n-1 (the cubics) and n (beyond it)
+        # in log r, then in u = 2 log r; highest power first (Horner)
+        rows = np.hstack([[[self.log_values[0]], [self.spec.d - 1.0], [0.0], [0.0]],
+                          _pchip_coefficients(x, self.log_values),
+                          [[log_k], [-(self.spec.alpha + 1.0)], [0.0], [0.0]]])
         rows *= [[1.0], [0.5], [0.25], [0.125]]
-        step = 0.5 * lookup[0]  # 1 / h_u
+        step = 0.5 * ((x.size - 1) / (x[-1] - x[0]))  # 1 / h_u
         u_rows = (2.0 * x[0] - 1.0 / step, step,
                   2.0 * np.concatenate([x[:1], x[:-1], [0.0]]), rows[::-1].copy())
         object.__setattr__(self, "_u_rows", u_rows)
-        if not np.all(np.isin(np.arange(x.size) - self._guess(x), (0, 1))):
+        node_rows = ((2.0 * x - u_rows[0]) * step).astype(np.intp)
+        if not np.all(np.isin(node_rows - np.arange(x.size), (0, 1))):
             raise ValueError("grid must be log-uniform (direct-index lookup)")
 
-    def _guess(self, lx):
-        """floor((lx - x_0) / h) clipped to [0, n-2]; NaN maps to 0."""
-        inv_step, upper, anchor = self._lookup[:3]
-        t = np.subtract(lx, anchor[0])
-        t *= inv_step
-        np.fmax(t, 0.0, out=t)
-        return np.fmin(t, upper.size - 1, out=t).astype(np.intp)
-
     def log_pdf(self, r):
-        """Vectorized log f(r); -inf at r = inf and at r = 0 for d >= 2, NaN at NaN."""
+        """Vectorized log f(r), read as log_pdf_of_energy(2 log r, r^2);
+        -inf at r = inf and at r = 0 for d >= 2, NaN at NaN."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        _, upper, anchor, coef = self._lookup
-        with np.errstate(divide="ignore"):
-            lx = np.log(r)
-        # every step writes into arrays held here; all indices are in range
-        # (-1 below the grid is reset next), so "wrap" takes skip the checks
-        i = self._guess(lx)
-        term, mask, inf = np.empty_like(lx), np.empty(lx.shape, bool), np.isinf(lx)
-        i -= np.less(lx, anchor.take(i, out=term, mode="wrap"), out=mask)
-        i += np.greater_equal(lx, upper.take(i, out=term, mode="wrap"), out=mask)
-        np.putmask(i, np.less(r, self.grid[0], out=mask), upper.size)
-        np.putmask(i, np.greater(r, self.grid[-1], out=mask), upper.size + 1)
-        s = np.subtract(lx, anchor.take(i, out=term, mode="wrap"), out=lx)
-        out = coef[0].take(i, out=np.empty_like(s), mode="wrap")
-        with np.errstate(invalid="ignore"):  # 0 * inf in an off-grid row, at r = 0 or inf
-            # ((c0 + c1 s) + c2 s^2) + c3 s^3
-            out += np.multiply(coef[1].take(i, out=term, mode="wrap"), s, out=term)
-            s2 = s * s
-            out += np.multiply(coef[2].take(i, out=term, mode="wrap"), s2, out=term)
-            s2 *= s
-            out += np.multiply(coef[3].take(i, out=term, mode="wrap"), s2, out=term)
-            if self.spec.alpha == 2.0:
-                above = r > self.grid[-1]
-                out[above] = _gaussian_log_amplitude_pdf(r[above], self.spec.d)
-        np.putmask(out, inf, -np.inf)
-        if self.spec.d == 1:  # f(0) is finite
-            np.putmask(out, r == 0.0, self.log_values[0])
+        # 2 log r, not log(r^2): finite down to the least subnormal radius
+        with np.errstate(divide="ignore", over="ignore"):
+            u, e = 2.0 * np.log(r), r * r
+        out = self.log_pdf_of_energy(u, e)
+        if self.spec.alpha == 2.0:  # r^2 overflows: the Gaussian law is -inf
+            np.putmask(out, np.isinf(e), -np.inf)
         return float(out[0]) if scalar else out
 
     def log_pdf_of_energy(self, log_e, e):

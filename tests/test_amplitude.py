@@ -26,7 +26,7 @@ from stablemimo.amplitude import (
     amplitude_tail_constant,
 )
 
-from helpers import integrate_amplitude
+from helpers import integrate_amplitude, two_path_log_pdf
 
 
 # closed forms at the noise scale sigma = NOISE_SIGMA, where 4 sigma^2 = 2
@@ -245,7 +245,7 @@ class TestTable:
         assert loaded.spec == tab.spec
         assert np.array_equal(loaded.grid, tab.grid)
         assert np.array_equal(loaded.log_values, tab.log_values)
-        for ours, theirs in zip(loaded._lookup, tab._lookup):
+        for ours, theirs in zip(loaded._u_rows, tab._u_rows):
             assert np.array_equal(ours, theirs)
         r = np.concatenate([[0.0, math.inf], np.geomspace(1e-6, 1e6, 257)])
         assert np.array_equal(loaded.log_pdf(r), tab.log_pdf(r))
@@ -272,6 +272,36 @@ class TestTable:
 PRESET_R_MAX = {(0.5, 2): 8192.0, (1.43, 2): 64.0, (0.5, 4): 16384.0, (1.43, 4): 64.0}
 
 
+def same_bits(got, want):
+    # as uint64, so a sign of zero or a NaN payload counts
+    return np.array_equal(np.asarray(got, float).view(np.uint64),
+                          np.asarray(want, float).view(np.uint64))
+
+
+def assert_lookup_matches(tab, r, got, want, atol=0.0):
+    """got equals want bit for bit where want is not finite and to rtol
+    1e-13 (plus atol) elsewhere.  Radii within 4 ulp of r_max are left out
+    of that: rounding of the row index may send them to either the last
+    cubic or the law beyond the grid, and log f jumps between the two, by
+    4e-3 to 9e-3 on these tables for alpha < 2; each must read one of them."""
+    r, got, want = np.ravel(r), np.ravel(got), np.ravel(want)
+    end = np.abs(r - tab.grid[-1]) <= 4.0 * np.spacing(tab.grid[-1])
+    x, (a, d) = np.log(tab.grid), (tab.spec.alpha, tab.spec.d)
+    c = amplitude._pchip_coefficients(x, tab.log_values)[:, -1]
+    s = np.log(r[end]) - x[-2]
+    cubic = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+    tail = (_gaussian_log_amplitude_pdf(r[end], d) if a == 2.0
+            else math.log(amplitude_tail_constant(tab.spec)) - (a + 1.0) * np.log(r[end]))
+    assert np.all(np.isclose(got[end], cubic, rtol=1e-13, atol=atol)
+                  | np.isclose(got[end], tail, rtol=1e-13, atol=atol)), tab.spec
+    got, want = got[~end], want[~end]
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite), tab.spec
+    assert same_bits(got[~finite], want[~finite]), tab.spec
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=atol,
+                               err_msg=str(tab.spec))
+
+
 class TestDirectIndexLookup:
     @pytest.fixture(scope="class")
     def tables(self):
@@ -279,11 +309,16 @@ class TestDirectIndexLookup:
         return [build_amplitude_table(IsotropicAmplitudeSpec(a, d)) for a, d in specs]
 
     def test_bit_equal_to_scipy_pchip(self, tables):
+        # the cubics' coefficients are scipy's bit for bit; their values,
+        # read in u = 2 log r by Horner's rule, agree to rounding
         from scipy.interpolate import PchipInterpolator
 
         rng = np.random.default_rng(7)
         for tab in tables:
-            ref = PchipInterpolator(np.log(tab.grid), tab.log_values, extrapolate=False)
+            x = np.log(tab.grid)
+            ref = PchipInterpolator(x, tab.log_values, extrapolate=False)
+            coef = amplitude._pchip_coefficients(x, tab.log_values)
+            assert same_bits(coef, ref.c[::-1]), tab.spec
             lo, hi = tab.grid[0], tab.grid[-1]
             inner = np.exp(rng.uniform(math.log(lo), math.log(hi), 131_072))
             inner = inner[(inner >= lo) & (inner <= hi)]
@@ -292,7 +327,7 @@ class TestDirectIndexLookup:
             )
             near = near[(near >= lo) & (near <= hi)]
             for r in (inner, near, np.array([lo, hi])):
-                assert np.array_equal(tab.log_pdf(r), ref(np.log(r))), tab.spec
+                assert_lookup_matches(tab, r, tab.log_pdf(r), ref(np.log(r)))
 
     def test_shape_preserving_branches_bit_equal(self):
         # non-monotone data with flat runs: zero slopes at sign changes and
@@ -309,9 +344,13 @@ class TestDirectIndexLookup:
                     y[[2, -3]] - y[[1, -2]])
             tab = AmplitudePdfTable(spec, grid, y)
             ref = PchipInterpolator(np.log(grid), y, extrapolate=False)
+            coef = amplitude._pchip_coefficients(np.log(grid), y)
+            assert same_bits(coef, ref.c[::-1]), trial
             r = np.exp(rng.uniform(math.log(grid[0]), math.log(grid[-1]), 2000))
             r = np.concatenate([r[(r >= grid[0]) & (r <= grid[-1])], grid])
-            assert np.array_equal(tab.log_pdf(r), ref(np.log(r)))
+            # the values cross zero, so the bound has an absolute part
+            assert_lookup_matches(tab, r, tab.log_pdf(r), ref(np.log(r)),
+                                  atol=1e-13 * np.max(np.abs(y)))
 
     def test_pickle_round_trip(self, tables):
         r = np.geomspace(1e-5, 1e6, 4096)
@@ -373,54 +412,9 @@ class TestDirectIndexLookup:
         assert np.isfinite(three.log_pdf(np.geomspace(1e-3, 64.0, 50))).all()
 
 
-def two_path_log_pdf(tab, r):
-    """The lookup the one-route table replaced, frozen as its oracle: PCHIP
-    when every radius is on the grid; otherwise boolean masks, PCHIP on the
-    on-grid subset and the off-grid laws by masked stores."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    x = np.log(tab.grid)
-    upper = np.append(x[1:-1], np.inf)
-    coef = amplitude._pchip_coefficients(x, tab.log_values)
-
-    def interpolate(lx):
-        t = np.fmax((lx - x[0]) * ((x.size - 1) / (x[-1] - x[0])), 0.0)
-        i = np.fmin(t, x.size - 2).astype(np.intp)
-        i -= lx < x.take(i)
-        i += lx >= upper.take(i)
-        s = lx - x.take(i)
-        out = coef[0].take(i)
-        power = s.copy()
-        for c in coef[1:]:
-            term = c.take(i)
-            term *= power
-            out += term
-            power *= s
-        return out
-
-    lo, hi = tab.grid[0], tab.grid[-1]
-    # invalid: the Gaussian law's inf - inf at r = inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr = np.log(r)
-        if r.size == 0 or (r.min() >= lo and r.max() <= hi):
-            out = interpolate(lr)
-        else:
-            below, above = r < lo, r > hi
-            mid = ~(below | above)
-            out = np.empty_like(lr)
-            out[mid] = interpolate(lr[mid])
-            a, d = tab.spec.alpha, tab.spec.d
-            slope = (d - 1) * (lr[below] - math.log(lo)) if d > 1 else 0.0
-            out[below] = tab.log_values[0] + slope
-            out[above] = (_gaussian_log_amplitude_pdf(r[above], d) if a == 2.0
-                          else math.log(amplitude_tail_constant(tab.spec))
-                          - (a + 1.0) * lr[above])
-    return float(out[0]) if scalar else out
-
-
 class TestOneRouteLookup:
-    """Every radius through the interval table, against the two-path lookup."""
+    """Radii read through the u-space rows, against the two-path lookup
+    the table replaced."""
 
     @pytest.fixture(scope="class")
     def tables(self):
@@ -451,63 +445,54 @@ class TestOneRouteLookup:
             warnings.simplefilter("error")
             return tab.log_pdf(r)
 
-    @staticmethod
-    def same_bits(got, want):
-        # as uint64, so a sign of zero or a NaN payload counts
-        return np.array_equal(np.asarray(got, float).view(np.uint64),
-                              np.asarray(want, float).view(np.uint64))
-
     def test_bit_equal_to_two_path_lookup(self, tables):
         for tab in tables:
             r = self.radii(tab)
             got = self.lookup(tab, r)
             assert got.shape == r.shape
-            assert self.same_bits(got, self.expected(tab, r)), tab.spec
+            assert_lookup_matches(tab, r, got, self.expected(tab, r))
 
     def test_scalar_zero_d_and_2d_inputs(self, tables):
+        # every shape takes the same route: bit-equal to the 1-d call
         for tab in tables:
             r = self.radii(tab)[:16]
-            want = self.expected(tab, r)
+            flat = self.lookup(tab, r)
+            assert_lookup_matches(tab, r, flat, self.expected(tab, r))
             grid2d = self.lookup(tab, r.reshape(4, 4))
             assert grid2d.shape == (4, 4)
-            assert self.same_bits(grid2d.ravel(), want)
-            for ri, wi in zip(r, want):
+            assert same_bits(grid2d.ravel(), flat)
+            for ri, fi in zip(r, flat):
                 for arg in (float(ri), np.array(ri)):
                     got = self.lookup(tab, arg)
                     assert type(got) is float
-                    assert self.same_bits(got, wi), (tab.spec, ri)
+                    assert same_bits(got, fi), (tab.spec, ri)
 
     def test_four_d_trial_last_radii(self, tables):
-        # the engine's radii: (K, g, t_s, B) with the trial axis last, here
+        # the engine's layout: (K, g, t_s, B) with the trial axis last, here
         # also as a trial-last view of a trial-first array
         for tab in tables:
             r = self.radii(tab)[:4 * 2 * 2 * 1000]
+            flat = self.lookup(tab, r)
+            assert_lookup_matches(tab, r, flat, self.expected(tab, r))
             for r4 in (r.reshape(4, 2, 2, 1000), np.moveaxis(r.reshape(1000, 4, 2, 2), 0, -1)):
                 got = self.lookup(tab, r4)
                 assert got.shape == r4.shape
-                assert self.same_bits(got.ravel(), self.expected(tab, r4.ravel())), tab.spec
+                assert same_bits(got, tab.log_pdf(r4.ravel()).reshape(r4.shape)), tab.spec
 
     def test_energy_lookup_matches_log_pdf(self, tables):
-        # log_pdf_of_energy reads log f(r) from e = r^2 and log e.  Radii
-        # within 4 ulp of r_max are left out: rounding may send them to
-        # either the last cubic or the law beyond the grid, and log f jumps
-        # between the two, by 4e-3 to 9e-3 on these tables for alpha < 2
+        # log_pdf_of_energy reads log f(r) from e = r^2 and log e, against
+        # the two-path lookup, which shares no rows with it
         for tab in tables:
             g = tab.grid
             r = np.concatenate([[0.0, math.inf, math.nan, g[0] / 3.0], g,
                                 np.sqrt(g[1:] * g[:-1]), g[-1] * np.array([1.5, 7.0, 1e3])])
-            r = r[~(np.abs(r - g[-1]) <= 4.0 * np.spacing(g[-1]))]
             e = r * r
             with np.errstate(divide="ignore"):
                 u = np.log(e)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = tab.log_pdf_of_energy(u, e)
-            want = tab.log_pdf(r)
-            finite = np.isfinite(want)
-            assert np.array_equal(np.isfinite(got), finite), tab.spec
-            assert self.same_bits(got[~finite], want[~finite]), tab.spec
-            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+            assert_lookup_matches(tab, r, got, self.expected(tab, r))
 
 
 class TestRMaxSearch:

@@ -26,7 +26,7 @@ from stablemimo.receivers import (
     ml_table_spec,
 )
 
-from helpers import codeword_products
+from helpers import codeword_products, two_path_log_pdf
 
 
 @pytest.fixture(scope="module")
@@ -497,7 +497,8 @@ def frozen_products(h, cb):
 
 
 def frozen_metrics(y, h, genie, rho, cb, model, table):
-    """(B, K) metric of every receiver."""
+    """(B, K) metric of every receiver, and under "scale" each one's sum of
+    |terms|, the size its rounding error scales with."""
     sq = np.abs(y[:, None, :, :] - np.sqrt(rho) * frozen_products(h, cb)) ** 2
     col = sq[:, :, :1].copy()  # (B, K, 1, t_s): the genie's group axis
     for i in range(1, sq.shape[2]):
@@ -505,18 +506,22 @@ def frozen_metrics(y, h, genie, rho, cb, model, table):
     total = sq.sum(axis=(2, 3))
     group = col if model is NoiseModel.SHARED else sq
     with np.errstate(divide="ignore"):
-        gar = (group / genie[:, None]).sum(axis=(2, 3))
+        gar_terms = group / genie[:, None]
         log_group = np.log(group)
-        aor = log_group.sum(axis=(2, 3))
         radii = np.sqrt(group)
-        by_radius = table.log_pdf(radii.ravel()).reshape(radii.shape).sum(axis=(2, 3))
-    ml = table.log_pdf_of_energy(log_group, group).sum(axis=(2, 3))
+        by_radius = two_path_log_pdf(table, radii.ravel()).reshape(radii.shape).sum(axis=(2, 3))
+    ml_terms = table.log_pdf_of_energy(log_group, group)
+    terms = {"gar": gar_terms, "mdr": sq, "ml": ml_terms, "aor": log_group}
+    ml = ml_terms.sum(axis=(2, 3))
     exact = total <= 1e-20 * total.max(axis=1, keepdims=True)
     if np.any(exact):
         ml, by_radius = np.where(exact, np.inf, ml), np.where(exact, np.inf, by_radius)
-    # ml_by_radius: the same law read by radius through log_pdf, which the
-    # kernel's ML matches to a tolerance, not bit for bit
-    return {"gar": gar, "mdr": total, "ml": ml, "aor": aor, "ml_by_radius": by_radius}
+    # ml_by_radius: the same law read by radius through the two-path lookup
+    # the table replaced, which shares no rows with the kernel's and which
+    # the kernel's ML matches to a tolerance, not bit for bit
+    return {"gar": gar_terms.sum(axis=(2, 3)), "mdr": total, "ml": ml,
+            "aor": log_group.sum(axis=(2, 3)), "ml_by_radius": by_radius,
+            "scale": {rx: np.abs(t).sum(axis=(2, 3)) for rx, t in terms.items()}}
 
 
 def kernel_metrics(y, h, genie, rho, cb, model, table):
@@ -579,7 +584,9 @@ class TestKernelOracle:
 
     def test_eight_term_sums_keep_decisions(self, tables):
         # n_r = 4 under Alamouti: 8 entries per block, where the kernel's
-        # row-major sum and a trial-first pairwise sum may round differently
+        # row-major sum and a trial-first pairwise sum may round differently.
+        # Terms of both signs (log energies) may cancel, so the bound also
+        # scales with the sum of their magnitudes
         cb = enumerate_codebook("alamouti", "bpsk")
         for model in (NoiseModel.SHARED, NoiseModel.IID):
             table = tables[ml_table_spec(model, 4, 1.43)]
@@ -587,7 +594,9 @@ class TestKernelOracle:
             want = frozen_metrics(y, h, genie, 10.0, cb, model, table)
             got = kernel_metrics(y, h, genie, 10.0, cb, model, table)
             for rx, select in FROZEN_SELECT.items():
-                np.testing.assert_allclose(got[rx], as_cost(rx, want[rx]).T, rtol=1e-13)
+                cost = as_cost(rx, want[rx]).T
+                tol = 1e-13 * (np.abs(cost) + want["scale"][rx].T)  # rtol + atol
+                assert np.all(np.abs(got[rx] - cost) <= tol), (model, rx)
                 assert np.array_equal(got[rx].argmin(axis=0), select(want[rx], axis=1)), rx
 
 
