@@ -1,21 +1,23 @@
 """Amplitude density of d-dimensional isotropic stable vectors.
 
-The amplitude r = ||x|| of an isotropic stable vector with exponent alpha
-at the simulator's noise scale sigma = NOISE_SIGMA (characteristic function
-exp(-sigma^alpha * ||t||^alpha)) has density
+The simulator's noise is sub-Gaussian: d real noise components form x =
+sqrt(A) * G, G ~ N(0, I_d), A the (alpha/2)-stable subordinator of
+stable.sample_subordinator (Samorodnitsky & Taqqu 1994, section 2.5), so
+that x has characteristic function exp(-sigma^alpha * ||t||^alpha) at sigma
+= NOISE_SIGMA.  Its Chambers-Mallows-Stuck transform at beta = 1 draws A =
+B(theta) * W^(-gamma), theta ~ U(0, pi), W ~ Exp(1), rho = alpha/2, gamma =
+(1 - rho)/rho and B(theta) = sin(rho theta) sin((1-rho) theta)^gamma /
+sin(theta)^(1/rho), its scale factors cancelling.  So l = log A has
+Zolotarev's integral form (Nolan 1997), and r = ||x|| a smooth integral
+over it, S_{d-1} the area of the unit sphere:
 
-    f(r) = 2 / (2^(d/2) * Gamma(d/2))
-           * integral_0^inf (r*t)^(d/2) * J_{d/2-1}(r*t) * exp(-sigma^alpha * t^alpha) dt
+    p(l) = 1/(pi gamma) * integral_0^pi exp(v - e^v) dtheta,  v = (log B(theta) - l)/gamma,
+    f(r) = S_{d-1} r^(d-1) * integral p(l) (2 pi e^l)^(-d/2) exp(-r^2 e^(-l) / 2) dl,
 
-evaluated here for all radii at once.  With u = r*t the integrand becomes
-u^(d/2) * J_{d/2-1}(u) * exp(-(sigma/r)^alpha * u^alpha) / r: a fixed
-Gauss-Legendre rule on the segments between Bessel-function zeros (and on
-geometric sub-segments of [0, z_1]) depends only on d and is cached; Euler
-averaging sums the alternating segment contributions for every radius at
-once.  J_n is the midpoint rule on Bessel's integral (Trefethen & Weideman
-2014) for d = 2, 4, 6, 8, closed forms for d = 1, 3 and scipy's jv for other
-d; Newton's method on it refines McMahon's estimates of the zeros.  Large
-radii use the tail term K * r^(-alpha-1), K a function of the spec alone.
+evaluated for all radii at once: tanh-sinh in theta, the trapezoid rule in
+l, both exponentially convergent (Trefethen & Weideman 2014), their nested
+half rules estimating the error.  alpha = 2 is the exact Gaussian law, and
+large radii use the tail term K * r^(-alpha-1), K a function of the spec.
 Tables hold the log-density on a log-uniform grid from r = 1e-3 as PCHIP
 cubics (monotone, Fritsch & Carlson 1980) whose coefficients equal scipy's
 PchipInterpolator's bit for bit, and save/load as versioned .npz archives.
@@ -34,27 +36,29 @@ import numpy as np
 
 TABLE_FORMAT_VERSION = 1
 
-# Quadrature: Bessel zeros bounding the oscillatory segments; halvings of
-# [0, z_1] into head sub-segments; two Gauss-Legendre orders whose
-# difference estimates the error; radii per block, so that no (radii,
-# segments, nodes) temporary exceeds 1 MB; the error target; the first
-# node of a table's grid.
-_N_ZEROS = 50
-_HEAD_HALVINGS = 48
-_RULE_ORDERS = (24, 32)
-_BLOCK_RADII = 16
+# Quadrature: tanh-sinh nodes in theta and their range in t; the range of
+# l = log A and the largest trapezoid step in it; elements per evaluation
+# block, so that no (nodes, nodes) temporary exceeds 2 MB (freeing one
+# raises glibc's mmap threshold past the decode blocks' temporaries, which
+# pool workers forked after the build then reuse without faulting); the
+# error target; the first node of a table's grid.
+_THETA_NODES = 383
+_T_MAX = 3.2
+_LOG_A_RANGE = (-30.0, 90.0)
+_LOG_A_STEP = 0.1
+_BLOCK = 2**18
 _ATOL = 1e-10
 _RTOL = 1e-6
 _R_MIN = 1e-3
 
 # Isotropic scale of the simulator's unit noise entries sqrt(A) * (G_re +
-# j*G_im), unit-variance Gaussian parts, in the characteristic-function
-# convention of the density formula, for any number of real dimensions d.
+# j*G_im), unit-variance Gaussian parts, in the convention of the module
+# docstring's characteristic function, for any number of real dimensions d.
 NOISE_SIGMA = 2.0**-0.5
 
 
 class QuadratureError(RuntimeError):
-    """The oscillatory quadrature failed its internal error target."""
+    """The amplitude density quadrature failed its internal error target."""
 
 
 @dataclass(frozen=True)
@@ -106,111 +110,91 @@ def _gaussian_log_amplitude_pdf(r, d: int):
     with np.errstate(divide="ignore", over="ignore"):
         return (
             math.log(2.0)
-            + (d - 1) * np.log(r)
+            + ((d - 1) * np.log(r) if d > 1 else 0.0)  # f(0) is finite for d = 1
             - (d / 2.0) * math.log(v)
             - math.lgamma(d / 2.0)
             - r * r / v
         )
 
 
-def _jn(n: float, x):
-    """J_n(x), integer-valued n, elementwise: the 64-point midpoint rule on [0, pi/2]
-    of (2/pi) trig(n t) trig(x sin t), trig = cos for even n, sin for odd."""
-    t = (np.arange(64) + 0.5) * (np.pi / 128.0)
-    trig = np.sin if n % 2 else np.cos
-    return (trig(np.multiply.outer(x, np.sin(t))) * trig(n * t)).mean(axis=-1)
-
-
-def _bessel(nu: float, n: int):
-    """J_nu as an array function, and its first n positive zeros: McMahon's
-    estimates (DLMF 10.21(vi)), refined by Newton's method unless nu = +-1/2."""
-    beta = (np.arange(1, n + 1) + nu / 2.0 - 0.25) * np.pi
-    zeros = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
-    if abs(nu) == 0.5:  # J_{-1/2}, J_{1/2} = sqrt(2/(pi x)) * (cos x, sin x)
-        trig = np.sin if nu > 0 else np.cos
-        return (lambda x: np.sqrt(2.0 / (np.pi * x)) * trig(x)), zeros
-    if nu in (0, 1, 2, 3):  # d <= 8; _jn loses relative accuracy at u ~ 1e-3 past J_3
-        jv = _jn
-    else:  # d = 5, 7 or d >= 9: off the import path
-        from scipy.special import jv
-    for _ in range(8):  # J_nu' = J_{nu-1} - (nu/x) J_nu, with J_{-1} = -J_1
-        j = jv(nu, zeros)
-        zeros = zeros - j / (jv(nu - 1, zeros) - nu / zeros * j)
-    return functools.partial(jv, nu), zeros
-
-
 @functools.cache
-def _hankel_rule(d: int):
-    """Head size; per rule order, read-only nodes u, weights w u^(d/2) J_nu(u)."""
-    jv, zeros = _bessel(d / 2.0 - 1.0, _N_ZEROS)
-    # head [0, z_1]: geometric sub-segments resolve the peak near u ~ r/sigma
-    head = zeros[0] * 2.0 ** -np.arange(_HEAD_HALVINGS, -1, -1.0)
-    edges = np.concatenate([[0.0], head, zeros[1:]])
-    half = 0.5 * np.diff(edges)[:, None]
-    rules = []
-    for order in _RULE_ORDERS:
-        x, w = np.polynomial.legendre.leggauss(order)
-        u = edges[:-1, None] + half * (x + 1.0)  # (segments, order) nodes
-        weights = half * w * u ** (d / 2.0) * jv(u)
-        u.flags.writeable = weights.flags.writeable = False  # shared by calls
-        rules.append((u, weights))
-    return head.size, tuple(rules)
+def _law_rule(alpha: float, d: int):
+    """Trapezoid rule in l = log A for f(r) = r^(d-1) * sum_l exp(-(d/2) l -
+    r^2 e^(-l) / 2) * weight: read-only -e^(-l)/2, -(d/2) l and weights
+    (n_l, 3), the full rule and its nested halves (every other theta node,
+    every other l node)."""
+    rho = alpha / 2.0
+    gamma = (1.0 - rho) / rho
+    # tanh-sinh on (0, pi), pi - theta formed apart so that nodes near pi,
+    # where B -> inf makes the tail, keep their digits
+    t = np.linspace(-_T_MAX, _T_MAX, _THETA_NODES)
+    x = 0.5 * np.pi * np.sinh(t)
+    theta, rest = np.pi / (1.0 + np.exp(-2.0 * x)), np.pi / (1.0 + np.exp(2.0 * x))
+    w = (t[1] - t[0]) * np.pi / 4.0 * np.cosh(t) / np.cosh(x) ** 2 / gamma
+    log_b = (np.log(np.sin(rho * theta)) + gamma * np.log(np.sin((1.0 - rho) * theta))
+             - np.log(np.sin(np.minimum(theta, rest))) / rho) / gamma
+    theta_rules = np.stack([w, np.where(np.arange(t.size) % 2, 2.0 * w, 0.0)], axis=1)
+    # the step resolves p's edge near log B(0+), width ~gamma, and at large
+    # d that edge times e^(-d l / 2), width ~sqrt(2 gamma / d)
+    h = min(_LOG_A_STEP, gamma / 4.0, math.sqrt(gamma / (8.0 * d)))
+    log_a = np.arange(*_LOG_A_RANGE, h)
+    p = np.empty((log_a.size, 2))
+    step = _BLOCK // t.size
+    with np.errstate(over="ignore"):
+        for i in range(0, log_a.size, step):
+            v = log_b - log_a[i : i + step, None] / gamma
+            v -= np.exp(v)
+            p[i : i + step] = np.exp(v, out=v) @ theta_rules
+    # S_{d-1} (2 pi)^(-d/2) = 2^(1-d/2) / Gamma(d/2)
+    weights = h * 2.0 ** (1.0 - d / 2.0) / math.gamma(d / 2.0) * np.column_stack(
+        [p, np.where(np.arange(log_a.size) % 2, 0.0, 2.0 * p[:, 0])])
+    rule = (-0.5 * np.exp(-log_a), -0.5 * d * log_a, weights)
+    for a in rule:
+        a.flags.writeable = False  # shared by calls
+    return rule
 
 
-def _hankel_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
-    """f(r) for every r in (0, inf): the substituted integral (module
-    docstring) by two rule orders, checked against _ATOL + _RTOL * f."""
+def _law_pdf(r: np.ndarray, spec: IsotropicAmplitudeSpec) -> np.ndarray:
+    """f(r) for every finite r >= 0 (module docstring), checked against
+    _ATOL + _RTOL * f by the nested half rules."""
     a, d = spec.alpha, spec.d
-    n_head, rules = _hankel_rule(d)
-    decay = (NOISE_SIGMA / r) ** a
-    totals = []
-    for u, weights in rules:
-        ua = u**a
-        terms = np.empty((r.size, u.shape[0]))
-        for i in range(0, r.size, _BLOCK_RADII):
-            block = decay[i : i + _BLOCK_RADII, None, None]
-            terms[i : i + _BLOCK_RADII] = np.einsum(
-                "bsn,sn->bs", np.exp(-block * ua), weights
-            )
-        # Euler: iterated averaging of the partial sums past the head
-        s = np.cumsum(terms[:, n_head:], axis=1)
-        while s.shape[1] > 2:
-            s = 0.5 * (s[:, :-1] + s[:, 1:])
-        totals.append(terms[:, :n_head].sum(axis=1) + s.mean(axis=1))
-    prefactor = 2.0 / (2.0 ** (d / 2.0) * math.gamma(d / 2.0) * r)
-    total = prefactor * totals[-1]
-    # rule-order difference plus the last Euler stage's spread (higher order)
-    spread = 0.5 * np.abs(s[:, 0] - s[:, -1])
-    est_err = prefactor * (np.abs(totals[-1] - totals[0]) + spread)
-    miss = np.flatnonzero(est_err > _ATOL + _RTOL * np.abs(total))
+    decay, power, weights = _law_rule(a, d)
+    with np.errstate(divide="ignore"):
+        lead = (d - 1) * np.log(r) if d > 1 else np.zeros_like(r)
+    sums = np.empty((r.size, 3))
+    rows = max(1, _BLOCK // decay.size)
+    for i in range(0, r.size, rows):
+        e = np.multiply.outer(r[i : i + rows] ** 2, decay)
+        e += power
+        e += lead[i : i + rows, None]
+        sums[i : i + rows] = np.exp(e, out=e) @ weights
+    total = sums[:, 0]
+    est_err = np.abs(sums[:, 1:] - total[:, None]).sum(axis=1)
+    miss = np.flatnonzero(est_err > _ATOL + _RTOL * total)
     if miss.size:
         i = miss[0]
-        raise QuadratureError(
-            f"amplitude pdf quadrature error estimate {est_err[i]:.3e} exceeds "
-            f"target at r={r[i]:g} (alpha={a}, d={d})"
-        )
-    return np.maximum(total, 0.0)
+        raise QuadratureError(f"amplitude pdf quadrature error estimate {est_err[i]:.3e} "
+                              f"exceeds target at r={r[i]:g} (alpha={a}, d={d})")
+    return total
 
 
 def amplitude_pdf(r, spec: IsotropicAmplitudeSpec):
     """Numeric amplitude density f(r) for r >= 0, elementwise.
 
     Raises QuadratureError when the internal error estimate misses the
-    target _ATOL + _RTOL * f.  Its absolute part dominates wherever f <
-    ~1e-4, so far in the tail use amplitude_tail_pdf (alpha 1.43, d 4:
-    f(1e6) is off by -1.3e-4 relative).
+    target _ATOL + _RTOL * f.  Past r ~ 1e8 at alpha 1.9 (1e11 at 1.43) f
+    falls short of the tail term unflagged: use amplitude_tail_pdf there.
     """
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr >= 0.0):
         raise ValueError("radius must be nonnegative (and not NaN)")
     flat = r_arr.ravel()
-    out = np.zeros(flat.shape)  # f(+inf) = 0, and f(0) = 0 for d >= 2
-    if spec.d == 1:
-        out[flat == 0.0] = (
-            (2.0 / math.pi) * math.gamma(1.0 + 1.0 / spec.alpha) / NOISE_SIGMA
-        )
-    inner = (flat > 0.0) & (flat < np.inf)
-    out[inner] = _hankel_pdf(flat[inner], spec)
+    out = np.zeros(flat.shape)  # f(+inf) = 0
+    finite = flat < np.inf
+    if spec.alpha == 2.0:
+        out[finite] = np.exp(_gaussian_log_amplitude_pdf(flat[finite], spec.d))
+    else:
+        out[finite] = _law_pdf(flat[finite], spec)
     out = out.reshape(r_arr.shape)
     return float(out) if r_arr.ndim == 0 else out
 
@@ -370,8 +354,7 @@ def build_amplitude_table(
     n_nodes: int = 512,
     r_max: float | None = None,
 ) -> AmplitudePdfTable:
-    """Tabulate log f on a log-spaced grid from _R_MIN to r_max by direct
-    quadrature.
+    """Tabulate log f on a log-spaced grid from _R_MIN to r_max.
 
     r_max defaults to the radius where the tail formula is accurate to 1%
     (alpha < 2) or a fixed multiple of the Gaussian spread (alpha = 2).
@@ -379,17 +362,9 @@ def build_amplitude_table(
     if n_nodes < 3:
         raise ValueError(f"n_nodes must be >= 3, got {n_nodes}")
     if r_max is None:
-        if spec.alpha == 2.0:
-            # keep the quadrature above cancellation noise; the exact
-            # Gaussian branch serves radii past the grid
-            r_max = 8.5 * NOISE_SIGMA
-        else:
-            r_max = _find_r_max(spec)
+        r_max = 8.5 * NOISE_SIGMA if spec.alpha == 2.0 else _find_r_max(spec)
     grid = np.geomspace(_R_MIN, r_max, n_nodes)
-    values = amplitude_pdf(grid, spec)
-    if np.any(values <= 0.0):
-        raise QuadratureError("nonpositive density on the table grid")
-    return AmplitudePdfTable(spec=spec, grid=grid, log_values=np.log(values))
+    return AmplitudePdfTable(spec=spec, grid=grid, log_values=np.log(amplitude_pdf(grid, spec)))
 
 
 def noise_amplitude_spec(alpha: float, d: int) -> IsotropicAmplitudeSpec:

@@ -44,6 +44,14 @@ def isotropic_cauchy(r, sigma=NOISE_SIGMA):
     return sigma * r / (r * r + sigma * sigma) ** 1.5
 
 
+def log_cauchy_amplitude(r, d, sigma=NOISE_SIGMA):
+    # alpha=1, any d: S_{d-1} r^(d-1) times the multivariate Cauchy density
+    # Gamma((d+1)/2) sigma / (pi^((d+1)/2) (sigma^2 + r^2)^((d+1)/2))
+    return (math.log(2.0 * sigma / math.sqrt(math.pi)) + math.lgamma((d + 1) / 2.0)
+            - math.lgamma(d / 2.0) + (d - 1) * np.log(r)
+            - (d + 1) / 2.0 * np.log(sigma * sigma + r * r))
+
+
 class TestSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -69,11 +77,13 @@ class TestSpecValidation:
 
 class TestArrayContract:
     @pytest.mark.parametrize("alpha,d", [(1.43, 2), (1.43, 3), (0.5, 4), (0.8, 1)])
-    def test_shape_and_scalar_agreement(self, alpha, d):
+    def test_shape_and_scalar_agreement(self, alpha, d, monkeypatch):
         spec = IsotropicAmplitudeSpec(alpha, d)
-        # 21 entries: not a multiple of the evaluation block size
+        # 21 entries in blocks of 4 radii: several blocks and a short last one
+        n_log_a = amplitude._law_rule(alpha, d)[0].size
+        monkeypatch.setattr(amplitude, "_BLOCK", 4 * n_log_a)
         r = np.concatenate([[0.0, np.inf], np.geomspace(1e-3, 1e3, 19)]).reshape(3, 7)
-        assert r.size % amplitude._BLOCK_RADII != 0
+        assert r.size % (amplitude._BLOCK // n_log_a) != 0
         got = amplitude_pdf(r, spec)
         assert isinstance(got, np.ndarray) and got.shape == (3, 7)
         for value, ri in zip(got.ravel(), r.ravel()):
@@ -82,20 +92,25 @@ class TestArrayContract:
             assert value == pytest.approx(one, rel=1e-13, abs=0.0)
         # f(0) = (2/pi) Gamma(1 + 1/alpha) / sigma for d = 1, else 0; f(inf) = 0
         at_zero = 0.0 if d > 1 else (2.0 / math.pi) * math.gamma(1.0 + 1.0 / alpha) / NOISE_SIGMA
-        assert got[0, :2].tolist() == [at_zero, 0.0]
+        assert got[0, 1] == 0.0
+        assert got[0, 0] == pytest.approx(at_zero, rel=1e-13, abs=0.0)
 
     def test_too_few_zeros_raise(self, monkeypatch):
-        # two segment contributions: the Euler spread misses the target
-        monkeypatch.setattr(amplitude, "_N_ZEROS", 3)
-        # the cached rule is keyed by d alone, so bypass the cache
-        monkeypatch.setattr(amplitude, "_hankel_rule", amplitude._hankel_rule.__wrapped__)
+        # an under-resolved rule, a coarse step in l = log A or few theta
+        # nodes: its nested half rules miss the error target.  The test
+        # keeps the id it had under the Bessel-zero rule.
         spec = IsotropicAmplitudeSpec(0.5, 2)
-        with pytest.raises(QuadratureError):
-            amplitude_pdf(1.0, spec)
-        with pytest.raises(QuadratureError):
-            build_amplitude_table(spec, n_nodes=8, r_max=64.0)
-        with pytest.raises(QuadratureError):
-            build_amplitude_table(spec, n_nodes=8)
+        for setting, value in [("_LOG_A_STEP", 1.0), ("_THETA_NODES", 15)]:
+            with monkeypatch.context() as m:
+                m.setattr(amplitude, setting, value)
+                # the cached rule is keyed by (alpha, d) alone, so bypass the cache
+                m.setattr(amplitude, "_law_rule", amplitude._law_rule.__wrapped__)
+                with pytest.raises(QuadratureError):
+                    amplitude_pdf(1.0, spec)
+                with pytest.raises(QuadratureError):
+                    build_amplitude_table(spec, n_nodes=8, r_max=64.0)
+                with pytest.raises(QuadratureError):
+                    build_amplitude_table(spec, n_nodes=8)
 
 
 class TestClosedForms:
@@ -120,6 +135,17 @@ class TestClosedForms:
         for r in (0.3, 1.0, 5.0):
             assert abs(amplitude_pdf(r, spec) - isotropic_cauchy(r)) < 1e-5
             assert abs(amplitude_pdf(r, spec) - isotropic_cauchy(r, 1.0)) > 1e-3
+
+    @pytest.mark.parametrize("d", [13, 14, 24])
+    def test_cauchy_high_dimensions(self, d):
+        # d >= 13: the ML tables of model I with n_r >= 7 (d = 2 n_r)
+        spec = IsotropicAmplitudeSpec(1.0, d)
+        r = np.geomspace(1e-3, 1e6, 271)
+        got = amplitude_pdf(r, spec)
+        assert np.max(np.abs(got / np.exp(log_cauchy_amplitude(r, d)) - 1.0)) <= 1e-6
+        tab = build_amplitude_table(spec)
+        exact = log_cauchy_amplitude(tab.grid, d)
+        assert np.max(np.abs(tab.log_values - exact)) <= 1e-6
 
     def test_univariate_d1_cauchy(self):
         # d=1 amplitude is twice the univariate symmetric density
@@ -153,6 +179,12 @@ class TestTailBehavior:
         ratio = amplitude_pdf(1e6, spec) / amplitude_tail_pdf(1e6, spec)
         assert abs(ratio - 1.0) < 0.02
 
+    def test_far_tail_relative_error(self):
+        # the neglected term is O(r^-alpha) ~ 1e-9 relative at r = 1e6
+        spec = IsotropicAmplitudeSpec(1.43, 4)
+        ratio = amplitude_pdf(1e6, spec) / amplitude_tail_pdf(1e6, spec)
+        assert abs(ratio - 1.0) < 1e-5
+
 
 class TestNormalization:
     @pytest.mark.parametrize("alpha,d", [(1.43, 2), (0.5, 4)])
@@ -179,10 +211,11 @@ class TestTable:
         assert tab.log_pdf(r) == expected
 
     def test_tail_matches_quadrature_at_grid_end(self, table_a143_d2):
-        tab = table_a143_d2
-        r_n = tab.grid[-1]
-        ratio = math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_n, tab.spec)
-        assert abs(ratio - 1.0) < 0.01
+        # also an odd dimension, d = 5
+        for tab in (table_a143_d2, build_amplitude_table(IsotropicAmplitudeSpec(1.43, 5))):
+            r_n = tab.grid[-1]
+            ratio = math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_n, tab.spec)
+            assert abs(ratio - 1.0) < 0.01, tab.spec
 
     def test_gaussian_d4_table_matches_closed_form(self):
         spec = IsotropicAmplitudeSpec(2.0, 4)
@@ -267,6 +300,8 @@ class TestTable:
         assert amplitude.noise_amplitude_spec(1.43, 4) == IsotropicAmplitudeSpec(alpha=1.43, d=4)
         assert NOISE_SIGMA == 2.0**-0.5
 
+
+FROZEN_TABLES = Path(__file__).parent / "data" / "amplitude_tables.npz"
 
 # (alpha, d) of the four preset tables, with the r_max their search returns
 PRESET_R_MAX = {(0.5, 2): 8192.0, (1.43, 2): 64.0, (0.5, 4): 16384.0, (1.43, 4): 64.0}
@@ -507,62 +542,27 @@ class TestRMaxSearch:
         assert np.array_equal(tab.log_values, given.log_values)
 
 
+class TestFrozenTables:
+    """The tables as the Bessel-kernel Hankel quadrature this module used
+    before the subordinator law built them (tests/data/amplitude_tables.npz:
+    grid and log f of the four preset specs, (1.9, 2) and (1.2, 5)), an
+    oracle independent of the law's derivation from the sampler."""
+
+    def test_tables_match_frozen_quadrature(self):
+        with np.load(FROZEN_TABLES) as frozen:
+            for alpha, d in list(PRESET_R_MAX) + [(1.9, 2), (1.2, 5)]:
+                tab = build_amplitude_table(IsotropicAmplitudeSpec(alpha, d))
+                key = f"alpha{alpha}_d{d}"
+                assert np.array_equal(tab.grid, frozen[key + "_grid"]), key
+                assert np.max(np.abs(tab.log_values - frozen[key + "_log_values"])) <= 1e-9, key
+
+
 class TestBesselRule:
-    """The numpy Bessel kernel, its zeros and the cached rule, with scipy as
-    the oracle."""
-
-    def test_jn_matches_scipy_on_rule_nodes(self):
-        from scipy.special import jv
-
-        for n in range(4):
-            _, rules = amplitude._hankel_rule(2 * n + 2)
-            for u, _ in rules:
-                assert np.max(np.abs(amplitude._jn(n, u) - jv(n, u))) <= 1e-14, n
-
-    def test_zeros_match_scipy(self):
-        from scipy.special import jn_zeros
-
-        for n in range(7):  # _jn's Newton steps through order 3, scipy's jv past it
-            _, zeros = amplitude._bessel(float(n), 50)
-            ref = jn_zeros(n, 50)
-            assert np.all(np.abs(zeros - ref) <= 2 * np.spacing(ref)), n
-
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_half_order_closed_forms(self, d):
-        from scipy.special import jv
-
-        nu = d / 2.0 - 1.0
-        kernel, zeros = amplitude._bessel(nu, 50)
-        k = np.arange(1, 51)
-        assert np.array_equal(zeros, (k - 0.5) * np.pi if d == 1 else k * np.pi)
-        u = np.geomspace(1e-12, 200.0, 2001)
-        assert np.allclose(kernel(u), jv(nu, u), rtol=1e-13, atol=1e-15)
-
-    def test_half_integer_order_zeros(self):
-        # d = 5, 7, 9, 11: Newton's method on scipy's jv from McMahon's
-        # estimates, against brentq on jv in a bracket around each estimate
-        from scipy.optimize import brentq
-        from scipy.special import jv
-
-        for nu in (1.5, 2.5, 3.5, 4.5):
-            _, zeros = amplitude._bessel(nu, 50)
-            beta = (np.arange(1, 51) + nu / 2.0 - 0.25) * np.pi
-            ref = np.array([brentq(lambda x: jv(nu, x), x0 - 0.6 * np.pi, x0 + 0.6 * np.pi,
-                                   xtol=1e-15) for x0 in beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)])
-            assert np.all(np.abs(zeros - ref) <= 32 * np.spacing(ref)), nu
-        # J_{3/2}(x) = sqrt(2/(pi x)) (sin x / x - cos x)
-        _, zeros = amplitude._bessel(1.5, 50)
-        closed = np.sqrt(2.0 / (np.pi * zeros)) * (np.sin(zeros) / zeros - np.cos(zeros))
-        assert np.max(np.abs(closed)) <= 1e-14
-        assert zeros[0] == pytest.approx(4.493409457909064, rel=1e-14)
-        assert np.all(np.diff(zeros) > 3.1) and np.all(np.diff(zeros) < 3.3)
-        spec = IsotropicAmplitudeSpec(1.43, 5)
-        tab = build_amplitude_table(spec)
-        r_max = tab.grid[-1]
-        assert abs(math.exp(tab.log_values[-1]) / amplitude_tail_pdf(r_max, spec) - 1.0) < 0.01
+    """The quadrature rule's imports and cache; the class keeps the name it
+    had under the Bessel-kernel rule, so that test ids stay stable."""
 
     def test_odd_dimension_table_loads_no_optimizer(self):
-        # the d = 5 rule takes scipy's jv, and its zeros come without scipy.optimize
+        # no scipy module for any d
         code = (
             "import sys\n"
             "from stablemimo.amplitude import IsotropicAmplitudeSpec, build_amplitude_table\n"
@@ -574,30 +574,17 @@ class TestBesselRule:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[False, True]"
+        assert out.strip() == "[False, False]"
 
     def test_rule_cached_per_dimension(self):
+        # one rule per (alpha, d), shared by the r_max search and the grid
+        amplitude._law_rule.cache_clear()
         spec = IsotropicAmplitudeSpec(1.43, 4)
         build_amplitude_table(spec, n_nodes=16)
-        before = amplitude._hankel_rule.cache_info()
+        assert amplitude._law_rule.cache_info()[:2] == (1, 1)  # (hits, misses)
         build_amplitude_table(spec, n_nodes=16)
-        after = amplitude._hankel_rule.cache_info()
-        # the r_max search and the grid each find the rule cached
-        assert after.misses == before.misses
-        assert after.hits == before.hits + 2
-        _, rules = amplitude._hankel_rule(4)
-        assert not any(a.flags.writeable for rule in rules for a in rule)
-
-    def test_preset_tables_match_scipy_weights(self, monkeypatch):
-        from functools import partial
-
-        from scipy.special import jn_zeros, jv
-
-        tables = {k: build_amplitude_table(IsotropicAmplitudeSpec(*k)) for k in PRESET_R_MAX}
-        monkeypatch.setattr(amplitude, "_bessel",
-                            lambda nu, n: (partial(jv, nu), jn_zeros(int(nu), n)))
-        monkeypatch.setattr(amplitude, "_hankel_rule", amplitude._hankel_rule.__wrapped__)
-        for (alpha, d), tab in tables.items():
-            ref = build_amplitude_table(IsotropicAmplitudeSpec(alpha, d))
-            assert ref.grid[-1] == tab.grid[-1] == PRESET_R_MAX[alpha, d]
-            assert np.max(np.abs(np.expm1(tab.log_values - ref.log_values))) <= 1e-9
+        assert amplitude._law_rule.cache_info()[:2] == (3, 1)
+        build_amplitude_table(IsotropicAmplitudeSpec(1.43, 2), n_nodes=16, r_max=64.0)
+        build_amplitude_table(IsotropicAmplitudeSpec(0.5, 4), n_nodes=16, r_max=64.0)
+        assert amplitude._law_rule.cache_info()[:2] == (3, 3)
+        assert not any(a.flags.writeable for a in amplitude._law_rule(1.43, 4))

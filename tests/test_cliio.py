@@ -11,6 +11,7 @@ import pytest
 from stablemimo import (
     NoiseModel,
     PRESETS,
+    QuadratureError,
     SimConfig,
     emit_csv,
     parse_config,
@@ -463,19 +464,30 @@ class TestRunArtifacts:
         assert not out_dir.exists()
 
     def test_failing_table_stops_before_first_sweep(self, tmp_path, monkeypatch, capsys):
-        # the second config's table (model I, n_r = 7: d = 14) fails its
-        # quadrature; the first config must not be swept before that
+        # the second config's table build fails; the first config must not
+        # be swept before that
         def must_not_sample(*args, **kwargs):
             raise AssertionError("sampling started before every table was built")
 
+        built = []
+        real_build = cliio.montecarlo.build_ml_table
+
+        def build(cfg):
+            built.append(cfg.n_r)
+            if cfg.n_r == 2:
+                raise QuadratureError("error estimate exceeds target (injected)")
+            return real_build(cfg)
+
         monkeypatch.setattr(cliio, "run_sweep", must_not_sample)
+        monkeypatch.setattr(cliio.montecarlo, "build_ml_table", build)
         configs = tuple(SimConfig(alpha=1.43, n_r=n_r, snr_grid_db=(10.0,),
-                                  min_errors=5, max_trials=4096) for n_r in (1, 7))
+                                  min_errors=5, max_trials=4096) for n_r in (1, 2))
         monkeypatch.setitem(cliio.PRESETS, "two_tables",
                             cliio.ExperimentPreset("two_tables", configs, ("mdr",)))
         out_dir = tmp_path / "out"
         assert main(["preset", "two_tables", "--out-dir", str(out_dir)]) == 2
-        assert "d=14" in capsys.readouterr().err
+        assert "(injected)" in capsys.readouterr().err
+        assert built == [1, 2]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("failing", ["theory", "manifest"])

@@ -91,6 +91,7 @@ def oracle_aor_product(y, h, rho, cb, model):
 
 
 def oracle_ml(y, h, rho, cb, model, table):
+    # the two-path lookup, not the rows that the kernel under test reads
     metrics = []
     for s in cb.codewords:
         r = y - np.sqrt(rho) * h @ s
@@ -99,10 +100,10 @@ def oracle_ml(y, h, rho, cb, model, table):
                                   for c in cb.codewords]))
         if model is NoiseModel.SHARED:
             m = sum(
-                table.log_pdf(np.linalg.norm(r[:, k])) for k in range(r.shape[1])
+                two_path_log_pdf(table, np.linalg.norm(r[:, k])) for k in range(r.shape[1])
             )
         else:
-            m = np.sum(table.log_pdf(np.abs(r).ravel()))
+            m = np.sum(two_path_log_pdf(table, np.abs(r).ravel()))
         metrics.append(m)
     return int(np.argmax(metrics))
 
