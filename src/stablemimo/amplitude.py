@@ -38,10 +38,9 @@ TABLE_FORMAT_VERSION = 1
 
 # Quadrature: tanh-sinh nodes in theta and their range in t; the range of
 # l = log A and the largest trapezoid step in it; elements per evaluation
-# block, so that no (nodes, nodes) temporary exceeds 2 MB (freeing one
-# raises glibc's mmap threshold past the decode blocks' temporaries, which
-# pool workers forked after the build then reuse without faulting); the
-# error target; the first node of a table's grid.
+# block, so that no (nodes, nodes) temporary exceeds 2 MB (the blocks fix
+# the products' summation, and so the table's bits); the error target; the
+# first node of a table's grid.
 _THETA_NODES = 383
 _T_MAX = 3.2
 _LOG_A_RANGE = (-30.0, 90.0)

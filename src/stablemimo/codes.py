@@ -110,10 +110,9 @@ def sample_channel(n_r: int, n_t: int, rng: np.random.Generator, size=None):
     return complex_normal(rng, shape, 1.0 / _SQRT2)  # as (normal + 1j*normal) / sqrt(2)
 
 
-def block_products(h, codebook: Codebook, out=None) -> np.ndarray:
+def block_products(h, codebook: Codebook) -> np.ndarray:
     """Noiseless blocks H_b C_k of every trial b under every codeword k,
-    trial axis last: h (n_r, n_t, B) -> (K, n_r, t_s, B), written into
-    ``out`` when given.
+    trial axis last: h (n_r, n_t, B) -> (K, n_r, t_s, B), C-ordered.
 
     Terms are summed over transmit antennas in order.  A decode block forms
     these once: the received block of trial b is sqrt(rho) * HC[tx_b, ..., b]
@@ -125,7 +124,7 @@ def block_products(h, codebook: Codebook, out=None) -> np.ndarray:
             f"dimension mismatch: h has {h.shape[1]} transmit antennas, "
             f"codewords have {codebook.n_t}"
         )
-    hc = np.multiply(h[None, :, 0, None, :], c[:, None, 0, :, None], out=out)
+    hc = np.multiply(h[None, :, 0, None, :], c[:, None, 0, :, None], order="C")
     for m in range(1, codebook.n_t):
         hc += h[None, :, m, None, :] * c[:, None, m, :, None]
     return hc

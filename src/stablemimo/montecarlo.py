@@ -15,19 +15,19 @@ speculative chunk).  So the pool does not drain between points, and at
 most `workers` chunks computed past a stop are discarded.
 
 A chunk decodes in blocks of DECODE_ENTRIES residual entries (K * n_r *
-t_s a trial: 4096 trials at n_r = 1, 2048 at n_r = 2 for BPSK Alamouti)
-into product (then residual) and squared-residual arrays that each thread
-keeps for the life of the process: fresh ones let the allocator return
-the heap top to the kernel after each block and fault it back in on the
-next (~800 faults a chunk).  An entry budget keeps each block's other
-temporaries at sizes a pool worker reuses without faulting.
+t_s a trial: 4096 trials at n_r = 1, 2048 at n_r = 2 for BPSK Alamouti).
+At glibc's default thresholds a block's temporaries, up to 512 KiB each,
+go back to the kernel after each block and fault in again on the next.
+So importing this module frees one 16 MiB mmapped array, which raises
+glibc's mmap threshold to 16 MiB and its trim threshold to 32 MiB
+(mallopt(3)): blocks then reuse heap pages, in this process and in pool
+workers forked from it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -50,6 +50,7 @@ CHUNK_TRIALS = 8192  # part of the determinism contract: streams are per-chunk
 DECODE_ENTRIES = 2**15  # residual entries per decode block, see the module docstring
 # the Philox key packs (snr_index, chunk_index) into one 64-bit word
 _KEY_FIELD_LIMIT = 2**32
+np.empty(2**21)  # freed at once; 16 MiB, under glibc's 32 MiB cap, see the docstring
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SLOPE_POINT_ERRORS = 100  # bit errors a point needs to enter a slope fit
 
@@ -184,20 +185,6 @@ def _chunk_rng(master_seed: int, snr_index: int, chunk_index: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_workspace = threading.local()  # decode arrays, see the module docstring
-
-
-def _workspace_view(name: str, shape, dtype):
-    """A contiguous array of `shape` over this thread's buffer `name`,
-    which grows to the largest block seen."""
-    size = math.prod(shape)
-    buf = getattr(_workspace, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype)
-        setattr(_workspace, name, buf)
-    return buf[:size].reshape(shape)
-
-
 def _run_chunk(
     config: SimConfig, codebook: Codebook, ml_table: AmplitudePdfTable | None,
     snr_index: int, chunk_index: int,
@@ -218,17 +205,13 @@ def _run_chunk(
     step = max(1, DECODE_ENTRIES // (len(codebook) * config.n_r * codebook.t_s))
     for start in range(0, n, step):
         block = slice(start, start + step)
-        sent = tx[block]
-        shape = (len(codebook), config.n_r, codebook.t_s, len(sent))
-        s = block_products(h[..., block], codebook,
-                           out=_workspace_view("products", shape, complex))
+        s = block_products(h[..., block], codebook)
         np.multiply(sqrt_rho, s, out=s)
         m = s[0].size  # s[k, i, t, b] is s.flat[k * m + (i * t_s + t) * B + b]
-        y = np.take(s, sent * m + np.arange(m).reshape(shape[1:]))
+        y = np.take(s, tx[block] * m + np.arange(m).reshape(s.shape[1:]))
         np.add(y, w[..., block], out=y)
         r = np.subtract(y, s, out=s)  # the residuals overwrite the products
-        energies = ResidualEnergies(r, config.model,
-                                    out=_workspace_view("squares", shape, float))
+        energies = ResidualEnergies(r, config.model)
         for i, rx in enumerate(config.receivers):
             decisions[i, block] = decide(rx, energies, genie[..., block], ml_table)
     return n, np.take(codebook.bit_distance, tx * len(codebook) + decisions).sum(axis=1)

@@ -75,12 +75,11 @@ class ResidualEnergies:
     with g = 1 under model I; the squared residuals, g = n_r, under model
     II.  log_group is its log, -inf where a group's residual vanishes,
     read by the ML and AOR costs.  total is the whole-block energy:
-    (K, B).  The squared residuals are written into ``out`` when given, so
-    under model II group is ``out``."""
+    (K, B)."""
 
-    def __init__(self, r, model: NoiseModel, out=None):
+    def __init__(self, r, model: NoiseModel):
         # hypot, then square (the ops of abs(r) ** 2); re**2 + im**2 rounds differently
-        sq = np.abs(r, out=out)
+        sq = np.abs(r)
         np.square(sq, out=sq)
         if model is NoiseModel.IID:
             self.group = sq

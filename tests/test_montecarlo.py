@@ -278,9 +278,10 @@ class TestDecodeBlocks:
         # trials where n_r = 1 (fig1, fig3), 2048 where n_r = 2
         blocks = []
 
-        def recording(h, codebook, out):
-            blocks.append(out.shape)
-            return block_products(h, codebook, out=out)
+        def recording(h, codebook):
+            products = block_products(h, codebook)
+            blocks.append(products.shape)
+            return products
 
         monkeypatch.setattr(montecarlo, "block_products", recording)
         for fig in range(1, 7):
@@ -310,13 +311,13 @@ class TestDecodeBlocks:
         assert self.chunk_allocation_peak("fig4") <= 6 * 2**20
 
     def test_fig1_chunk_allocation_peak(self):
-        # 4096-trial blocks of 8 residual entries a trial: 3.0 MiB measured
-        # (2.1 MiB with 2048-trial blocks)
+        # 4096-trial blocks of 8 residual entries a trial: 3.2 MiB measured,
+        # the block's products and squares included
         assert self.chunk_allocation_peak("fig1") <= 4 * 2**20
 
 
-_POOL_FAULTS = """
-import os, resource
+_HEAP_FAULTS = """
+import os, resource, sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from stablemimo import montecarlo
@@ -328,19 +329,44 @@ def chunk_faults(cfg, codebook, table, chunk):
     montecarlo._run_chunk(cfg, codebook, table, 3, chunk)
     return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
+CASES = {"ml": (("fig1", 0, "bpsk"), ("fig1", 0, "qpsk"), ("fig6", 1, "bpsk")),
+         "noml": (("fig1", 0, "bpsk"), ("fig4", 0, "bpsk"), ("fig6", 1, "bpsk"))}
+
 if __name__ == "__main__":
-    for fig, i, constellation in (("fig1", 0, "bpsk"), ("fig1", 0, "qpsk"), ("fig6", 1, "bpsk")):
+    with_ml = sys.argv[1] == "ml"
+    cases = []
+    for fig, i, constellation in CASES[sys.argv[1]]:
         cfg = replace(resolve_preset(fig).configs[i], constellation=constellation)
+        if not with_ml:
+            cfg = replace(cfg, receivers=("mdr", "gar", "aor"))
         codebook = enumerate_codebook(cfg.code, cfg.constellation)
-        table = montecarlo.build_ml_table(cfg)  # tables first, as run_experiment
+        table = montecarlo.build_ml_table(cfg) if with_ml else None  # tables first, as run_experiment
+        cases.append((fig + constellation, cfg, codebook, table))
+    for name, *case in cases:
         with ProcessPoolExecutor(2) as pool:  # forked before anything decodes
-            runs = [pool.submit(chunk_faults, cfg, codebook, table, c) for c in range(16)]
+            runs = [pool.submit(chunk_faults, *case, c) for c in range(16)]
             faults = {}
             for run in runs:
                 pid, n = run.result()
                 faults.setdefault(pid, []).append(n)
-        print(fig + constellation, *(n for counts in faults.values() for n in counts[2:]))
+        print(name, *(n for counts in faults.values() for n in counts[2:]))
+    if not with_ml:
+        for name, *case in cases:
+            print(name + "-serial", *[chunk_faults(*case, c)[1] for c in range(10)][2:])
 """
+
+
+def steady_chunk_faults(tmp_path, roster):
+    """Per-line minor faults of each steady-state chunk, from a fresh
+    interpreter running _HEAP_FAULTS with `roster` ("ml" or "noml")."""
+    script = tmp_path / "heap_faults.py"
+    script.write_text(_HEAP_FAULTS)
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, str(script), roster], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return [line.split() for line in out.splitlines()]
 
 
 def test_pool_workers_do_not_refault_the_heap(tmp_path):
@@ -349,22 +375,27 @@ def test_pool_workers_do_not_refault_the_heap(tmp_path):
     # 2-worker pool.  From a worker's third chunk on, each took 0-2 minor
     # faults a chunk.  2048-trial QPSK blocks took ~2,270, and flat
     # 4096-trial blocks ~1,470 a fig6 model II chunk
-    script = tmp_path / "pool_faults.py"
-    script.write_text(_POOL_FAULTS)
-    src = str(Path(montecarlo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, str(script)], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert len(out.splitlines()) == 3
-    for line in out.splitlines():
-        _, *faults = line.split()
-        assert len(faults) >= 8, line
-        assert max(map(int, faults)) <= 250, line
+    lines = steady_chunk_faults(tmp_path, "ml")
+    assert len(lines) == 3
+    for _, *faults in lines:
+        assert len(faults) >= 8, lines
+        assert max(map(int, faults)) <= 250, lines
+
+
+def test_rosters_without_ml_do_not_refault_the_heap(tmp_path):
+    # no table is built, so only montecarlo's import sets the allocator's
+    # thresholds: fig1, fig4 and fig6 model II took 0-2 faults a chunk,
+    # pooled and serial, and 288-545 without it
+    lines = steady_chunk_faults(tmp_path, "noml")
+    assert len(lines) == 6
+    for _, *faults in lines:
+        assert len(faults) >= 8, lines
+        assert max(map(int, faults)) <= 250, lines
 
 
 class TestDecodeWorkspace:
-    """Each thread decodes into arrays it keeps across chunks."""
+    """A chunk's counts depend neither on how threads interleave nor on
+    what the process decoded before it."""
 
     def test_threads_match_serial(self, table_a143_d2):
         fig4 = resolve_preset("fig4").configs[0]  # model I

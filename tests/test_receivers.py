@@ -362,9 +362,14 @@ class TestSharedEnergies:
             h = sample_channel(n_r, cb.n_t, rng, size=500)
             hc = codeword_products(h, cb)
             assert np.array_equal(hc, np.einsum("brn,knt->bkrt", h, cb.codewords))
-            out = np.full((len(cb), n_r, cb.t_s, 500), np.nan, dtype=complex)
-            assert block_products(trial_last(h), cb, out=out) is out
-            assert np.array_equal(out, trial_last(hc))
+            assert np.array_equal(block_products(trial_last(h), cb), trial_last(hc))
+
+    def test_products_are_c_ordered_from_a_strided_view(self, codebook):
+        # the engine passes a block of the chunk's trial-last view of h
+        h = np.moveaxis(sample_channel(2, 2, np.random.default_rng(55), size=4096), 0, -1)
+        hc = block_products(h[..., :2048], codebook)
+        assert hc.shape == (len(codebook), 2, codebook.t_s, 2048)
+        assert hc.flags.c_contiguous
 
     @pytest.mark.parametrize("code", ["alamouti", "uncoded"])
     def test_gathered_synthesis_matches_einsum_bitwise(self, code):
@@ -407,12 +412,10 @@ class TestSharedEnergies:
             iid = ResidualEnergies(trial_last(r), NoiseModel.IID)
             assert np.array_equal(iid.group, trial_last(sq))
             for model, want in ((NoiseModel.SHARED, e), (NoiseModel.IID, iid)):
-                out = np.full(trial_last(r).shape, np.nan)
-                e_out = ResidualEnergies(trial_last(r), model, out=out)
-                assert np.array_equal(out, trial_last(sq))
-                assert np.array_equal(e_out.group, want.group)
-                assert np.array_equal(e_out.total, want.total)
-            assert e_out.group is out  # model II keeps the squares as its groups
+                # a C-ordered copy, the layout the engine's residuals have
+                again = ResidualEnergies(np.ascontiguousarray(trial_last(r)), model)
+                assert np.array_equal(again.group, want.group)
+                assert np.array_equal(again.total, want.total)
             # entries one at a time in row-major order; a trial-first numpy
             # sum adds the same way below 8 terms and pairwise from 8 on
             rowmajor = sq[:, :, 0, 0].copy()
