@@ -14,14 +14,19 @@ when there is none to the lowest unstopped point with chunks left (a
 speculative chunk).  So the pool does not drain between points, and at
 most `workers` chunks computed past a stop are discarded.
 
+A pooled sweep forks its workers (POSIX fork start method), and each
+holds the chunk function, with its config, codebook and ML table, from
+memory: a submission is a (point, chunk) pair on one queue that idle
+workers take from, and each worker answers on its own pipe.
+
 A chunk decodes in blocks of DECODE_ENTRIES residual entries (K * n_r *
 t_s a trial: 4096 trials at n_r = 1, 2048 at n_r = 2 for BPSK Alamouti).
 At glibc's default thresholds a block's temporaries, up to 512 KiB each,
 go back to the kernel after each block and fault in again on the next.
 So importing this module frees one 16 MiB mmapped array, which raises
 glibc's mmap threshold to 16 MiB and its trim threshold to 32 MiB
-(mallopt(3)): blocks then reuse heap pages, in this process and in pool
-workers forked from it.
+(mallopt(3)): blocks then reuse heap pages, in this process and in the
+workers forked from it, which inherit the thresholds.
 """
 
 from __future__ import annotations
@@ -258,6 +263,94 @@ def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int
     return list(zip(trials, errors, stopped_on))
 
 
+def _serve(run, tasks, results):
+    """A pool worker: sends ((j, c), run(j, c) or the exception it raised,
+    its traceback or None) on results for each (j, c) it takes from tasks,
+    until the parent dies."""
+    import traceback
+
+    tasks._writer.close()  # the parent's is then the last, so get() reads EOF once it dies
+    try:
+        while True:
+            key = tasks.get()
+            try:
+                out, trace = run(*key), None
+            except Exception as exc:  # raised again by the parent's result()
+                out, trace = exc, traceback.format_exc()
+            results.send((key, out, trace))
+    except (EOFError, BrokenPipeError):
+        pass
+
+
+class _ForkPool:
+    """`workers` processes forked from this one, each holding `run`.
+    submit(run, j, c) queues (j, c) for the first idle worker; the handle's
+    result() waits for run(j, c), or raises a RuntimeError once a worker
+    dies.  Exit terminates the workers, queued chunks and all, so the
+    handle's cancel() has nothing to do."""
+
+    def __init__(self, run, workers: int):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._run, self._tasks, self._done = run, ctx.SimpleQueue(), {}
+        self._workers = {}  # result pipe -> its worker
+        try:
+            for _ in range(workers):
+                pipe, end = ctx.Pipe(duplex=False)
+                process = ctx.Process(target=_serve, args=(run, self._tasks, end), daemon=True)
+                process.start()
+                end.close()  # so the pipe reads EOF once its worker is gone
+                self._workers[pipe] = process
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for process in self._workers.values():
+            process.terminate()
+        for pipe, process in self._workers.items():  # they exit in parallel
+            process.join()
+            pipe.close()
+        self._tasks.close()
+
+    def submit(self, fn, j: int, c: int):
+        assert fn is self._run, "the workers hold the pool's run"
+        self._tasks.put((j, c))
+        return _Submitted(partial(self.result, (j, c)))
+
+    def result(self, key):
+        from multiprocessing.connection import wait
+
+        while key not in self._done:
+            for pipe in wait(list(self._workers)):
+                try:
+                    done, out, trace = pipe.recv()
+                except EOFError:  # only its worker held the other end
+                    process = self._workers[pipe]
+                    process.join()
+                    raise RuntimeError(
+                        f"a pool worker exited with code {process.exitcode}") from None
+                self._done[done] = out, trace
+        out, trace = self._done.pop(key)
+        if trace is not None:
+            raise out from RuntimeError(f"in a pool worker:\n{trace}")
+        return out
+
+
+class _Submitted:
+    """A chunk queued on a _ForkPool, as _fold_chunks reads it."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def cancel(self):
+        pass
+
+
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:
     """Amplitude table matched to the configured noise model."""
     return build_amplitude_table(ml_table_spec(config.model, config.n_r, config.alpha))
@@ -285,9 +378,7 @@ def run_sweep(
     n_chunks = math.ceil(config.max_trials / CHUNK_TRIALS)
     run = partial(_run_chunk, config, codebook, ml_table)
     stop = lambda errors: np.all(errors >= config.min_errors)
-    if config.workers > 1:  # only pooled runs load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+    with _ForkPool(run, config.workers) if config.workers > 1 else nullcontext() as pool:
         totals = _fold_chunks(
             run, len(config.snr_grid_db), n_chunks, stop, pool, config.workers + 1
         )

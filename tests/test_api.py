@@ -46,7 +46,8 @@ def test_import_loads_no_heavy_scipy_subpackage():
     assert out.strip() == "[]"
     # no scipy module at all on the run path: the package and its CLI, the ML
     # tables of fig4 (d = 4) and fig6 model II (d = 2), a preset's theory
-    # curves; and no process pool in a 1-worker sweep
+    # curves; no process pool in a 1-worker sweep, and no executor in a
+    # 2-worker one
     code = (
         "import sys, stablemimo, stablemimo.cli\n"
         "from stablemimo import cliio, montecarlo\n"
@@ -62,7 +63,10 @@ def test_import_loads_no_heavy_scipy_subpackage():
         "montecarlo.run_sweep(montecarlo.SimConfig(snr_grid_db=(10.0,), receivers=('mdr',),\n"
         "                                          max_trials=100, workers=1))\n"
         "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multi'))))\n"
+        "montecarlo.run_sweep(montecarlo.SimConfig(snr_grid_db=(10.0,), receivers=('mdr',),\n"
+        "                                          max_trials=100, workers=2))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]"] * 4
+    assert out.splitlines() == ["[]"] * 5

@@ -4,12 +4,15 @@ import hashlib
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ from stablemimo.cliio import emit_csv, resolve_preset
 from stablemimo.codes import block_products, enumerate_codebook, sample_channel
 from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _fold_chunks, _run_chunk
 from stablemimo.receivers import (
+    ResidualEnergies,
     batch_aor,
     batch_gar,
     batch_mdr,
@@ -226,6 +230,27 @@ class TestFusedChunk:
             assert trials == n
             assert np.array_equal(got, want), (snr_index, chunk_index)
 
+    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
+    def test_gar_mdr_roster_forms_no_logs(self, monkeypatch, model):
+        # only the ML and AOR costs read the groups' logs; the chunk runs
+        # two blocks, and with aor on the roster each forms its logs once
+        formed = []
+        log_group = ResidualEnergies.log_group
+
+        def spy(energies):
+            formed.append(energies)
+            return log_group.func(energies)
+
+        monkeypatch.setattr(ResidualEnergies, "log_group", cached_property(spy))
+        ResidualEnergies.log_group.__set_name__(ResidualEnergies, "log_group")
+        cfg = tiny_config(model=model, n_r=2, receivers=("mdr", "gar"))
+        cb = enumerate_codebook(cfg.code, cfg.constellation)
+        plain = _run_chunk(cfg, cb, None, 1, 0)[1]
+        assert formed == []
+        with_aor = _run_chunk(replace(cfg, receivers=("mdr", "gar", "aor")), cb, None, 1, 0)[1]
+        assert np.array_equal(with_aor[:2], plain)
+        assert len(formed) == len({id(e) for e in formed}) == CHUNK_TRIALS // 2048
+
 
 class TestDecodeBlocks:
     @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
@@ -318,15 +343,15 @@ class TestDecodeBlocks:
 
 _HEAP_FAULTS = """
 import os, resource, sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from stablemimo import montecarlo
 from stablemimo.cliio import resolve_preset
 from stablemimo.codes import enumerate_codebook
 
-def chunk_faults(cfg, codebook, table, chunk):
+def chunk_faults(cfg, codebook, table, point, chunk):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    montecarlo._run_chunk(cfg, codebook, table, 3, chunk)
+    montecarlo._run_chunk(cfg, codebook, table, point, chunk)
     return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 CASES = {"ml": (("fig1", 0, "bpsk"), ("fig1", 0, "qpsk"), ("fig6", 1, "bpsk")),
@@ -343,8 +368,9 @@ if __name__ == "__main__":
         table = montecarlo.build_ml_table(cfg) if with_ml else None  # tables first, as run_experiment
         cases.append((fig + constellation, cfg, codebook, table))
     for name, *case in cases:
-        with ProcessPoolExecutor(2) as pool:  # forked before anything decodes
-            runs = [pool.submit(chunk_faults, *case, c) for c in range(16)]
+        run = partial(chunk_faults, *case)
+        with montecarlo._ForkPool(run, 2) as pool:  # forked before anything decodes
+            runs = [pool.submit(run, 3, c) for c in range(16)]
             faults = {}
             for run in runs:
                 pid, n = run.result()
@@ -352,8 +378,15 @@ if __name__ == "__main__":
         print(name, *(n for counts in faults.values() for n in counts[2:]))
     if not with_ml:
         for name, *case in cases:
-            print(name + "-serial", *[chunk_faults(*case, c)[1] for c in range(10)][2:])
+            print(name + "-serial", *[chunk_faults(*case, 3, c)[1] for c in range(10)][2:])
 """
+
+
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def steady_chunk_faults(tmp_path, roster):
@@ -361,10 +394,7 @@ def steady_chunk_faults(tmp_path, roster):
     interpreter running _HEAP_FAULTS with `roster` ("ml" or "noml")."""
     script = tmp_path / "heap_faults.py"
     script.write_text(_HEAP_FAULTS)
-    src = str(Path(montecarlo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, str(script), roster], env=env, check=True,
+    out = subprocess.run([sys.executable, str(script), roster], env=_package_env(), check=True,
                          capture_output=True, text=True, timeout=120).stdout
     return [line.split() for line in out.splitlines()]
 
@@ -372,7 +402,7 @@ def steady_chunk_faults(tmp_path, roster):
 def test_pool_workers_do_not_refault_the_heap(tmp_path):
     # n_r = 1: fig1 (4096-trial blocks) and its QPSK variant (K = 16,
     # 1024-trial blocks); and fig6 model II (2048), in a fresh interpreter's
-    # 2-worker pool.  From a worker's third chunk on, each took 0-2 minor
+    # 2-worker pool, the engine's.  From a worker's third chunk on, each took 0-2 minor
     # faults a chunk.  2048-trial QPSK blocks took ~2,270, and flat
     # 4096-trial blocks ~1,470 a fig6 model II chunk
     lines = steady_chunk_faults(tmp_path, "ml")
@@ -450,6 +480,12 @@ class TestDecodeWorkspace:
 def _chunk_failing_at_3(config, codebook, ml_table, snr_index, chunk_index):
     if chunk_index == 3:
         raise RuntimeError("chunk 3 failed")
+    return _run_chunk(config, codebook, ml_table, snr_index, chunk_index)
+
+
+def _chunk_exiting_at_3(config, codebook, ml_table, snr_index, chunk_index):
+    if chunk_index == 3:
+        os._exit(3)
     return _run_chunk(config, codebook, ml_table, snr_index, chunk_index)
 
 
@@ -747,21 +783,69 @@ class TestRunSweep:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert raised
+        # the worker's traceback is the cause
+        assert "in _chunk_failing_at_3" in str(raised[0].value.__cause__)
+
+    @pytest.mark.parametrize("chunk, error", [
+        (_run_chunk, None),
+        (_chunk_failing_at_3, "chunk 3 failed"),
+        (_chunk_exiting_at_3, "a pool worker exited with code 3"),
+    ], ids=["clean", "raised", "dead"])
+    def test_pooled_sweep_leaves_no_process(self, monkeypatch, chunk, error):
+        # a worker that dies fails the sweep instead of hanging it, and the
+        # sweep's end reaps every worker, whatever its chunks did
+        monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+        cfg = tiny_config(min_errors=10**9, max_trials=8 * CHUNK_TRIALS, workers=2)
+        if error is None:
+            assert _joined(lambda: run_sweep(cfg)).trials == (cfg.max_trials,) * 3
+        else:
+            with pytest.raises(RuntimeError, match=error):
+                _joined(lambda: run_sweep(cfg))
+        assert multiprocessing.active_children() == []
+
+    def test_idle_workers_exit_with_a_killed_parent(self):
+        # nothing terminates them, so they must see the parent go
+        code = ("import time\n"
+                "from stablemimo import montecarlo\n"
+                "pool = montecarlo._ForkPool(max, 2)\n"
+                "print(*(p.pid for p in pool._workers.values()), flush=True)\n"
+                "time.sleep(120)\n")
+        with subprocess.Popen([sys.executable, "-c", code], env=_package_env(),
+                              stdout=subprocess.PIPE, text=True) as parent:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            parent.kill()
+        assert len(pids) == 2
+
+        def running(pid):  # neither gone nor a zombie
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] not in "ZX"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
 
     def test_high_snr_consistency(self):
-        # vanishing noise: low BER at the top and a decreasing trend
+        # rising SNR: low BER at the top and a decreasing trend, at points that
+        # each count their 50 errors (from 30 dB on, GAR makes 0-8 in the cap)
         cfg = SimConfig(
             model=NoiseModel.SHARED,
             alpha=1.43,
             n_r=1,
-            snr_grid_db=(30.0, 45.0, 60.0),
+            snr_grid_db=(10.0, 15.0, 20.0),
             receivers=("gar",),
             master_seed=7,
             min_errors=50,
             max_trials=60_000,
         )
         curve = run_sweep(cfg)
+        assert curve.stopped_on == ("errors",) * 3
         bers = curve.ber("gar")
         assert bers[-1] < 1e-2
         his = [p.ci_hi for p in curve.points["gar"]]
