@@ -37,6 +37,7 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -267,6 +268,7 @@ def _serve(run, tasks, results):
     """A pool worker: sends ((j, c), run(j, c) or the exception it raised,
     its traceback or None) on results for each (j, c) it takes from tasks,
     until the parent dies."""
+    import pickle
     import traceback
 
     tasks._writer.close()  # the parent's is then the last, so get() reads EOF once it dies
@@ -277,8 +279,12 @@ def _serve(run, tasks, results):
                 out, trace = run(*key), None
             except Exception as exc:  # raised again by the parent's result()
                 out, trace = exc, traceback.format_exc()
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # the parent could not load it: its last line stands in
+                    out = RuntimeError(trace.rstrip().rpartition("\n")[2])
             results.send((key, out, trace))
-    except (EOFError, BrokenPipeError):
+    except EOFError:
         pass
 
 
@@ -286,14 +292,17 @@ class _ForkPool:
     """`workers` processes forked from this one, each holding `run`.
     submit(run, j, c) queues (j, c) for the first idle worker; the handle's
     result() waits for run(j, c), or raises a RuntimeError once a worker
-    dies.  Exit terminates the workers, queued chunks and all, so the
-    handle's cancel() has nothing to do."""
+    dies.  Exit kills the workers, queued chunks and all, so the handle's
+    cancel() has nothing to do."""
 
     def __init__(self, run, workers: int):
         import multiprocessing
 
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError("a pooled sweep needs the POSIX fork start method; "
+                               "workers = 1 gives the same results")
         ctx = multiprocessing.get_context("fork")
-        self._run, self._tasks, self._done = run, ctx.SimpleQueue(), {}
+        self._tasks, self._done = ctx.SimpleQueue(), {}
         self._workers = {}  # result pipe -> its worker
         try:
             for _ in range(workers):
@@ -311,16 +320,16 @@ class _ForkPool:
 
     def __exit__(self, *exc_info):
         for process in self._workers.values():
-            process.terminate()
+            process.kill()  # not SIGTERM: a handler the workers inherited could catch it
         for pipe, process in self._workers.items():  # they exit in parallel
             process.join()
             pipe.close()
         self._tasks.close()
 
     def submit(self, fn, j: int, c: int):
-        assert fn is self._run, "the workers hold the pool's run"
+        """Queues (j, c); fn is the `run` the workers hold."""
         self._tasks.put((j, c))
-        return _Submitted(partial(self.result, (j, c)))
+        return SimpleNamespace(result=partial(self.result, (j, c)), cancel=lambda: None)
 
     def result(self, key):
         from multiprocessing.connection import wait
@@ -339,16 +348,6 @@ class _ForkPool:
         if trace is not None:
             raise out from RuntimeError(f"in a pool worker:\n{trace}")
         return out
-
-
-class _Submitted:
-    """A chunk queued on a _ForkPool, as _fold_chunks reads it."""
-
-    def __init__(self, result):
-        self.result = result
-
-    def cancel(self):
-        pass
 
 
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:

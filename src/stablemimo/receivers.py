@@ -10,12 +10,12 @@ two-element loop per trial.  The Monte Carlo engine decodes a chunk in
 blocks of ``montecarlo.DECODE_ENTRIES`` (2^15) residual entries to keep
 temporaries small; each decision depends only on its own trial, so the
 block size never changes a result.  ``ResidualEnergies`` forms a block's
-per-group energies and per-codeword totals when built, and their logs
-when first read, and the whole roster decodes from them.  A group is
-the entries that share a subordinator: a column (summed over receive
-antennas) under model I, a single entry under model II.  Group energies
-and the genie record share one layout, (K, g, t_s, B) and (g, t_s, B):
-g = 1 under model I, g = n_r under model II.
+per-group energies, their logs and per-codeword totals once, when built,
+and the whole roster decodes from them.  A group is the entries that
+share a subordinator: a column (summed over receive antennas) under
+model I, a single entry under model II.  Group energies and the genie record share one layout,
+(K, g, t_s, B) and (g, t_s, B): g = 1 under model I, g = n_r under
+model II.
 ``METRICS`` maps each receiver name to its cost over those energies; the
 decision is the codeword of least cost:
 
@@ -49,8 +49,6 @@ arrays: they move the trial axis last and apply the same costs.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .amplitude import AmplitudePdfTable, IsotropicAmplitudeSpec
@@ -76,7 +74,8 @@ class ResidualEnergies:
     group, (K, g, t_s, B): column sums over receive antennas, in order,
     with g = 1 under model I; the squared residuals, g = n_r, under model
     II.  log_group is its log, -inf where a group's residual vanishes,
-    formed on the first read (ML, AOR).  total is the block energy: (K, B)."""
+    read by the ML and AOR costs.  total is the whole-block energy:
+    (K, B)."""
 
     def __init__(self, r, model: NoiseModel):
         # hypot, then square (the ops of abs(r) ** 2); re**2 + im**2 rounds differently
@@ -88,11 +87,8 @@ class ResidualEnergies:
             k, n_r, t_s, b = sq.shape
             self.group = entry_sum(sq.reshape(k, n_r, t_s * b)).reshape(k, 1, t_s, b)
         self.total = entry_sum(sq)
-
-    @cached_property
-    def log_group(self):
         with np.errstate(divide="ignore"):  # log 0 = -inf: an exact fit
-            return np.log(self.group)
+            self.log_group = np.log(self.group)
 
 
 def entry_sum(a):

@@ -12,7 +12,6 @@ import time
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from stablemimo.cliio import emit_csv, resolve_preset
 from stablemimo.codes import block_products, enumerate_codebook, sample_channel
 from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _fold_chunks, _run_chunk
 from stablemimo.receivers import (
-    ResidualEnergies,
     batch_aor,
     batch_gar,
     batch_mdr,
@@ -229,27 +227,6 @@ class TestFusedChunk:
             want = roster_chunk(cfg, cb, table, snr_index, chunk_index, n)
             assert trials == n
             assert np.array_equal(got, want), (snr_index, chunk_index)
-
-    @pytest.mark.parametrize("model", [NoiseModel.SHARED, NoiseModel.IID])
-    def test_gar_mdr_roster_forms_no_logs(self, monkeypatch, model):
-        # only the ML and AOR costs read the groups' logs; the chunk runs
-        # two blocks, and with aor on the roster each forms its logs once
-        formed = []
-        log_group = ResidualEnergies.log_group
-
-        def spy(energies):
-            formed.append(energies)
-            return log_group.func(energies)
-
-        monkeypatch.setattr(ResidualEnergies, "log_group", cached_property(spy))
-        ResidualEnergies.log_group.__set_name__(ResidualEnergies, "log_group")
-        cfg = tiny_config(model=model, n_r=2, receivers=("mdr", "gar"))
-        cb = enumerate_codebook(cfg.code, cfg.constellation)
-        plain = _run_chunk(cfg, cb, None, 1, 0)[1]
-        assert formed == []
-        with_aor = _run_chunk(replace(cfg, receivers=("mdr", "gar", "aor")), cb, None, 1, 0)[1]
-        assert np.array_equal(with_aor[:2], plain)
-        assert len(formed) == len({id(e) for e in formed}) == CHUNK_TRIALS // 2048
 
 
 class TestDecodeBlocks:
@@ -486,6 +463,27 @@ def _chunk_failing_at_3(config, codebook, ml_table, snr_index, chunk_index):
 def _chunk_exiting_at_3(config, codebook, ml_table, snr_index, chunk_index):
     if chunk_index == 3:
         os._exit(3)
+    return _run_chunk(config, codebook, ml_table, snr_index, chunk_index)
+
+
+class _UnloadableError(Exception):
+    """Pickles, but its args do not rebuild it."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+def _chunk_failing_unpicklably_at_3(config, codebook, ml_table, snr_index, chunk_index):
+    if chunk_index == 3:
+        exc = ValueError("chunk 3 failed")
+        exc.hook = lambda: None  # pickling the exception's __dict__ fails
+        raise exc
+    return _run_chunk(config, codebook, ml_table, snr_index, chunk_index)
+
+
+def _chunk_failing_unloadably_at_3(config, codebook, ml_table, snr_index, chunk_index):
+    if chunk_index == 3:
+        raise _UnloadableError("chunk 3 failed", 3)
     return _run_chunk(config, codebook, ml_table, snr_index, chunk_index)
 
 
@@ -790,17 +788,31 @@ class TestRunSweep:
         (_run_chunk, None),
         (_chunk_failing_at_3, "chunk 3 failed"),
         (_chunk_exiting_at_3, "a pool worker exited with code 3"),
-    ], ids=["clean", "raised", "dead"])
+        (_chunk_failing_unpicklably_at_3, "chunk 3 failed"),
+        (_chunk_failing_unloadably_at_3, "chunk 3 failed"),
+    ], ids=["clean", "raised", "dead", "unpicklable", "unloadable"])
     def test_pooled_sweep_leaves_no_process(self, monkeypatch, chunk, error):
-        # a worker that dies fails the sweep instead of hanging it, and the
-        # sweep's end reaps every worker, whatever its chunks did
+        # a worker that dies fails the sweep instead of hanging it, an
+        # exception the parent cannot load still brings its message, and
+        # the sweep's end reaps every worker, whatever its chunks did; the
+        # workers inherit a no-op SIGTERM handler, so the end must not rest on it
         monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
         cfg = tiny_config(min_errors=10**9, max_trials=8 * CHUNK_TRIALS, workers=2)
-        if error is None:
-            assert _joined(lambda: run_sweep(cfg)).trials == (cfg.max_trials,) * 3
-        else:
-            with pytest.raises(RuntimeError, match=error):
-                _joined(lambda: run_sweep(cfg))
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            if error is None:
+                assert _joined(lambda: run_sweep(cfg)).trials == (cfg.max_trials,) * 3
+            else:
+                with pytest.raises(RuntimeError, match=error):
+                    _joined(lambda: run_sweep(cfg))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_sweep_without_fork_says_so(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(RuntimeError, match="needs the POSIX fork start method"):
+            run_sweep(tiny_config(workers=2))
         assert multiprocessing.active_children() == []
 
     def test_idle_workers_exit_with_a_killed_parent(self):
