@@ -16,8 +16,8 @@ most `workers` chunks computed past a stop are discarded.
 
 A pooled sweep forks its workers (POSIX fork start method), and each
 holds the chunk function, with its config, codebook and ML table, from
-memory: a submission is a (point, chunk) pair on one queue that idle
-workers take from, and each worker answers on its own pipe.
+memory: the fold's submit(point, chunk) puts the pair on one queue that
+idle workers take from, and each worker answers on its own pipe.
 
 A chunk decodes in blocks of DECODE_ENTRIES residual entries (K * n_r *
 t_s a trial: 4096 trials at n_r = 1, 2048 at n_r = 2 for BPSK Alamouti).
@@ -34,10 +34,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,6 +58,9 @@ _KEY_FIELD_LIMIT = 2**32
 np.empty(2**21)  # freed at once; 16 MiB, under glibc's 32 MiB cap, see the docstring
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SLOPE_POINT_ERRORS = 100  # bit errors a point needs to enter a slope fit
+_FIELD_TYPES = (("model", NoiseModel, "'I' or 'II'"), ("alpha", float, "a number"), *(
+    (name, operator.index, "an integer")  # (SimConfig field, conversion, what it accepts)
+    for name in ("n_r", "min_errors", "max_trials", "workers", "master_seed")))
 
 
 class SlopeFitError(RuntimeError):
@@ -94,12 +96,12 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n_r", "min_errors", "max_trials", "workers", "master_seed"):
+        for name, cast, kind in _FIELD_TYPES:
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+                object.__setattr__(self, name, cast(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be {kind}, got {value!r}") from None
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.n_r < 1:
@@ -111,6 +113,8 @@ class SimConfig:
                 f"most {_KEY_FIELD_LIMIT}"
             )
         object.__setattr__(self, "snr_grid_db", grid)
+        if isinstance(self.receivers, str):
+            raise ValueError(f"receivers must be a sequence of names, got {self.receivers!r}")
         receivers = tuple(self.receivers)
         for r in receivers:
             if r not in RECEIVER_KINDS:
@@ -223,44 +227,38 @@ def _run_chunk(
     return n, np.take(codebook.bit_distance, tx * len(codebook) + decisions).sum(axis=1)
 
 
-def _fold_chunks(run, n_points: int, n_chunks: int, stop, pool=None, window: int = 1):
-    """Fold (trials, errors) = run(j, c) per point j, in chunk order c = 0, 1,
-    ..., until stop(errors) holds or the n_chunks are spent; returns one
-    (trials, errors, stopped_on) per point.  A pool keeps `window` chunks in
-    flight, each the next chunk of pick()'s point: the lowest unstopped point
-    with none in flight (needed), else the lowest with chunks left
-    (speculative).  A stopped point's chunks keep their place and are skipped
-    when they come up.  Without a pool each chunk runs as it is picked."""
-    if pool is None:
-        window = 1
+def _fold_chunks(submit, n_points: int, n_chunks: int, stop, window: int = 1):
+    """Fold each point j's chunks c = 0, 1, ... in order until stop(errors)
+    holds or the n_chunks are spent; returns one (trials, errors, stopped_on)
+    per point.  submit(j, c) starts chunk c of point j and returns a call that
+    waits for its (trials, errors).  `window` chunks are kept in flight, each
+    the next chunk of pick()'s point: the lowest unstopped point with none in
+    flight (needed), else the lowest with chunks left (speculative).  A
+    stopped point's chunks keep their place and are skipped when they come up."""
     trials, errors, stopped_on = [0] * n_points, [0] * n_points, [None] * n_points
     sent, folded = [0] * n_points, [0] * n_points
-    flight = deque()  # (point, future, or result without a pool), oldest first
+    flight = deque()  # (point, wait for its chunk), oldest first
 
     def pick():
         live = [j for j in range(n_points) if stopped_on[j] is None]
         needed = [j for j in live if sent[j] == folded[j]]
         return (needed or [j for j in live if sent[j] < n_chunks] or [None])[0]
 
-    try:
-        while None in stopped_on:
-            while len(flight) < window and (j := pick()) is not None:
-                c, sent[j] = sent[j], sent[j] + 1
-                flight.append((j, run(j, c) if pool is None else pool.submit(run, j, c)))
-            j, chunk = flight.popleft()
-            if stopped_on[j] is not None:  # discarded
-                continue
-            n, chunk_errors = chunk if pool is None else chunk.result()
-            trials[j] += n
-            errors[j] = errors[j] + chunk_errors
-            folded[j] += 1
-            if stop(errors[j]):
-                stopped_on[j] = "errors"
-            elif folded[j] == n_chunks:
-                stopped_on[j] = "trials"
-    finally:
-        for _, f in flight:
-            f.cancel()
+    while None in stopped_on:
+        while len(flight) < window and (j := pick()) is not None:
+            c, sent[j] = sent[j], sent[j] + 1
+            flight.append((j, submit(j, c)))
+        j, wait = flight.popleft()
+        if stopped_on[j] is not None:  # discarded
+            continue
+        n, chunk_errors = wait()
+        trials[j] += n
+        errors[j] = errors[j] + chunk_errors
+        folded[j] += 1
+        if stop(errors[j]):
+            stopped_on[j] = "errors"
+        elif folded[j] == n_chunks:
+            stopped_on[j] = "trials"
     return list(zip(trials, errors, stopped_on))
 
 
@@ -277,7 +275,7 @@ def _serve(run, tasks, results):
             key = tasks.get()
             try:
                 out, trace = run(*key), None
-            except Exception as exc:  # raised again by the parent's result()
+            except Exception as exc:  # raised again by the parent's wait
                 out, trace = exc, traceback.format_exc()
                 try:
                     pickle.loads(pickle.dumps(exc))
@@ -288,66 +286,55 @@ def _serve(run, tasks, results):
         pass
 
 
-class _ForkPool:
-    """`workers` processes forked from this one, each holding `run`.
-    submit(run, j, c) queues (j, c) for the first idle worker; the handle's
-    result() waits for run(j, c), or raises a RuntimeError once a worker
-    dies.  Exit kills the workers, queued chunks and all, so the handle's
-    cancel() has nothing to do."""
+@contextmanager
+def _forked(run, workers: int):
+    """`workers` processes forked from this one, each holding `run`; yields
+    submit(j, c), which queues (j, c) for the first idle worker and returns a
+    call that waits for run(j, c), or raises a RuntimeError once a worker
+    dies.  Exit kills the workers, queued chunks and all."""
+    import multiprocessing
+    from multiprocessing.connection import wait
 
-    def __init__(self, run, workers: int):
-        import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise RuntimeError("a pooled sweep needs the POSIX fork start method; "
+                           "workers = 1 gives the same results")
+    ctx = multiprocessing.get_context("fork")
+    tasks, done, pipes = ctx.SimpleQueue(), {}, {}  # pipes: result pipe -> its worker
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError("a pooled sweep needs the POSIX fork start method; "
-                               "workers = 1 gives the same results")
-        ctx = multiprocessing.get_context("fork")
-        self._tasks, self._done = ctx.SimpleQueue(), {}
-        self._workers = {}  # result pipe -> its worker
-        try:
-            for _ in range(workers):
-                pipe, end = ctx.Pipe(duplex=False)
-                process = ctx.Process(target=_serve, args=(run, self._tasks, end), daemon=True)
-                process.start()
-                end.close()  # so the pipe reads EOF once its worker is gone
-                self._workers[pipe] = process
-        except BaseException:
-            self.__exit__()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        for process in self._workers.values():
-            process.kill()  # not SIGTERM: a handler the workers inherited could catch it
-        for pipe, process in self._workers.items():  # they exit in parallel
-            process.join()
-            pipe.close()
-        self._tasks.close()
-
-    def submit(self, fn, j: int, c: int):
-        """Queues (j, c); fn is the `run` the workers hold."""
-        self._tasks.put((j, c))
-        return SimpleNamespace(result=partial(self.result, (j, c)), cancel=lambda: None)
-
-    def result(self, key):
-        from multiprocessing.connection import wait
-
-        while key not in self._done:
-            for pipe in wait(list(self._workers)):
+    def result(key):
+        while key not in done:
+            for pipe in wait(list(pipes)):
                 try:
-                    done, out, trace = pipe.recv()
+                    got, out, trace = pipe.recv()
                 except EOFError:  # only its worker held the other end
-                    process = self._workers[pipe]
-                    process.join()
+                    pipes[pipe].join()
                     raise RuntimeError(
-                        f"a pool worker exited with code {process.exitcode}") from None
-                self._done[done] = out, trace
-        out, trace = self._done.pop(key)
+                        f"a pool worker exited with code {pipes[pipe].exitcode}") from None
+                done[got] = out, trace
+        out, trace = done.pop(key)
         if trace is not None:
             raise out from RuntimeError(f"in a pool worker:\n{trace}")
         return out
+
+    def submit(j: int, c: int):
+        tasks.put((j, c))
+        return partial(result, (j, c))
+
+    try:
+        for _ in range(workers):
+            pipe, end = ctx.Pipe(duplex=False)
+            process = ctx.Process(target=_serve, args=(run, tasks, end), daemon=True)
+            process.start()
+            end.close()  # so the pipe reads EOF once its worker is gone
+            pipes[pipe] = process
+        yield submit
+    finally:
+        for process in pipes.values():
+            process.kill()  # not SIGTERM: a handler the workers inherited could catch it
+        for pipe, process in pipes.items():  # they exit in parallel
+            process.join()
+            pipe.close()
+        tasks.close()
 
 
 def build_ml_table(config: SimConfig) -> AmplitudePdfTable:
@@ -374,13 +361,14 @@ def run_sweep(
 
     codebook = enumerate_codebook(config.code, config.constellation)
     bits = codebook.bits_per_codeword
-    n_chunks = math.ceil(config.max_trials / CHUNK_TRIALS)
+    n_points, n_chunks = len(config.snr_grid_db), math.ceil(config.max_trials / CHUNK_TRIALS)
     run = partial(_run_chunk, config, codebook, ml_table)
     stop = lambda errors: np.all(errors >= config.min_errors)
-    with _ForkPool(run, config.workers) if config.workers > 1 else nullcontext() as pool:
-        totals = _fold_chunks(
-            run, len(config.snr_grid_db), n_chunks, stop, pool, config.workers + 1
-        )
+    if config.workers == 1:
+        totals = _fold_chunks(lambda j, c: partial(run, j, c), n_points, n_chunks, stop)
+    else:
+        with _forked(run, config.workers) as submit:
+            totals = _fold_chunks(submit, n_points, n_chunks, stop, config.workers + 1)
     trials, errors, stopped_on = zip(*totals)
 
     def point(n_errors: int, n_bits: int) -> BerPoint:

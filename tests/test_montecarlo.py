@@ -3,15 +3,18 @@
 import hashlib
 import math
 import multiprocessing
+import multiprocessing.queues
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,31 @@ class TestConfigValidation:
             tiny_config(alpha=2.5)
         with pytest.raises(ValueError):
             tiny_config(alpha=0.0)
+
+    @pytest.mark.parametrize("value, model", [("I", NoiseModel.SHARED), ("II", NoiseModel.IID)])
+    def test_model_text_converted(self, value, model):
+        # a string once passed as is: sampled as model II, grouped as model I
+        assert tiny_config(model=value).model is model
+
+    @pytest.mark.parametrize("value", ["III", 1, None])
+    def test_model_must_be_a_noise_model(self, value):
+        with pytest.raises(ValueError, match="model must be 'I' or 'II'"):
+            tiny_config(model=value)
+
+    @pytest.mark.parametrize("value, alpha", [("1.4", 1.4), (1, 1.0), (np.float64(0.5), 0.5)])
+    def test_alpha_converted_to_float(self, value, alpha):
+        cfg = tiny_config(alpha=value)
+        assert type(cfg.alpha) is float and cfg.alpha == alpha
+
+    @pytest.mark.parametrize("value", [None, "x", (1.4,)])
+    def test_alpha_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            tiny_config(alpha=value)
+
+    def test_bare_string_roster(self):
+        # "gar" would be the roster ("g", "a", "r")
+        with pytest.raises(ValueError, match="receivers must be a sequence of names"):
+            tiny_config(receivers="gar")
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
@@ -346,11 +374,11 @@ if __name__ == "__main__":
         cases.append((fig + constellation, cfg, codebook, table))
     for name, *case in cases:
         run = partial(chunk_faults, *case)
-        with montecarlo._ForkPool(run, 2) as pool:  # forked before anything decodes
-            runs = [pool.submit(run, 3, c) for c in range(16)]
+        with montecarlo._forked(run, 2) as submit:  # forked before anything decodes
+            waits = [submit(3, c) for c in range(16)]
             faults = {}
-            for run in runs:
-                pid, n = run.result()
+            for wait in waits:
+                pid, n = wait()
                 faults.setdefault(pid, []).append(n)
         print(name, *(n for counts in faults.values() for n in counts[2:]))
     if not with_ml:
@@ -488,28 +516,35 @@ def _chunk_failing_unloadably_at_3(config, codebook, ml_table, snr_index, chunk_
 
 
 class _RecordingPool(ThreadPoolExecutor):
-    """Thread pool that keeps every future it hands out, and logs
-    ("submit", point, chunk) to `events` when given a list."""
+    """Thread pool whose submit_chunk(j, c) is the fold's submit for run(j,
+    c); keeps every future it starts, and logs ("submit", point, chunk) to
+    `events` when given a list."""
 
-    def __init__(self, workers=1, events=None):
+    def __init__(self, run, workers=1, events=None):
         super().__init__(max_workers=workers)
-        self.futures = []
+        self.run, self.futures = run, []
         self.events = [] if events is None else events
 
-    def submit(self, fn, *args):
-        self.events.append(("submit", *args))
-        self.futures.append(super().submit(fn, *args))
-        return self.futures[-1]
+    def submit_chunk(self, j, c):
+        self.events.append(("submit", j, c))
+        self.futures.append(self.submit(self.run, j, c))
+        return self.futures[-1].result
 
 
-class _SyncPool:
-    """Pool that runs each chunk as it is submitted, so the fold sees a
-    completed future and the order is free of thread timing."""
+def _serial(run):
+    """The serial sweep's submit: the chunk runs when the fold waits for it."""
+    return lambda j, c: partial(run, j, c)
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+
+def _sync(run):
+    """A submit that runs each chunk as it is submitted, so the order is free
+    of thread timing."""
+
+    def submit(j, c):
+        out = run(j, c)
+        return lambda: out
+
+    return submit
 
 
 def _joined(fn, timeout=60):
@@ -579,7 +614,7 @@ class TestChunkOrder:
             events.append(("run", j, c))
             return run(j, c)
 
-        totals = _fold_chunks(logged, 3, 4, stop)
+        totals = _fold_chunks(_serial(logged), 3, 4, stop)
         order = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3)]
         assert events == [e for j, c in order for e in (("run", j, c), ("fold", j, c))]
         assert [(n, s) for n, _, s in totals] == [(3, "errors"), (1, "errors"), (4, "trials")]
@@ -602,25 +637,25 @@ class TestChunkOrder:
             return base_stop(errors)
 
         class GatedPool(_RecordingPool):
-            def submit(self, fn, *args):
-                if args == (1, 1):
+            def submit_chunk(self, j, c):
+                if (j, c) == (1, 1):
                     gate.set()
-                return super().submit(fn, *args)
+                return super().submit_chunk(j, c)
 
-        with GatedPool() as pool:
+        with GatedPool(run) as pool:
             try:
-                totals = _joined(lambda: _fold_chunks(run, 2, 10, stop, pool, 4))
+                totals = _joined(lambda: _fold_chunks(pool.submit_chunk, 2, 10, stop, 4))
             finally:
                 gate.set()
+        # point 0's chunks 1 and 2 stay queued after its stop and are
+        # skipped when they come up
         assert pool.events[:5] == [("submit", 0, 0), ("submit", 1, 0), ("submit", 0, 1),
                                    ("submit", 0, 2), ("submit", 1, 1)]
         assert [(n, s) for n, _, s in totals] == [(1, "errors"), (2, "errors")]
-        # a stop cancels nothing: point 0's chunks 1 and 2 stay queued and
-        # are skipped when they come up
-        assert not any(f.cancelled() for f in pool.futures)
 
-    def test_raised_chunk_cancels_pending(self):
-        # chunk 1 raises while chunk 2 holds the only thread and chunk 3 waits
+    def test_raised_chunk_leaves_the_fold(self):
+        # chunk 1 raises while chunk 2 holds the only thread and chunk 3 waits;
+        # its error leaves the fold, and nothing is submitted after it
         started, gate = threading.Event(), threading.Event()
 
         def run(j, c):
@@ -635,23 +670,21 @@ class TestChunkOrder:
             assert started.wait(timeout=30)
             return False
 
-        with _RecordingPool() as pool:
+        with _RecordingPool(run) as pool:
             try:
                 with pytest.raises(RuntimeError, match="chunk 1 failed"):
-                    _joined(lambda: _fold_chunks(run, 1, 10, stop, pool, 3))
+                    _joined(lambda: _fold_chunks(pool.submit_chunk, 1, 10, stop, 3))
             finally:
                 gate.set()
-        assert len(pool.futures) == 4
-        assert pool.futures[3].cancelled()
-        assert not pool.futures[2].cancelled()
+        assert pool.events == [("submit", 0, c) for c in range(4)]
 
     @pytest.mark.parametrize("window", [2, 3, 4])
     def test_one_chunk_points_bound_the_discards(self, window):
         # the per-point pipeline submitted up to `window` chunks per point
         n_points = 3 * window
         run, stop = _stop_after([1] * n_points)
-        with _RecordingPool(workers=window - 1) as pool:
-            totals = _joined(lambda: _fold_chunks(run, n_points, 8, stop, pool, window))
+        with _RecordingPool(run, workers=window - 1) as pool:
+            totals = _joined(lambda: _fold_chunks(pool.submit_chunk, n_points, 8, stop, window))
         assert [(n, s) for n, _, s in totals] == [(1, "errors")] * n_points
         assert len(pool.futures) <= n_points + window - 1
 
@@ -661,8 +694,8 @@ class TestChunkOrder:
         events = []
         chunks = [4, 2, 2, 3, 2]
         run, stop = _stop_after(chunks, events)
-        with _RecordingPool(workers=2, events=events) as pool:
-            _joined(lambda: _fold_chunks(run, len(chunks), 8, stop, pool, 3))
+        with _RecordingPool(run, workers=2, events=events) as pool:
+            _joined(lambda: _fold_chunks(pool.submit_chunk, len(chunks), 8, stop, 3))
         for j in range(len(chunks) - 1):
             last_fold = events.index(("fold", j, chunks[j] - 1))
             assert events.index(("submit", j + 1, 0)) < last_fold
@@ -689,17 +722,18 @@ class TestChunkOrder:
 
             want = _serial_fold(run, n_points, n_chunks, stop)
             with ThreadPoolExecutor(window - 1) as pool:
-                got = _joined(lambda: _fold_chunks(run, n_points, n_chunks, stop, pool, window))
+                submit = lambda j, c: pool.submit(run, j, c).result
+                got = _joined(lambda: _fold_chunks(submit, n_points, n_chunks, stop, window))
             assert len(got) == n_points
             for (gt, ge, gs), (wt, we, ws) in zip(got, want):
                 assert (gt, gs) == (wt, ws)
                 assert np.array_equal(ge, we)
 
     def test_schedule_pinned_on_random_stop_tables(self):
-        # the (point, chunk) submission sequence and the totals of 2,000
-        # seeded stop tables, without a pool and with a synchronous one,
-        # hashed; the digest was recorded from a for/else scan of the points
-        # before the pick rule replaced it
+        # the (point, chunk) run sequence and the totals of 2,000 seeded stop
+        # tables, serial at window 1 and with a synchronous submit at the
+        # table's window, hashed; the digest was recorded from a for/else
+        # scan of the points before the pick rule replaced it
         rng = np.random.default_rng(20261020)
         digest = hashlib.sha256()
         for _ in range(2000):
@@ -708,14 +742,14 @@ class TestChunkOrder:
             window = int(rng.integers(1, 7))
             stop_at = rng.integers(1, n_chunks + 3, size=n_points)  # past the end: capped
             base_run, stop = _stop_after(stop_at.tolist())
-            for pool in (None, _SyncPool()):
+            for submitter, w in ((_serial, 1), (_sync, window)):
                 sent = []
 
                 def run(j, c):
                     sent.append((j, c))
                     return base_run(j, c)
 
-                totals = _fold_chunks(run, n_points, n_chunks, stop, pool, window)
+                totals = _fold_chunks(submitter(run), n_points, n_chunks, stop, w)
                 digest.update(repr((sent, [(n, e.tolist(), s) for n, e, s in totals])).encode())
         assert digest.hexdigest() == (
             "fbf1bf180046eb03ef75915f29f42e60f52f723910d41ba6ee46ff61c1f8240f"
@@ -724,13 +758,14 @@ class TestChunkOrder:
     def test_sweep_queues_one_chunk_past_the_workers(self, monkeypatch):
         windows = []
 
-        def spy(run, n_points, n_chunks, stop, pool, window):
+        def spy(submit, n_points, n_chunks, stop, window=1):
             windows.append(window)
-            return _fold_chunks(run, n_points, n_chunks, stop, pool, window)
+            return _fold_chunks(submit, n_points, n_chunks, stop, window)
 
         monkeypatch.setattr(montecarlo, "_fold_chunks", spy)
-        run_sweep(tiny_config(snr_grid_db=(40.0,), max_trials=CHUNK_TRIALS, workers=2))
-        assert windows == [3]
+        for workers in (2, 1):
+            run_sweep(tiny_config(snr_grid_db=(40.0,), max_trials=CHUNK_TRIALS, workers=workers))
+        assert windows == [3, 1]
 
 
 class TestRunSweep:
@@ -815,13 +850,29 @@ class TestRunSweep:
             run_sweep(tiny_config(workers=2))
         assert multiprocessing.active_children() == []
 
+    def test_pooled_tasks_carry_only_the_chunk_key(self, monkeypatch, table_a143_d2):
+        # the workers hold the config, codebook and table, which pickle to
+        # about 30 KB at fig6 model II; a task is the (point, chunk) pair
+        sizes = []
+        put = multiprocessing.queues.SimpleQueue.put
+
+        def spy(queue, obj):
+            sizes.append(len(pickle.dumps(obj)))
+            put(queue, obj)
+
+        monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "put", spy)
+        cfg = replace(resolve_preset("fig6").configs[1], max_trials=2 * CHUNK_TRIALS, workers=2)
+        curve = _joined(lambda: run_sweep(cfg, table_a143_d2))
+        assert len(sizes) >= sum(n // CHUNK_TRIALS for n in curve.trials)
+        assert max(sizes) <= 64
+
     def test_idle_workers_exit_with_a_killed_parent(self):
         # nothing terminates them, so they must see the parent go
-        code = ("import time\n"
+        code = ("import multiprocessing, time\n"
                 "from stablemimo import montecarlo\n"
-                "pool = montecarlo._ForkPool(max, 2)\n"
-                "print(*(p.pid for p in pool._workers.values()), flush=True)\n"
-                "time.sleep(120)\n")
+                "with montecarlo._forked(max, 2):\n"
+                "    print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+                "    time.sleep(120)\n")
         with subprocess.Popen([sys.executable, "-c", code], env=_package_env(),
                               stdout=subprocess.PIPE, text=True) as parent:
             pids = [int(pid) for pid in parent.stdout.readline().split()]
