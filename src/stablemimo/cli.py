@@ -16,7 +16,6 @@ import sys
 
 from . import __version__
 from .cliio import (
-    _FIELDS,
     OVERRIDE_KEYS,
     _publish,
     emit_csv,
@@ -25,7 +24,7 @@ from .cliio import (
     run_preset,
     theory_curve,
 )
-from .montecarlo import SimConfig
+from .montecarlo import CONFIG_SCHEMA, SimConfig
 from .stable import NoiseModel
 
 USAGE_EXIT = 1
@@ -41,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub):
     sub.add_argument("--out-dir", default=".", help="output directory")
     for key in OVERRIDE_KEYS:  # dest is the key; the value is parsed as in a config file
-        sub.add_argument("--" + key.replace("_", "-"), type=_FIELDS[key][1],
+        sub.add_argument("--" + key.replace("_", "-"), type=CONFIG_SCHEMA[key][1],
                          help=f"override the config's {key}")
 
 
@@ -64,12 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
                               description="Options left out take SimConfig's defaults.")
     p_theory.add_argument("--receiver", type=str.lower, required=True,  # as in a config's receivers
                           help="receiver with a closed form")
-    p_theory.add_argument("--model", type=_FIELDS["model"][1], default=defaults.model,
+    p_theory.add_argument("--model", type=CONFIG_SCHEMA["model"][1], default=defaults.model,
                           metavar="|".join(m.value for m in NoiseModel))
-    p_theory.add_argument("--alpha", type=float, required=True)
-    p_theory.add_argument("--nt", type=int, default=defaults.n_t)
-    p_theory.add_argument("--nr", type=int, default=defaults.n_r)
-    p_theory.add_argument("--snr", type=_FIELDS["snr_db"][1], required=True,
+    p_theory.add_argument("--alpha", type=CONFIG_SCHEMA["alpha"][1], required=True)
+    p_theory.add_argument("--nt", type=CONFIG_SCHEMA["nt"][1], default=defaults.n_t)
+    p_theory.add_argument("--nr", type=CONFIG_SCHEMA["nr"][1], default=defaults.n_r)
+    p_theory.add_argument("--snr", type=CONFIG_SCHEMA["snr_db"][1], required=True,
                           help="comma-separated SNR grid in dB")
     p_theory.add_argument("--out-dir", default=".",
                           help="writes theory_<receiver>_<model>.csv there")

@@ -1,8 +1,8 @@
 """Config parsing, experiment presets, the experiment runner, and CSV/manifest emission.
 
 Config files are plain text, one `key = value` per line with `#`
-comments.  ``_SCHEMA`` lists the keys and the ``SimConfig`` field each
-one sets; unknown keys are errors and missing keys take ``SimConfig``'s
+comments.  ``montecarlo.CONFIG_SCHEMA`` gives each key's ``SimConfig`` field
+and parser; unknown keys are errors and missing keys take ``SimConfig``'s
 defaults.  ``nt`` is checked against the code instead of being set.
 
 The CSV schema is fixed:
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, montecarlo
-from .montecarlo import BerCurve, SimConfig, run_sweep, snr_grid
+from .montecarlo import CONFIG_SCHEMA, BerCurve, SimConfig, run_sweep, snr_grid
 from .stable import NoiseModel
 from .theory import has_asymptote, pep_asymptote
 
@@ -34,28 +34,6 @@ class ConfigError(ValueError):
     """Malformed or invalid sweep configuration."""
 
 
-def _list(parse):
-    def comma_list(raw):  # named for argparse's "invalid comma_list value" message
-        return tuple(parse(v.strip()) for v in raw.split(","))
-    return comma_list
-
-
-# config key, SimConfig attribute, parser of the value text
-_SCHEMA = (
-    ("model", "model", NoiseModel),
-    ("alpha", "alpha", float),
-    ("nt", "n_t", int),  # check-only: the code fixes n_t
-    ("nr", "n_r", int),
-    ("code", "code", str.lower),
-    ("constellation", "constellation", str.lower),
-    ("snr_db", "snr_grid_db", _list(float)),
-    ("receivers", "receivers", _list(str.lower)),
-    ("seed", "master_seed", int),
-    ("min_errors", "min_errors", int),
-    ("max_trials", "max_trials", int),
-    ("workers", "workers", int),
-)
-_FIELDS = {key: (attr, parse) for key, attr, parse in _SCHEMA}
 # keys a run may override on top of its config file or preset
 OVERRIDE_KEYS = ("seed", "workers", "min_errors", "max_trials")
 
@@ -83,12 +61,12 @@ def parse_config(text: str) -> SimConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip().lower()
         raw = raw.strip()
-        if key not in _FIELDS:
+        if key not in CONFIG_SCHEMA:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         try:
-            values[key] = _FIELDS[key][1](raw)
+            values[key] = CONFIG_SCHEMA[key][1](raw)
         except ValueError as exc:
             raise ConfigError(
                 f"line {line_no}: bad value for {key}: {raw!r} ({exc})"
@@ -96,7 +74,7 @@ def parse_config(text: str) -> SimConfig:
 
     nt_declared = values.pop("nt", None)
     try:
-        config = SimConfig(**{_FIELDS[k][0]: v for k, v in values.items()})
+        config = SimConfig(**{CONFIG_SCHEMA[k][0]: v for k, v in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if nt_declared is not None and nt_declared != config.n_t:
@@ -109,8 +87,8 @@ def parse_config(text: str) -> SimConfig:
 
 def serialize_config(config: SimConfig) -> str:
     """Render a SimConfig in the parse_config schema (round-trips)."""
-    return "".join(f"{key} = {_format(getattr(config, attr))}\n"
-                   for key, attr, _ in _SCHEMA)
+    return "".join(f"{key} = {_format(getattr(config, field))}\n"
+                   for key, (field, *_) in CONFIG_SCHEMA.items())
 
 
 def apply_overrides(config: SimConfig, overrides: dict) -> SimConfig:
@@ -118,7 +96,7 @@ def apply_overrides(config: SimConfig, overrides: dict) -> SimConfig:
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ConfigError(f"unknown overrides: {sorted(unknown)}")
-    updates = {_FIELDS[k][0]: v for k, v in overrides.items()}
+    updates = {CONFIG_SCHEMA[k][0]: v for k, v in overrides.items()}
     try:
         return replace(config, **updates)
     except ValueError as exc:

@@ -58,9 +58,6 @@ _KEY_FIELD_LIMIT = 2**32
 np.empty(2**21)  # freed at once; 16 MiB, under glibc's 32 MiB cap, see the docstring
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SLOPE_POINT_ERRORS = 100  # bit errors a point needs to enter a slope fit
-_FIELD_TYPES = (("model", NoiseModel, "'I' or 'II'"), ("alpha", float, "a number"), *(
-    (name, operator.index, "an integer")  # (SimConfig field, conversion, what it accepts)
-    for name in ("n_r", "min_errors", "max_trials", "workers", "master_seed")))
 
 
 class SlopeFitError(RuntimeError):
@@ -76,6 +73,31 @@ def snr_grid(values, ordered: bool) -> tuple[float, ...]:
         rule = "strictly increasing" if ordered else "without repeats"
         raise ValueError(f"snr_grid_db must be non-empty, finite and {rule}")
     return grid
+
+
+def _comma_list(parse):
+    def comma_list(raw):  # named for argparse's "invalid comma_list value" message
+        return tuple(parse(v.strip()) for v in raw.split(","))
+    return comma_list
+
+
+# The config schema, one row per config-file key: the SimConfig field it
+# sets, the parser of its text and, for each field SimConfig converts, the
+# conversion, what it accepts and an integer field's least value.
+CONFIG_SCHEMA = {
+    "model": ("model", NoiseModel, NoiseModel, "'I' or 'II'"),
+    "alpha": ("alpha", float, float, "a number"),
+    "nt": ("n_t", int),  # check-only: the code fixes n_t
+    "nr": ("n_r", int, operator.index, "an integer", 1),
+    "code": ("code", str.lower),
+    "constellation": ("constellation", str.lower),
+    "snr_db": ("snr_grid_db", _comma_list(float)),
+    "receivers": ("receivers", _comma_list(str.lower)),
+    "seed": ("master_seed", int, operator.index, "an integer", 0),
+    "min_errors": ("min_errors", int, operator.index, "an integer", 1),
+    "max_trials": ("max_trials", int, operator.index, "an integer", 1),
+    "workers": ("workers", int, operator.index, "an integer", 1),
+}
 
 
 @dataclass(frozen=True)
@@ -96,16 +118,19 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, cast, kind in _FIELD_TYPES:
+        for name, _, *rule in CONFIG_SCHEMA.values():
+            if not rule:
+                continue
+            convert, kind, *least = rule
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, cast(value))
+                object.__setattr__(self, name, convert(value))
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+            if least and getattr(self, name) < least[0]:
+                raise ValueError(f"{name} must be >= {least[0]}")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.n_r < 1:
-            raise ValueError("n_r must be >= 1")
         grid = snr_grid(self.snr_grid_db, ordered=True)
         if len(grid) > _KEY_FIELD_LIMIT:
             raise ValueError(
@@ -122,16 +147,12 @@ class SimConfig:
         if not receivers or len(set(receivers)) != len(receivers):
             raise ValueError("receivers must be non-empty and without duplicates")
         object.__setattr__(self, "receivers", receivers)
-        if self.min_errors <= 0 or self.max_trials <= 0:
-            raise ValueError("stopping parameters must be positive")
         if math.ceil(self.max_trials / CHUNK_TRIALS) > _KEY_FIELD_LIMIT:
             raise ValueError(
                 f"max_trials {self.max_trials} needs more than "
                 f"{_KEY_FIELD_LIMIT} chunks of {CHUNK_TRIALS} trials"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
+        if self.master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 bits")
         enumerate_codebook(self.code, self.constellation)  # validates both
 

@@ -66,9 +66,12 @@ class TestParseConfig:
         assert cfg.alpha == 0.9
         assert cfg.n_r == 2
 
-    def test_invalid_alpha_names_field(self):
-        with pytest.raises(ConfigError, match="alpha"):
-            parse_config("alpha = 2.5\n")
+    @pytest.mark.parametrize("text, field", [("alpha = 2.5", "alpha"), ("nr = 0", "n_r"),
+                                             ("seed = -1", "master_seed")],
+                             ids=["alpha", "nr", "seed"])
+    def test_invalid_alpha_names_field(self, text, field):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(text + "\n")
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):

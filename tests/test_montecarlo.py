@@ -160,12 +160,12 @@ class TestConfigValidation:
             tiny_config(max_trials=0)
 
     def test_seed_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="master_seed must be >= 0"):
             tiny_config(master_seed=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="master_seed must fit in 64 bits"):
             tiny_config(master_seed=2**64)
 
-    @pytest.mark.parametrize("field", ["n_r", "workers"])
+    @pytest.mark.parametrize("field", ["n_r", "workers", "min_errors", "max_trials"])
     def test_counts_at_least_one(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             tiny_config(**{field: 0})
