@@ -1,112 +1,3 @@
 """Space-time coded MIMO simulation and analysis under alpha-stable noise."""
 
 __version__ = "0.1.0"
-
-from .stable import (
-    NoiseModel,
-    StableParams,
-    char_fn,
-    sample_noise_block,
-    sample_stable,
-    sample_subordinator,
-    stable_tail_constant,
-    tail_ccdf,
-    tail_pdf,
-)
-from .amplitude import (
-    AmplitudePdfTable,
-    IsotropicAmplitudeSpec,
-    QuadratureError,
-    amplitude_pdf,
-    amplitude_tail_pdf,
-    build_amplitude_table,
-)
-
-from .codes import (
-    Codebook,
-    alamouti_encode,
-    enumerate_codebook,
-    sample_channel,
-)
-from .theory import (
-    AlphaThresholds,
-    PepAsymptote,
-    conditional_pep_gar,
-    conditional_pep_mdr_bound,
-    dlog_gain,
-    dlog_gain_numeric,
-    find_alpha_thresholds,
-    log_coding_gain,
-    pep_asymptote,
-    union_bound_ber,
-)
-from .montecarlo import (
-    BerCurve,
-    BerPoint,
-    SimConfig,
-    SlopeFitError,
-    fit_slope,
-    run_sweep,
-    snr_at_ber,
-    wilson_interval,
-)
-from .cliio import (
-    ConfigError,
-    ExperimentPreset,
-    PRESETS,
-    TheoryCurve,
-    emit_csv,
-    parse_config,
-    run_preset,
-    serialize_config,
-    theory_curve,
-)
-
-__all__ = [
-    "NoiseModel",
-    "StableParams",
-    "char_fn",
-    "sample_noise_block",
-    "sample_stable",
-    "sample_subordinator",
-    "stable_tail_constant",
-    "tail_ccdf",
-    "tail_pdf",
-    "AmplitudePdfTable",
-    "IsotropicAmplitudeSpec",
-    "QuadratureError",
-    "amplitude_pdf",
-    "amplitude_tail_pdf",
-    "build_amplitude_table",
-    "Codebook",
-    "alamouti_encode",
-    "enumerate_codebook",
-    "sample_channel",
-    "AlphaThresholds",
-    "PepAsymptote",
-    "conditional_pep_gar",
-    "conditional_pep_mdr_bound",
-    "dlog_gain",
-    "dlog_gain_numeric",
-    "find_alpha_thresholds",
-    "log_coding_gain",
-    "pep_asymptote",
-    "union_bound_ber",
-    "BerCurve",
-    "BerPoint",
-    "SimConfig",
-    "SlopeFitError",
-    "fit_slope",
-    "run_sweep",
-    "snr_at_ber",
-    "wilson_interval",
-    "ConfigError",
-    "ExperimentPreset",
-    "PRESETS",
-    "TheoryCurve",
-    "emit_csv",
-    "parse_config",
-    "run_preset",
-    "serialize_config",
-    "theory_curve",
-]

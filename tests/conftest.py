@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from stablemimo import NoiseModel, SimConfig, build_amplitude_table, run_sweep
-from stablemimo.amplitude import IsotropicAmplitudeSpec
+from stablemimo.amplitude import IsotropicAmplitudeSpec, build_amplitude_table
+from stablemimo.montecarlo import SimConfig, run_sweep
+from stablemimo.stable import NoiseModel
 
 
 @pytest.fixture(scope="session")

@@ -7,14 +7,17 @@ import math
 
 import numpy as np
 
-from stablemimo import NoiseModel, amplitude_pdf, amplitude_tail_pdf, pep_asymptote
 from stablemimo import amplitude
 from stablemimo.amplitude import (
     NOISE_SIGMA,
     _gaussian_log_amplitude_pdf,
+    amplitude_pdf,
     amplitude_tail_constant,
+    amplitude_tail_pdf,
 )
 from stablemimo.codes import Codebook, block_products
+from stablemimo.stable import NoiseModel
+from stablemimo.theory import pep_asymptote
 
 
 def codeword_products(h, codebook: Codebook) -> np.ndarray:

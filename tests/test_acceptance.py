@@ -11,31 +11,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stablemimo import (
-    NoiseModel,
-    SimConfig,
-    StableParams,
+from stablemimo.amplitude import (
+    NOISE_SIGMA,
+    IsotropicAmplitudeSpec,
     amplitude_pdf,
     build_amplitude_table,
+)
+from stablemimo.cliio import run_preset
+from stablemimo.codes import enumerate_codebook, sample_channel
+from stablemimo.montecarlo import SimConfig, fit_slope, run_sweep, snr_at_ber
+from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
+from stablemimo.stable import (
+    NoiseModel,
+    StableParams,
+    sample_noise_block,
+    sample_stable,
+    sample_subordinator,
+    stable_tail_constant,
+)
+from stablemimo.theory import (
     conditional_pep_gar,
     conditional_pep_mdr_bound,
     dlog_gain,
     dlog_gain_numeric,
-    enumerate_codebook,
     find_alpha_thresholds,
-    fit_slope,
     pep_asymptote,
-    run_preset,
-    run_sweep,
-    sample_channel,
-    sample_noise_block,
-    sample_stable,
-    sample_subordinator,
-    snr_at_ber,
-    stable_tail_constant,
 )
-from stablemimo.amplitude import NOISE_SIGMA, IsotropicAmplitudeSpec
-from stablemimo.receivers import batch_aor, batch_gar, batch_mdr, batch_ml
 
 from helpers import gain, integrate_amplitude
 
@@ -47,21 +48,29 @@ def report(criterion: int, passed: bool, detail: str):
 
 
 def test_criterion_1_sampler_tail_law():
+    # the SaS CCDF series (1/pi) sum_k (-1)^(k+1) Gamma(k a)/k! sin(k pi a/2)
+    # lam^(-k a) to two terms; its k = 2 term is -8.9% of the first at a = 0.5,
+    # lam = 20, and the rest is sampling error: over seeds 1001-1032 the worst
+    # deviation read 0.31-0.67% at a = 0.5 and 1.0-8.6% at a = 1.43
     t0 = time.time()
-    worst = 0.0
-    for alpha in (0.5, 1.43):
+    worst = {}
+    for alpha, bound in ((0.5, 0.01), (1.43, 0.10)):
         x = sample_stable(
             StableParams(alpha=alpha), np.random.default_rng(1001), size=10**7
         )
-        c = stable_tail_constant(alpha)
-        for lam in np.geomspace(20.0, 200.0, 8):
-            ratio = (x > lam).mean() / (c * lam**-alpha)
-            worst = max(worst, abs(ratio - 1.0))
+        lam = np.geomspace(20.0, 200.0, 8)
+        series = (stable_tail_constant(alpha) * lam**-alpha
+                  - math.gamma(2 * alpha) * math.sin(math.pi * alpha) / (2 * math.pi)
+                  * lam ** (-2 * alpha))
+        ratio = np.array([(x > v).mean() for v in lam]) / series
+        worst[alpha] = (float(np.max(np.abs(ratio - 1.0))), bound)
     report(
         1,
-        worst < 0.10,
-        f"empirical CCDF vs C_a*lam^-a within {worst:.1%} over lam in [20, 200] "
-        f"({time.time() - t0:.0f}s)",
+        all(dev < bound for dev, bound in worst.values()),
+        "empirical CCDF vs its two-term series over lam in [20, 200]: "
+        + ", ".join(f"alpha {a} within {dev:.2%} (bound {bound:.0%})"
+                    for a, (dev, bound) in worst.items())
+        + f" ({time.time() - t0:.0f}s)",
     )
 
 

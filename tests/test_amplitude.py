@@ -11,19 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablemimo import (
-    AmplitudePdfTable,
-    IsotropicAmplitudeSpec,
-    amplitude_pdf,
-    amplitude_tail_pdf,
-    build_amplitude_table,
-)
 from stablemimo import amplitude
 from stablemimo.amplitude import (
     NOISE_SIGMA,
+    AmplitudePdfTable,
+    IsotropicAmplitudeSpec,
     QuadratureError,
     _gaussian_log_amplitude_pdf,
+    amplitude_pdf,
     amplitude_tail_constant,
+    amplitude_tail_pdf,
+    build_amplitude_table,
 )
 
 from helpers import integrate_amplitude, two_path_log_pdf
@@ -553,7 +551,11 @@ class TestFrozenTables:
             for alpha, d in list(PRESET_R_MAX) + [(1.9, 2), (1.2, 5)]:
                 tab = build_amplitude_table(IsotropicAmplitudeSpec(alpha, d))
                 key = f"alpha{alpha}_d{d}"
-                assert np.array_equal(tab.grid, frozen[key + "_grid"]), key
+                grid = frozen[key + "_grid"]
+                # the grid's ends are exact; np.geomspace's interior nodes
+                # may move by one ulp with the SIMD dispatch (AVX-512 or not)
+                assert np.array_equal(tab.grid[[0, -1]], grid[[0, -1]]), key
+                np.testing.assert_array_max_ulp(tab.grid, grid, maxulp=1)
                 assert np.max(np.abs(tab.log_values - frozen[key + "_log_values"])) <= 1e-9, key
 
 

@@ -1,6 +1,8 @@
-"""The package's public names and import path."""
+"""The package's module namespaces and import path."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,26 +17,27 @@ REMOVED = ("TrialContext", "sample_trial", "synthesize_rx", "ReceiverKind",
            "gar_decode", "mdr_decode", "ml_decode", "aor_decode",
            "coding_gain_gar", "coding_gain_mdr", "log_coding_gain_gar",
            "log_coding_gain_mdr", "compare_receivers_at_ber", "noise_amplitude_spec")
-
-
-def test_every_exported_name_resolves():
-    missing = [name for name in stablemimo.__all__ if not hasattr(stablemimo, name)]
-    assert missing == []
-    assert len(set(stablemimo.__all__)) == len(stablemimo.__all__)
+# the benchmark harness still calls the spec wrapper (ROADMAP item 5)
+STILL_CALLED = {("amplitude", "noise_amplitude_spec")}
 
 
 def test_removed_scalar_names_not_exported():
-    assert not set(REMOVED) & set(stablemimo.__all__)
     assert not any(hasattr(stablemimo, name) for name in REMOVED)
+    found = set()
+    for info in pkgutil.iter_modules(stablemimo.__path__):
+        module = importlib.import_module(f"stablemimo.{info.name}")
+        found |= {(info.name, name) for name in REMOVED if hasattr(module, name)}
+    assert found == STILL_CALLED
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
+    # the package itself defines no names, so it loads no numpy;
     # scipy.interpolate/optimize/integrate pull in scipy.linalg and BLAS, and
     # the process pool pulls in multiprocessing; only call sites that need
     # them import them
     code = (
         "import sys, stablemimo\n"
-        "heavy = ('scipy.interpolate', 'scipy.optimize', 'scipy.integrate',\n"
+        "heavy = ('numpy', 'scipy.interpolate', 'scipy.optimize', 'scipy.integrate',\n"
         "         'concurrent.futures.process', 'multiprocessing')\n"
         "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
     )

@@ -8,22 +8,23 @@ import os
 import numpy as np
 import pytest
 
-from stablemimo import (
-    NoiseModel,
+from stablemimo import cliio
+from stablemimo.amplitude import QuadratureError
+from stablemimo.cli import main
+from stablemimo.cliio import (
+    CSV_HEADER,
     PRESETS,
-    QuadratureError,
-    SimConfig,
+    ConfigError,
     emit_csv,
     parse_config,
-    pep_asymptote,
+    resolve_preset,
     run_preset,
-    run_sweep,
     serialize_config,
     theory_curve,
 )
-from stablemimo import cliio
-from stablemimo.cli import main
-from stablemimo.cliio import CSV_HEADER, ConfigError, resolve_preset
+from stablemimo.montecarlo import SimConfig, run_sweep
+from stablemimo.stable import NoiseModel
+from stablemimo.theory import pep_asymptote
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_mini.csv")
 

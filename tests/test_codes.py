@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from stablemimo import (
+from stablemimo.codes import (
+    CONSTELLATIONS,
     Codebook,
-    NoiseModel,
     alamouti_encode,
     enumerate_codebook,
     sample_channel,
-    sample_noise_block,
 )
-from stablemimo.codes import CONSTELLATIONS
 from stablemimo.montecarlo import _chunk_rng
-from stablemimo.stable import sample_subordinator
+from stablemimo.stable import NoiseModel, sample_noise_block, sample_subordinator
 
 from helpers import codeword_products
 

@@ -20,21 +20,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablemimo import (
+from stablemimo import montecarlo
+from stablemimo.cliio import emit_csv, resolve_preset
+from stablemimo.codes import block_products, enumerate_codebook, sample_channel
+from stablemimo.montecarlo import (
+    CHUNK_TRIALS,
     BerCurve,
     BerPoint,
-    NoiseModel,
     SimConfig,
     SlopeFitError,
+    _chunk_rng,
+    _fold_chunks,
+    _run_chunk,
     fit_slope,
     run_sweep,
     snr_at_ber,
     wilson_interval,
 )
-from stablemimo import montecarlo
-from stablemimo.cliio import emit_csv, resolve_preset
-from stablemimo.codes import block_products, enumerate_codebook, sample_channel
-from stablemimo.montecarlo import CHUNK_TRIALS, _chunk_rng, _fold_chunks, _run_chunk
 from stablemimo.receivers import (
     batch_aor,
     batch_gar,
@@ -42,7 +44,7 @@ from stablemimo.receivers import (
     batch_ml,
     batch_residuals,
 )
-from stablemimo.stable import sample_noise_block
+from stablemimo.stable import NoiseModel, sample_noise_block
 
 from helpers import codeword_products
 

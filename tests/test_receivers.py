@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from stablemimo import (
-    NoiseModel,
-    enumerate_codebook,
-    sample_channel,
-    sample_noise_block,
-)
 from stablemimo.amplitude import IsotropicAmplitudeSpec, build_amplitude_table
-from stablemimo.codes import block_products
+from stablemimo.codes import block_products, enumerate_codebook, sample_channel
 from stablemimo.receivers import (
     METRICS,
     RECEIVER_KINDS,
@@ -25,6 +19,7 @@ from stablemimo.receivers import (
     first_minimum,
     ml_table_spec,
 )
+from stablemimo.stable import NoiseModel, sample_noise_block
 
 from helpers import codeword_products, two_path_log_pdf
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau, ks_2samp
 
-from stablemimo import (
+from stablemimo.stable import (
     NoiseModel,
     StableParams,
     char_fn,

@@ -5,24 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from stablemimo import (
+from stablemimo.codes import enumerate_codebook, sample_channel
+from stablemimo.stable import NoiseModel, sample_noise_block, sample_subordinator
+from stablemimo.theory import (
     AlphaThresholds,
-    NoiseModel,
     PepAsymptote,
     conditional_pep_gar,
     conditional_pep_mdr_bound,
     dlog_gain,
     dlog_gain_numeric,
-    enumerate_codebook,
     find_alpha_thresholds,
+    has_asymptote,
     log_coding_gain,
     pep_asymptote,
-    sample_channel,
-    sample_noise_block,
-    sample_subordinator,
+    q_function,
     union_bound_ber,
 )
-from stablemimo.theory import has_asymptote, q_function
 
 from helpers import gain
 
@@ -476,7 +474,6 @@ class TestAsymptoteConsistency:
         from stablemimo.codes import Codebook
         from stablemimo.receivers import batch_gar
         from stablemimo.stable import sample_noise_block
-        from stablemimo import sample_channel
 
         cb = enumerate_codebook("alamouti", "bpsk")
         pair = Codebook(
